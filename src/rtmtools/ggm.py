@@ -7,6 +7,13 @@ Each one induces a homomorphism between the two tree modules: the basis
 vector of a domain tree vertex is sent to the signed sum of its partners.
 For rooted-tree pairs these maps span the whole Hom-space.
 
+Completeness is read off the network's two coordinates: a vertex must
+witness every tree child of its child-side coordinate (by an arrow from a
+pullback child) and, unless it is a root, the tree parent of its
+parent-side coordinate (by the arrow to its pullback parent or an edge).
+The network decides which coordinate is which, so nothing here depends on
+the orientation.
+
 Enumeration works by obligation closure.  Inside a hypothetical graph map,
 every completeness obligation has a unique witness (a second witness would
 create a blocked triangle), so each graph map is the closure of any one of
@@ -21,9 +28,9 @@ from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
-from .network import Edge, NetArrow, PullbackNetwork, TwoCover, _edge, two_cover
+from .network import Edge, NetArrow, PullbackNetwork, TwoCover, _edge, _lift, two_cover
 from .oracle import rref
-from .trees import SINK, BranchMorphism, ModuleHom, ModuleRep, TreeOverQ, push_down
+from .trees import BranchMorphism, ModuleHom, ModuleRep, TreeOverQ, push_down
 
 
 class Subnetwork:
@@ -36,7 +43,7 @@ class Subnetwork:
         self.edges = frozenset(edges)
         if not self.vertices <= cover.vertex_set:
             raise ValueError("subnetwork vertex outside the cover")
-        if not self.arrows <= set(cover.arrows) or not self.edges <= set(cover.edges):
+        if not self.arrows <= cover.arrow_set or not self.edges <= cover.edge_set:
             raise ValueError("subnetwork link outside the cover")
         for a in self.arrows:
             if a.source not in self.vertices or a.target not in self.vertices:
@@ -120,78 +127,46 @@ class CompletenessReport:
     reason: str = ""
 
 
-def _sink_obligations(cover: TwoCover, vertex) -> list[tuple]:
-    """Sink case: one obligation per domain child arrow, one for the codomain parent."""
-    t1, t2 = cover.base.t1, cover.base.t2
-    n, m, _ = vertex
-    obligations = [("domain-child", c) for c in t1.tree.children(n)]
-    if m != t2.tree.root:
-        obligations.append(("codomain-parent",))
-    return obligations
+class _Obligations(dict):
+    """Completeness obligations of signed vertices, computed on first use.
+
+    Maps a signed vertex to its list of (obligation, [(witness vertex,
+    link), ...]); an obligation is ("child", x) for a tree child x of the
+    child-side coordinate, or ("parent",).  An obligation is met exactly
+    when one of its witness links is present.  Witnesses are read from the
+    trees, so on a tree that fails validation a witness may fall outside
+    the network; the closure then reports it.
+    """
+
+    def __init__(self, base: PullbackNetwork):
+        super().__init__()
+        self.base = base
+
+    def __missing__(self, vertex) -> list:
+        base = self.base
+        c, p = base.child_side, base.parent_side
+        tc, tp = base.trees[c], base.trees[p]
+        v, s = vertex[:2], vertex[2]
+        obligations = []
+        for x in tc.tree.children(v[c]):
+            witnesses = []
+            for y in tp.tree.children(v[p]):
+                if tp.child_label(y) == tc.child_label(x):
+                    w = (x, y) if c == 0 else (y, x)
+                    witnesses.append((w + (s,), _lift(base.up(w)[1], s)))
+            obligations.append((("child", x), witnesses))
+        if v[p] != tp.tree.root:
+            up = base.up(v)
+            witnesses = [] if up is None else [(up[0] + (s,), _lift(up[1], s))]
+            for w in base.partners(v):
+                witnesses.append((w + (-s,), _edge(vertex, w + (-s,))))
+            obligations.append((("parent",), witnesses))
+        self[vertex] = obligations
+        return obligations
 
 
-def _source_obligations(cover: TwoCover, vertex) -> list[tuple]:
-    """Source case: one obligation per codomain child arrow, one for the domain parent."""
-    t1, t2 = cover.base.t1, cover.base.t2
-    n, m, _ = vertex
-    obligations = [("codomain-child", c) for c in t2.tree.children(m)]
-    if n != t1.tree.root:
-        obligations.append(("domain-parent",))
-    return obligations
-
-
-def _obligations(cover: TwoCover, vertex) -> list[tuple]:
-    if cover.orientation == SINK:
-        return _sink_obligations(cover, vertex)
-    return _source_obligations(cover, vertex)
-
-
-def _resolutions(cover: TwoCover, vertex, obligation) -> list[tuple]:
-    """Admissible witnesses: each is (new vertex, link kind, link)."""
-    t1, t2 = cover.base.t1, cover.base.t2
-    n, m, s = vertex
-    out = []
-    if obligation[0] == "domain-child":
-        c = obligation[1]
-        for d in t2.tree.children(m):
-            if t2.child_label(d) == t1.child_label(c):
-                w = (c, d, s)
-                out.append((w, "arrow", NetArrow(w, vertex, (t1.tree.child_arrow[c], t2.tree.child_arrow[d], s))))
-    elif obligation[0] == "codomain-child":
-        d = obligation[1]
-        for c in t1.tree.children(n):
-            if t1.child_label(c) == t2.child_label(d):
-                w = (c, d, s)
-                out.append((w, "arrow", NetArrow(vertex, w, (t1.tree.child_arrow[c], t2.tree.child_arrow[d], s))))
-    elif obligation[0] == "codomain-parent":
-        if n != t1.tree.root and t1.child_label(n) == t2.child_label(m):
-            w = (t1.tree.parent[n], t2.tree.parent[m], s)
-            out.append((w, "arrow", NetArrow(vertex, w, (t1.tree.child_arrow[n], t2.tree.child_arrow[m], s))))
-        for m2 in t2.tree.children(t2.tree.parent[m]):
-            if m2 != m and t2.child_label(m2) == t2.child_label(m) and (n, m2) in cover.base.vertex_set:
-                w = (n, m2, -s)
-                out.append((w, "edge", _edge(vertex, w)))
-    elif obligation[0] == "domain-parent":
-        if m != t2.tree.root and t1.child_label(n) == t2.child_label(m):
-            w = (t1.tree.parent[n], t2.tree.parent[m], s)
-            out.append((w, "arrow", NetArrow(w, vertex, (t1.tree.child_arrow[n], t2.tree.child_arrow[m], s))))
-        for n2 in t1.tree.children(t1.tree.parent[n]):
-            if n2 != n and t1.child_label(n2) == t1.child_label(n) and (n2, m) in cover.base.vertex_set:
-                w = (n2, m, -s)
-                out.append((w, "edge", _edge(vertex, w)))
-    return out
-
-
-def _is_satisfied(state: "_State", vertex, obligation) -> bool:
-    if obligation[0] == "domain-child":
-        return any(a.target == vertex and a.label[0] == state.t1.tree.child_arrow[obligation[1]] for a in state.arrows)
-    if obligation[0] == "codomain-child":
-        return any(a.source == vertex and a.label[1] == state.t2.tree.child_arrow[obligation[1]] for a in state.arrows)
-    if obligation[0] == "codomain-parent":
-        return any(a.source == vertex for a in state.arrows) or any(vertex in e for e in state.edges)
-    if obligation[0] == "domain-parent":
-        return any(a.target == vertex for a in state.arrows) or any(vertex in e for e in state.edges)
-    raise AssertionError(obligation)
+def _met(witnesses: list, links) -> bool:
+    return any(link in links for _, link in witnesses)
 
 
 class _State:
@@ -199,20 +174,17 @@ class _State:
 
     def __init__(self, cover: TwoCover):
         self.cover = cover
-        self.t1 = cover.base.t1
-        self.t2 = cover.base.t2
         self.signs: dict = {}
-        self.arrows: set = set()
-        self.edges: set = set()
+        self.links: set = set()
+        self.neighbours: dict = {}  # vertex -> far ends of its links
         self.pending: list = []
 
     def copy(self) -> "_State":
         st = _State.__new__(_State)
         st.cover = self.cover
-        st.t1, st.t2 = self.t1, self.t2
         st.signs = dict(self.signs)
-        st.arrows = set(self.arrows)
-        st.edges = set(self.edges)
+        st.links = set(self.links)
+        st.neighbours = dict(self.neighbours)
         st.pending = list(self.pending)
         return st
 
@@ -225,51 +197,29 @@ class _State:
             return True
         return have == s  # sign clash means an involution violation
 
-    def _links_at(self, vertex) -> list:
-        out = []
-        for a in self.arrows:
-            if a.source == vertex:
-                out.append((a, a.target))
-            elif a.target == vertex:
-                out.append((a, a.source))
-        for e in self.edges:
-            if e[0] == vertex:
-                out.append((e, e[1]))
-            elif e[1] == vertex:
-                out.append((e, e[0]))
-        return out
-
-    def add_link(self, kind: str, link) -> bool:
+    def add_link(self, link) -> bool:
         """Insert a link, refusing if some incident pair projects to a triangle."""
-        if kind == "arrow":
-            if link in self.arrows:
-                return True
-            endpoints = (link.source, link.target)
-        else:
-            if link in self.edges:
-                return True
-            endpoints = link
+        if link in self.links:
+            return True
+        u, v = (link.source, link.target) if isinstance(link, NetArrow) else link
         triangle_set = self.cover.triangle_set
-        project = self.cover.project
-        for shared, far in ((endpoints[0], endpoints[1]), (endpoints[1], endpoints[0])):
-            for other, other_far in self._links_at(shared):
-                if other == link:
-                    continue
-                triple = frozenset((project(other_far), project(shared), project(far)))
-                if triple in triangle_set:
+        for shared, far in ((u, v), (v, u)):
+            for other_far in self.neighbours.get(shared, ()):
+                if frozenset((other_far[:2], shared[:2], far[:2])) in triangle_set:
                     return False
-        if kind == "arrow":
-            self.arrows.add(link)
-        else:
-            self.edges.add(link)
+        self.links.add(link)
+        self.neighbours[u] = self.neighbours.get(u, ()) + (v,)
+        self.neighbours[v] = self.neighbours.get(v, ()) + (u,)
         return True
 
     def to_subnetwork(self) -> Subnetwork:
         vertices = [(n, m, s) for (n, m), s in self.signs.items()]
-        return Subnetwork(self.cover, vertices, self.arrows, self.edges)
+        arrows = [link for link in self.links if isinstance(link, NetArrow)]
+        edges = [link for link in self.links if not isinstance(link, NetArrow)]
+        return Subnetwork(self.cover, vertices, arrows, edges)
 
 
-def _closures(cover: TwoCover, seed) -> Iterator[Subnetwork]:
+def _closures(cover: TwoCover, table: _Obligations, seed) -> Iterator[Subnetwork]:
     """All completeness closures of a single signed seed vertex."""
     root_state = _State(cover)
     root_state.add_vertex(seed)
@@ -277,19 +227,17 @@ def _closures(cover: TwoCover, seed) -> Iterator[Subnetwork]:
     def search(state: _State) -> Iterator[Subnetwork]:
         while state.pending:
             vertex = state.pending[-1]
-            unresolved = None
-            for obligation in _obligations(cover, vertex):
-                if not _is_satisfied(state, vertex, obligation):
-                    unresolved = obligation
+            for _, witnesses in table[vertex]:
+                if not _met(witnesses, state.links):
                     break
-            if unresolved is None:
+            else:
                 state.pending.pop()
                 continue
-            for witness, kind, link in _resolutions(cover, vertex, unresolved):
+            for witness, link in witnesses:
                 branch_state = state.copy()
                 if not branch_state.add_vertex(witness):
                     continue
-                if not branch_state.add_link(kind, link):
+                if not branch_state.add_link(link):
                     continue
                 yield from search(branch_state)
             return  # no admissible witness closed this branch
@@ -312,22 +260,20 @@ class GeneralizedGraphMap(Subnetwork):
 
 def is_complete(sub: Subnetwork) -> CompletenessReport:
     """Check every completeness obligation, reporting the first failure."""
+    base = sub.cover.base
+    table = _Obligations(base)
+    links = sub.arrows | sub.edges
     for vertex in sorted(sub.vertices):
-        state = _State(sub.cover)
-        state.signs = sub.signed_pairs()
-        state.arrows = set(sub.arrows)
-        state.edges = set(sub.edges)
-        for obligation in _obligations(sub.cover, vertex):
-            if not _is_satisfied(state, vertex, obligation):
-                if obligation[0] == "domain-child":
-                    arrow = sub.cover.base.t1.tree.child_arrow[obligation[1]]
-                    reason = f"no witness for domain arrow {arrow} of child {obligation[1]}"
-                elif obligation[0] == "codomain-child":
-                    arrow = sub.cover.base.t2.tree.child_arrow[obligation[1]]
-                    reason = f"no witness for codomain arrow {arrow} of child {obligation[1]}"
-                else:
-                    reason = "no witness for the parent-side arrow"
-                return CompletenessReport(False, vertex, reason)
+        for obligation, witnesses in table[vertex]:
+            if _met(witnesses, links):
+                continue
+            if obligation[0] == "child":
+                side = ("domain", "codomain")[base.child_side]
+                arrow = base.trees[base.child_side].tree.child_arrow[obligation[1]]
+                reason = f"no witness for {side} arrow {arrow} of child {obligation[1]}"
+            else:
+                reason = "no witness for the parent-side arrow"
+            return CompletenessReport(False, vertex, reason)
     return CompletenessReport(True)
 
 
@@ -352,9 +298,10 @@ def enumerate_ggms(
     """
     if cover is None:
         cover = two_cover(PullbackNetwork(t1, t2))
+    table = _Obligations(cover.base)
     found: dict[frozenset, Subnetwork] = {}
     for pair in cover.base.vertices:
-        for sub in _closures(cover, pair + (1,)):
+        for sub in _closures(cover, table, pair + (1,)):
             canon = _canonical(sub)
             found.setdefault(canon.vertices, canon)
     ggms = [GeneralizedGraphMap.from_subnetwork(s) for s in sorted(found.values(), key=Subnetwork.sort_key)]
@@ -393,50 +340,31 @@ def hom_span(
 def branch_morphism_from_ggm(g: GeneralizedGraphMap, pair: tuple) -> BranchMorphism:
     """Extract the branch-to-branch morphism rooted at a graph-map vertex.
 
-    Sink orientation maps the domain branch into the codomain branch;
-    source orientation the codomain branch into the domain branch.  Each
-    inductive step follows the unique witness link inside the graph map;
+    It maps the branch of the child-side coordinate of `pair` into the
+    branch of the parent-side one: the domain branch into the codomain
+    branch for sink trees, the other way round for source trees.  Each
+    inductive step follows the unique witness arrow inside the graph map;
     uniqueness is asserted, as it is what the unblocked condition grants.
     """
-    signs = g.signed_pairs()
-    if pair not in signs:
+    if pair not in g.signed_pairs():
         raise ValueError(f"{pair} is not a vertex pair of the graph map")
-    t1, t2 = g.cover.base.t1, g.cover.base.t2
-    n, m = pair
-    if g.cover.orientation == SINK:
-        morphism = BranchMorphism(n, m, {n: m}, {})
-        queue = [n]
-        while queue:
-            x = queue.pop(0)
-            y = morphism.vertex_map[x]
-            for c in t1.tree.children(x):
-                witnesses = [
-                    a
-                    for a in g.arrows
-                    if a.target[:2] == (x, y) and a.label[0] == t1.tree.child_arrow[c]
-                ]
-                if len(witnesses) != 1:
-                    raise AssertionError(f"witness for child {c} not unique: {witnesses}")
-                morphism.vertex_map[c] = witnesses[0].source[1]
-                morphism.arrow_map[t1.tree.child_arrow[c]] = witnesses[0].label[1]
-                queue.append(c)
-        return morphism
-    morphism = BranchMorphism(m, n, {m: n}, {})
-    queue = [m]
+    base = g.cover.base
+    c, p = base.child_side, base.parent_side
+    tc = base.trees[c].tree
+    morphism = BranchMorphism(pair[c], pair[p], {pair[c]: pair[p]}, {})
+    queue = [pair]
     while queue:
-        y = queue.pop(0)
-        x = morphism.vertex_map[y]
-        for d in t2.tree.children(y):
-            witnesses = [
-                a
-                for a in g.arrows
-                if a.source[:2] == (x, y) and a.label[1] == t2.tree.child_arrow[d]
-            ]
+        v = queue.pop(0)
+        for x in tc.children(v[c]):
+            arrow = tc.child_arrow[x]
+            witnesses = [a for a in g.arrows if a.label[c] == arrow and v in (a.source[:2], a.target[:2])]
             if len(witnesses) != 1:
-                raise AssertionError(f"witness for child {d} not unique: {witnesses}")
-            morphism.vertex_map[d] = witnesses[0].target[0]
-            morphism.arrow_map[t2.tree.child_arrow[d]] = witnesses[0].label[0]
-            queue.append(d)
+                raise AssertionError(f"witness for child {x} not unique: {witnesses}")
+            a = witnesses[0]
+            w = (a.source if a.target[:2] == v else a.target)[:2]
+            morphism.vertex_map[x] = w[p]
+            morphism.arrow_map[arrow] = a.label[p]
+            queue.append(w)
     return morphism
 
 

@@ -2,10 +2,15 @@
 
 For two rooted trees over the same bound quiver, with the same orientation,
 the pullback network pairs compatibly labelled tree vertices.  Its arrow
-part is the pullback quiver (a forest of rooted trees); its undirected
-edges pair vertices whose codomain (sink case) or domain (source case)
-coordinates are same-labelled siblings.  The signed double of the network
-carries the sign bookkeeping needed over fields of odd characteristic.
+part is the pullback quiver (a forest of rooted trees): a pair of child
+vertices with the same child-arrow label is joined to the pair of their
+parents by an arrow running the way the two tree arrows run.  Its
+undirected edges pair vertices that differ in one coordinate only, where
+they are same-labelled siblings: the codomain coordinate for sink trees and
+the domain coordinate for source trees.  That choice, made once in
+`PullbackNetwork`, is the only place this module reads the orientation.
+The signed double of the network carries the sign bookkeeping needed over
+fields of odd characteristic.
 
 Traversals are non-backtracking walks along links (arrows, reversed arrows,
 edges).  A traversal is blocked as soon as two consecutive links visit three
@@ -38,6 +43,11 @@ def _edge(u, v) -> Edge:
     return (u, v) if u < v else (v, u)
 
 
+def _lift(arrow: NetArrow, sign: int) -> NetArrow:
+    """The arrow of the signed double lying over `arrow` on the given sheet."""
+    return NetArrow(arrow.source + (sign,), arrow.target + (sign,), arrow.label + (sign,))
+
+
 class _LinkedNetwork:
     """Shared adjacency plumbing for the base network and its double cover."""
 
@@ -47,6 +57,8 @@ class _LinkedNetwork:
 
     def _build_indexes(self) -> None:
         self.vertex_set = frozenset(self.vertices)
+        self.arrow_set = frozenset(self.arrows)
+        self.edge_set = frozenset(self.edges)
         self._arrows_from: dict = {v: [] for v in self.vertices}
         self._arrows_into: dict = {v: [] for v in self.vertices}
         self._edges_at: dict = {v: [] for v in self.vertices}
@@ -68,7 +80,14 @@ class _LinkedNetwork:
 
 
 class PullbackNetwork(_LinkedNetwork):
-    """The pairing network of two same-orientation trees over one bound quiver."""
+    """The pairing network of two same-orientation trees over one bound quiver.
+
+    Coordinate `parent_side` of a vertex pair is the one whose same-labelled
+    siblings are joined by edges; `child_side` is the other one.  A graph
+    map must witness every tree child on the child side and the tree parent
+    on the parent side.  `pullback_parent` maps each non-root vertex of the
+    pullback forest to its parent.
+    """
 
     def __init__(self, t1: TreeOverQ, t2: TreeOverQ):
         if t1.codomain != t2.codomain:
@@ -80,7 +99,10 @@ class PullbackNetwork(_LinkedNetwork):
             )
         self.t1 = t1
         self.t2 = t2
+        self.trees = (t1, t2)
         self.orientation = t1.orientation
+        self.parent_side = 1 if self.orientation == SINK else 0
+        self.child_side = 1 - self.parent_side
 
         self.vertices = tuple(
             sorted(
@@ -90,68 +112,71 @@ class PullbackNetwork(_LinkedNetwork):
                 if t1.vertex_label[n] == t2.vertex_label[m]
             )
         )
-        vertex_set = set(self.vertices)
-
+        self.vertex_set = frozenset(self.vertices)
+        self.pullback_parent: dict = {}
         arrows = []
-        for (n, m) in self.vertices:
-            if n == t1.tree.root or m == t2.tree.root:
-                continue
-            if t1.child_label(n) != t2.child_label(m):
-                continue
-            pair_parent = (t1.tree.parent[n], t2.tree.parent[m])
-            label = (t1.tree.child_arrow[n], t2.tree.child_arrow[m])
-            if self.orientation == SINK:
-                arrows.append(NetArrow((n, m), pair_parent, label))
-            else:
-                arrows.append(NetArrow(pair_parent, (n, m), label))
-        assert all(a.source in vertex_set and a.target in vertex_set for a in arrows)
+        for v in self.vertices:
+            up = self.up(v)
+            if up is not None:
+                self.pullback_parent[v] = up[0]
+                arrows.append(up[1])
+        assert all(w in self.vertex_set for w in self.pullback_parent.values())
         self.arrows = tuple(sorted(arrows, key=lambda a: (a.source, a.target, a.label)))
-
-        edges = set()
-        for (n, m) in self.vertices:
-            if self.orientation == SINK:
-                if m == t2.tree.root:
-                    continue
-                for m2 in t2.tree.children(t2.tree.parent[m]):
-                    if m2 != m and t2.child_label(m2) == t2.child_label(m) and (n, m2) in vertex_set:
-                        edges.add(_edge((n, m), (n, m2)))
-            else:
-                if n == t1.tree.root:
-                    continue
-                for n2 in t1.tree.children(t1.tree.parent[n]):
-                    if n2 != n and t1.child_label(n2) == t1.child_label(n) and (n2, m) in vertex_set:
-                        edges.add(_edge((n, m), (n2, m)))
-        self.edges = tuple(sorted(edges))
+        self.edges = tuple(sorted({_edge(v, w) for v in self.vertices for w in self.partners(v)}))
         self._build_indexes()
+
+    def up(self, pair) -> Optional[tuple]:
+        """The parent pair of `pair` and the arrow joining the two, or None.
+
+        Defined when neither coordinate is a root and both child arrows
+        carry the same label; the arrow runs the way the two tree arrows run.
+        """
+        n, m = pair
+        tree1, tree2 = self.t1.tree, self.t2.tree
+        if n == tree1.root or m == tree2.root or self.t1.child_label(n) != self.t2.child_label(m):
+            return None
+        e1, e2 = tree1.child_arrow[n], tree2.child_arrow[m]
+        arrow = NetArrow(
+            (tree1.arrow_source[e1], tree2.arrow_source[e2]),
+            (tree1.arrow_target[e1], tree2.arrow_target[e2]),
+            (e1, e2),
+        )
+        return (tree1.parent[n], tree2.parent[m]), arrow
+
+    def partners(self, pair) -> list:
+        """Network vertices joined to `pair` by an edge: same-labelled siblings on the parent side."""
+        side, tp = self.parent_side, self.trees[self.parent_side]
+        x = pair[side]
+        if x == tp.tree.root:
+            return []
+        out = []
+        for x2 in tp.tree.children(tp.tree.parent[x]):
+            w = pair[:side] + (x2,) + pair[side + 1 :]
+            if x2 != x and tp.child_label(x2) == tp.child_label(x) and w in self.vertex_set:
+                out.append(w)
+        return out
 
     def project(self, vertex):
         return vertex
 
     @cached_property
     def forest_roots(self) -> tuple:
-        """Roots of the pullback quiver: vertices with no arrow toward a parent."""
-        if self.orientation == SINK:
-            return tuple(v for v in self.vertices if not self._arrows_from[v])
-        return tuple(v for v in self.vertices if not self._arrows_into[v])
+        """Roots of the pullback quiver: vertices with no pullback parent."""
+        return tuple(v for v in self.vertices if v not in self.pullback_parent)
 
     @cached_property
     def pullback_height(self) -> dict:
         """Height of each vertex inside its rooted tree of the pullback forest."""
         heights: dict = {}
-
-        def climb(v) -> int:
-            if v in heights:
-                return heights[v]
-            ups = self._arrows_from[v] if self.orientation == SINK else self._arrows_into[v]
-            if not ups:
-                heights[v] = 0
-            else:
-                parent = ups[0].target if self.orientation == SINK else ups[0].source
-                heights[v] = 1 + climb(parent)
-            return heights[v]
-
         for v in self.vertices:
-            climb(v)
+            climbed = []
+            while v not in heights and v in self.pullback_parent:
+                climbed.append(v)
+                v = self.pullback_parent[v]
+            h = heights.setdefault(v, 0)
+            for u in reversed(climbed):
+                h += 1
+                heights[u] = h
         return heights
 
     @cached_property
@@ -171,30 +196,23 @@ def triangles(net: PullbackNetwork) -> tuple[Triangle, ...]:
     """All triangles of the network.
 
     Every triangle contains at least one edge (directed cycles are absent and
-    the pullback quiver has out-degree, resp. in-degree, at most one), so the
-    search walks the edges: an edge plus the two parent-directed arrows of
-    its endpoints gives the one-edge type, and two incident edges whose far
-    endpoints are also joined give the three-edge type.
+    each vertex has at most one pullback parent), so the search walks the
+    edges: an edge whose endpoints share their pullback parent gives the
+    one-edge type, and two incident edges whose far endpoints are also
+    joined give the three-edge type.
     """
     found: dict[frozenset, Triangle] = {}
-    edge_set = set(net.edges)
     for u, v in net.edges:
-        if net.orientation == SINK:
-            up_u, up_v = net.arrows_from(u), net.arrows_from(v)
-        else:
-            up_u, up_v = net.arrows_into(u), net.arrows_into(v)
-        if up_u and up_v:
-            other_u = up_u[0].target if net.orientation == SINK else up_u[0].source
-            other_v = up_v[0].target if net.orientation == SINK else up_v[0].source
-            if other_u == other_v:
-                key = frozenset((u, v, other_u))
-                found.setdefault(key, Triangle(key, "1-edge"))
+        parent = net.pullback_parent.get(u)
+        if parent is not None and parent == net.pullback_parent.get(v):
+            key = frozenset((u, v, parent))
+            found.setdefault(key, Triangle(key, "1-edge"))
         for mid, far in ((u, v), (v, u)):
             for e2 in net.edges_at(mid):
                 w = e2[0] if e2[1] == mid else e2[1]
                 if w == far:
                     continue
-                if _edge(w, far) in edge_set:
+                if _edge(w, far) in net.edge_set:
                     key = frozenset((u, v, w))
                     found.setdefault(key, Triangle(key, "3-edge"))
     return tuple(sorted(found.values(), key=lambda t: sorted(t.vertices)))
@@ -209,15 +227,10 @@ class TwoCover(_LinkedNetwork):
 
     def __init__(self, base: PullbackNetwork):
         self.base = base
-        self.orientation = base.orientation
         self.vertices = tuple(sorted((n, m, s) for (n, m) in base.vertices for s in (-1, 1)))
         self.arrows = tuple(
             sorted(
-                (
-                    NetArrow(a.source + (s,), a.target + (s,), a.label + (s,))
-                    for a in base.arrows
-                    for s in (-1, 1)
-                ),
+                (_lift(a, s) for a in base.arrows for s in (-1, 1)),
                 key=lambda a: (a.source, a.target, a.label),
             )
         )
@@ -309,19 +322,17 @@ class Traversal:
         if self.start not in net.vertex_set:
             raise ValueError(f"unknown start vertex {self.start}")
         at = self.start
-        arrow_set = set(net.arrows)
-        edge_set = set(net.edges)
         prev: Optional[Step] = None
         for step in self.steps:
             kind, link = step
             if kind in ("fwd", "bwd"):
-                if link not in arrow_set:
+                if link not in net.arrow_set:
                     raise ValueError(f"unknown arrow {link}")
                 frm, to = _step_endpoints(step, at)
                 if frm != at:
                     raise ValueError(f"step {step} does not start at {at}")
             elif kind == "edge":
-                if link not in edge_set:
+                if link not in net.edge_set:
                     raise ValueError(f"unknown edge {link}")
                 if at not in link:
                     raise ValueError(f"edge {link} is not incident to {at}")

@@ -7,6 +7,12 @@ same-labelled siblings admit a label-compatible morphism from one branch
 into the other.  The sibling search is a memoized pairwise dynamic program,
 so the whole decision is polynomial; the exhaustive idempotent scan of the
 oracle module provides the independent cross-check.
+
+All of this reads only the tree's parent map, so it is the same for both
+orientations.  The one exception is `module_idempotent`: the module of a
+source tree is the transpose dual of the module of the opposite sink tree,
+so the induced idempotent of a source tree is the transpose of the sink
+formula.  `split` builds its witness from that idempotent.
 """
 
 from __future__ import annotations
@@ -17,14 +23,15 @@ from typing import Optional
 import numpy as np
 
 from .trees import (
-    SINK,
+    SOURCE,
     BranchMorphism,
     ModuleHom,
     ModuleRep,
-    RootedTree,
     TreeOverQ,
+    branch,
     direct_sum,
     push_down,
+    restrict,
 )
 from . import oracle
 
@@ -170,7 +177,8 @@ def module_idempotent(t: TreeOverQ, endo: IdempotentEndo, prime: int = 3) -> Mod
     """The induced idempotent endomorphism of the materialized module.
 
     Sink orientation sends v_n to the vector of the image vertex; source
-    orientation sends v_n to the sum over the fiber of n.
+    orientation uses the transpose, sending v_n to the sum over the fiber
+    of n.
     """
     if endo.t is not t:
         IdempotentEndo(t, endo.vertex_map)  # revalidate against this tree
@@ -178,27 +186,10 @@ def module_idempotent(t: TreeOverQ, endo: IdempotentEndo, prime: int = 3) -> Mod
     blocks = {q: np.zeros((rep.dim(q), rep.dim(q)), dtype=np.int64) for q in rep.basis}
     for n in t.tree.vertices:
         q = t.vertex_label[n]
-        if t.orientation == SINK:
-            blocks[q][rep.basis_index(q, endo.vertex_map[n]), rep.basis_index(q, n)] = 1
-        else:
-            blocks[q][rep.basis_index(q, n), rep.basis_index(q, endo.vertex_map[n])] += 1
+        blocks[q][rep.basis_index(q, endo.vertex_map[n]), rep.basis_index(q, n)] = 1
+    if t.orientation == SOURCE:
+        blocks = {q: b.T for q, b in blocks.items()}
     return ModuleHom(rep, rep, blocks)
-
-
-def _restrict(t: TreeOverQ, vertices: tuple[int, ...]) -> TreeOverQ:
-    vset = set(vertices)
-    arrows = [
-        (a, t.tree.arrow_source[a], t.tree.arrow_target[a])
-        for a in t.tree.arrows
-        if t.tree.arrow_source[a] in vset and t.tree.arrow_target[a] in vset
-    ]
-    sub = RootedTree(vertices, arrows, t.orientation)
-    return TreeOverQ(
-        sub,
-        t.codomain,
-        {v: t.vertex_label[v] for v in vertices},
-        {name: t.arrow_label[name] for name, _, _ in arrows},
-    )
 
 
 def _complement_components(t: TreeOverQ, kept: set[int]) -> list[tuple[int, ...]]:
@@ -241,37 +232,29 @@ def split(t: TreeOverQ, endo: IdempotentEndo, prime: int = 3) -> Decomposition:
 
     The fixed subtree (equal to the image subtree) carries the first
     summand; each connected component of the complement carries one more.
-    The witness matrix realizes the isomorphism explicitly: fixed basis
-    vectors map by inclusion (sink) or by the induced idempotent (source),
-    complement vectors by v_n - v_(image of n) (sink) or inclusion (source).
-    Invertibility and intertwining are verified before returning.
+    The witness matrix realizes the isomorphism explicitly: with P the
+    induced idempotent, the basis vector of a fixed vertex n maps to P v_n
+    and that of any other vertex to (1 - P) v_n.  Invertibility and
+    intertwining are verified before returning.
     """
     if endo.is_identity():
         raise ValueError("cannot split along the identity")
     fixed = endo.fixed_vertices()
     assert fixed == endo.image_vertices()
-    parts = [fixed] + _complement_components(t, set(fixed))
-    summands = [_restrict(t, part) for part in parts]
-    rep = push_down(t, prime)
-    summand_reps = [push_down(s, prime) for s in summands]
-    sum_rep = direct_sum(summand_reps)
-    blocks = {q: np.zeros((rep.dim(q), sum_rep.dim(q)), dtype=np.int64) for q in rep.basis}
-    for q in rep.basis:
+    fixed_set = set(fixed)
+    parts = [fixed] + _complement_components(t, fixed_set)
+    summands = [restrict(t, part) for part in parts]
+    idempotent = module_idempotent(t, endo, prime)
+    rep = idempotent.domain
+    sum_rep = direct_sum([push_down(s, prime) for s in summands])
+    blocks = {}
+    for q, image in idempotent.blocks.items():
+        kernel = np.eye(len(image), dtype=np.int64) - image
+        blocks[q] = np.zeros((rep.dim(q), sum_rep.dim(q)), dtype=np.int64)
         for col, n in enumerate(sum_rep.basis[q]):
-            if t.orientation == SINK:
-                if n in set(fixed):
-                    blocks[q][rep.basis_index(q, n), col] = 1
-                else:
-                    blocks[q][rep.basis_index(q, n), col] += 1
-                    blocks[q][rep.basis_index(q, endo.vertex_map[n]), col] -= 1
-            else:
-                if n in set(fixed):
-                    for m, img in endo.vertex_map.items():
-                        if img == n:
-                            blocks[q][rep.basis_index(q, m), col] += 1
-                else:
-                    blocks[q][rep.basis_index(q, n), col] = 1
-    witness = ModuleHom(sum_rep, rep, {q: b % prime for q, b in blocks.items()})
+            i = rep.basis_index(q, n)
+            blocks[q][:, col] = image[:, i] if n in fixed_set else kernel[:, i]
+    witness = ModuleHom(sum_rep, rep, blocks)
     if not oracle.verify_iso(witness):
         raise AssertionError("split witness failed verification")
     return Decomposition(summands, witness, rep, sum_rep)
@@ -305,18 +288,13 @@ def cor2_report(t: TreeOverQ) -> Cor2Report:
     distinct root children share their arrow label and one branch embeds
     into the other.
     """
-    from .trees import branch as take_branch
-
-    kids = t.tree.children(t.tree.root)
-    for k in kids:
-        if not is_indecomposable(take_branch(t, k)):
+    for k in t.tree.children(t.tree.root):
+        if not is_indecomposable(branch(t, k)):
             raise ValueError(f"branch at root child {k} is decomposable")
-    memo: dict = {}
-    for n1 in kids:
-        for n2 in kids:
-            if n1 == n2 or t.child_label(n1) != t.child_label(n2):
-                continue
-            witness = embeds(t, n1, n2, memo)
-            if witness is not None:
-                return Cor2Report(False, (n1, n2), witness)
-    return Cor2Report(True)
+    # With every root-child branch indecomposable, a certificate can only sit
+    # at the root, and the breadth-first order checks the root first.
+    cert = first_certificate(t)
+    if cert is None:
+        return Cor2Report(True)
+    _, n1, n2, witness = cert
+    return Cor2Report(False, (n1, n2), witness)

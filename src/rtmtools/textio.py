@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .algebra import BoundQuiver, Quiver, StructureError
-from .trees import SINK, SOURCE, RootedTree, TreeOverQ
+from .trees import RootedTree, TreeOverQ
 
 
 class ParseError(ValueError):
@@ -75,7 +75,7 @@ def parse_document(text: str) -> InputDocument:
             if len(tokens) != 2 or tokens[1] not in ("SINK", "SOURCE"):
                 raise ParseError(lineno, "expected TREE SINK or TREE SOURCE")
             section = "tree"
-            orientation = SINK if tokens[1] == "SINK" else SOURCE
+            orientation = tokens[1].lower()
             continue
         if section == "quiver":
             if head == "vertex" and len(tokens) == 2:
@@ -148,19 +148,12 @@ def format_document(doc: InputDocument) -> str:
     lines.append("RELATIONS")
     for rel in sorted(bq.relations):
         lines.append("rel " + " ".join(rel))
-    lines.append(f"TREE {'SINK' if t.orientation == SINK else 'SOURCE'}")
-    for n in t.tree.vertices:
-        lines.append(f"node {n} {t.vertex_label[n]}")
-    for a in sorted(t.tree.arrows):
-        lines.append(
-            f"arrow {a} {t.tree.arrow_source[a]} {t.tree.arrow_target[a]} {t.arrow_label[a]}"
-        )
-    return "\n".join(lines) + "\n"
+    return "\n".join(lines) + "\n" + format_tree_section(t) + "\n"
 
 
 def format_tree_section(t: TreeOverQ) -> str:
-    """Just the TREE section, used when printing decomposition summands."""
-    lines = [f"TREE {'SINK' if t.orientation == SINK else 'SOURCE'}"]
+    """Just the TREE section, also used when printing decomposition summands."""
+    lines = [f"TREE {t.orientation.upper()}"]
     for n in t.tree.vertices:
         lines.append(f"node {n} {t.vertex_label[n]}")
     for a in sorted(t.tree.arrows):

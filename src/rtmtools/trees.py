@@ -77,29 +77,26 @@ class RootedTree:
             raise StructureError("underlying graph is not connected")
 
         # With n-1 arrows and a connected underlying graph this is a tree, so
-        # a unique sink (resp. source) forces every other vertex to carry
-        # exactly one outgoing (resp. incoming) arrow: its child arrow.
-        toward_parent = self.arrow_source if orientation == SINK else self.arrow_target
+        # a unique sink (resp. source) forces every other vertex to be the
+        # source (resp. target) of exactly one arrow: its child arrow.  This is
+        # the one place where the orientation picks an end of an arrow.
+        child_end, parent_end = (
+            (self.arrow_source, self.arrow_target)
+            if orientation == SINK
+            else (self.arrow_target, self.arrow_source)
+        )
         counts: dict[int, int] = {v: 0 for v in self.vertices}
         for a in self.arrows:
-            counts[toward_parent[a]] += 1
+            counts[child_end[a]] += 1
         roots = [v for v, c in counts.items() if c == 0]
         if len(roots) != 1:
-            kind = "sink" if orientation == SINK else "source"
-            raise StructureError(f"tree has {len(roots)} candidate {kind} roots, needs exactly 1")
+            raise StructureError(f"tree has {len(roots)} candidate {orientation} roots, needs exactly 1")
         self.root = roots[0]
         if any(counts[v] != 1 for v in self.vertices if v != self.root):
             raise StructureError("some non-root vertex has more than one child arrow")
 
-        self.child_arrow: dict[int, str] = {}
-        self.parent: dict[int, int] = {}
-        for a in self.arrows:
-            if orientation == SINK:
-                child, par = self.arrow_source[a], self.arrow_target[a]
-            else:
-                child, par = self.arrow_target[a], self.arrow_source[a]
-            self.child_arrow[child] = a
-            self.parent[child] = par
+        self.child_arrow: dict[int, str] = {child_end[a]: a for a in self.arrows}
+        self.parent: dict[int, int] = {child_end[a]: parent_end[a] for a in self.arrows}
 
         self._children: dict[int, tuple[int, ...]] = {v: () for v in self.vertices}
         for child in sorted(self.parent):
@@ -188,14 +185,12 @@ class TreeOverQ:
         The vertex list follows arrow direction: consecutive entries joined
         by a tree arrow from the earlier to the later.
         """
+        tree = self.tree
         word = []
         for a, b in zip(tree_vertices, tree_vertices[1:]):
-            if self.tree.orientation == SINK:
-                assert self.tree.parent[a] == b
-                word.append(self.arrow_label[self.tree.child_arrow[a]])
-            else:
-                assert self.tree.parent[b] == a
-                word.append(self.arrow_label[self.tree.child_arrow[b]])
+            arrow = tree.child_arrow[a] if tree.parent.get(a) == b else tree.child_arrow[b]
+            assert (tree.arrow_source[arrow], tree.arrow_target[arrow]) == (a, b)
+            word.append(self.arrow_label[arrow])
         return tuple(word)
 
 
@@ -219,16 +214,14 @@ def validate_tree_over_q(t: TreeOverQ) -> TreeValidationReport:
         chain = [leaf]
         while chain[-1] != tree.root:
             chain.append(tree.parent[chain[-1]])
-        if tree.orientation == SINK:
-            directed = chain  # leaf -> root follows the arrows
-        else:
-            directed = list(reversed(chain))  # root -> leaf follows the arrows
-        word = t.image_word(directed)
+        if leaf != tree.root and tree.arrow_target[tree.child_arrow[leaf]] == leaf:
+            chain.reverse()  # the arrows run from the root to the leaf
+        word = t.image_word(chain)
         for rel in t.codomain.relations:
             k = len(rel)
             for i in range(len(word) - k + 1):
                 if word[i : i + k] == rel:
-                    vertices = tuple(directed[i : i + k + 1])
+                    vertices = tuple(chain[i : i + k + 1])
                     return TreeValidationReport(
                         False,
                         "image of a tree path lies in the relation ideal",
@@ -237,24 +230,28 @@ def validate_tree_over_q(t: TreeOverQ) -> TreeValidationReport:
     return TreeValidationReport(True)
 
 
+def restrict(t: TreeOverQ, vertices: tuple[int, ...]) -> TreeOverQ:
+    """The labelled subtree on `vertices`, which must span a rooted subtree."""
+    vset = set(vertices)
+    arrows = [
+        (a, t.tree.arrow_source[a], t.tree.arrow_target[a])
+        for a in t.tree.arrows
+        if t.tree.arrow_source[a] in vset and t.tree.arrow_target[a] in vset
+    ]
+    sub = RootedTree(vertices, arrows, t.tree.orientation)
+    return TreeOverQ(
+        sub,
+        t.codomain,
+        {v: t.vertex_label[v] for v in vertices},
+        {name: t.arrow_label[name] for name, _, _ in arrows},
+    )
+
+
 def branch(t: TreeOverQ, vertex: int) -> TreeOverQ:
     """The branch of `vertex` with the restricted labelling, rooted at `vertex`."""
     if vertex not in t.tree.height:
         raise StructureError(f"unknown tree vertex {vertex}")
-    verts = t.tree.branch_vertices(vertex)
-    vert_set = set(verts)
-    arrows = [
-        (a, t.tree.arrow_source[a], t.tree.arrow_target[a])
-        for a in t.tree.arrows
-        if t.tree.arrow_source[a] in vert_set and t.tree.arrow_target[a] in vert_set
-    ]
-    sub = RootedTree(verts, arrows, t.tree.orientation)
-    return TreeOverQ(
-        sub,
-        t.codomain,
-        {v: t.vertex_label[v] for v in verts},
-        {name: t.arrow_label[name] for name, _, _ in arrows},
-    )
+    return restrict(t, t.tree.branch_vertices(vertex))
 
 
 def is_tree_module(t: TreeOverQ) -> bool:
@@ -269,6 +266,12 @@ def is_tree_module(t: TreeOverQ) -> bool:
         by_source[src].add(lab)
         by_target[tgt].add(lab)
     return True
+
+
+# Products of two residues mod p < 2**24, summed over fewer than 2**15 terms
+# (matrix products and the idempotent scan), stay below 2**63.  A dense int64
+# block with 2**15 rows already takes 8 GB, so the arithmetic stays exact.
+PRIME_BOUND = 2**24
 
 
 def is_odd_prime(n: int) -> bool:
@@ -341,11 +344,13 @@ class ModuleRep:
 def push_down(t: TreeOverQ, prime: int = 3) -> ModuleRep:
     """Materialize the module presented by the labelled tree over GF(prime).
 
-    Sink orientation: each quiver arrow sends the basis vector of a non-root
-    tree vertex with matching child label to its parent's vector.  Source
-    orientation: it sends a vertex's vector to the sum of its children with
-    matching child label.  Basis order is ascending vertex label.
+    A tree arrow from n to m labelled a puts a 1 in the matrix of a, at the
+    row of m and the column of n: in a sink tree a vertex's vector goes to
+    its parent, in a source tree to the sum of its children along a.  Basis
+    order is ascending vertex label.
     """
+    if prime >= PRIME_BOUND:  # checked first: trial division would crawl
+        raise ValueError(f"prime {prime} is too large: int64 arithmetic is exact only for p < 2**24")
     if not is_odd_prime(prime):
         raise ValueError(f"need an odd prime, got {prime}")
     report = validate_tree_over_q(t)
@@ -357,20 +362,15 @@ def push_down(t: TreeOverQ, prime: int = 3) -> ModuleRep:
         qv = t.vertex_label[n]
         basis[qv] = basis[qv] + (n,)
     index = {qv: {n: i for i, n in enumerate(vs)} for qv, vs in basis.items()}
-    matrices: dict[str, np.ndarray] = {}
-    for a in q.arrows:
-        src, tgt = q.source(a), q.target(a)
-        mat = np.zeros((len(basis[tgt]), len(basis[src])), dtype=np.int64)
-        if t.tree.orientation == SINK:
-            for n in basis[src]:
-                if n != t.tree.root and t.child_label(n) == a:
-                    mat[index[tgt][t.tree.parent[n]], index[src][n]] = 1
-        else:
-            for n in basis[src]:
-                for m in t.tree.children(n):
-                    if t.child_label(m) == a:
-                        mat[index[tgt][m], index[src][n]] = 1
-        matrices[a] = mat
+    matrices = {
+        a: np.zeros((len(basis[q.target(a)]), len(basis[q.source(a)])), dtype=np.int64)
+        for a in q.arrows
+    }
+    for e in t.tree.arrows:
+        a = t.arrow_label[e]
+        row = index[q.target(a)][t.tree.arrow_target[e]]
+        col = index[q.source(a)][t.tree.arrow_source[e]]
+        matrices[a][row, col] = 1
     return ModuleRep(prime, t.codomain, basis, matrices)
 
 

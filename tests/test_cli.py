@@ -1,7 +1,10 @@
 """Document parsing, round-trips, and the command surface."""
 
+import time
+
 import pytest
 
+from rtmtools import structure
 from rtmtools.cli import main
 from rtmtools.textio import ParseError, format_document, parse_document
 
@@ -171,6 +174,48 @@ def test_cmd_decompose(tmp_path, capsys, sink_document):
     assert "SUMMAND 1 (dim 4)" in out and "SUMMAND 2 (dim 1)" in out
     assert "node 4 2" in out  # the simple summand sits at quiver vertex 2
     assert "witness: OK" in out
+
+
+def _star_document(k, orientation):
+    nodes = "".join(f"node {n} 1\n" for n in range(1, k + 2))
+    arrows = "".join(
+        f"arrow a{n} {n} 1 alpha\n" if orientation == "SINK" else f"arrow a{n} 1 {n} alpha\n"
+        for n in range(2, k + 2)
+    )
+    return "QUIVER\nvertex 1\narrow alpha 1 1\nRELATIONS\nrel alpha alpha\n" + f"TREE {orientation}\n" + nodes + arrows
+
+
+@pytest.mark.parametrize("k", [3, 4])
+@pytest.mark.parametrize("orientation", ["SINK", "SOURCE"])
+def test_cmd_decompose_splits_once_per_extra_summand(tmp_path, capsys, monkeypatch, k, orientation):
+    calls = []
+    split = structure.split
+
+    def counting_split(*args, **kwargs):
+        calls.append(args)
+        return split(*args, **kwargs)
+
+    monkeypatch.setattr(structure, "split", counting_split)
+    path = _write(tmp_path, "star.rtm", _star_document(k, orientation))
+    assert main(["decompose", path]) == 0
+    out = capsys.readouterr().out
+    assert f"{k} indecomposable summands" in out
+    assert len(calls) == k - 1  # summands - 1: every split adds exactly one summand here
+    assert out.endswith("witness: OK\n")
+
+
+@pytest.mark.parametrize("orientation", ["SINK", "SOURCE"])
+@pytest.mark.parametrize("prime", ["4294967311", "1000000000000000003"])
+def test_cmd_hom_rejects_primes_beyond_the_int64_bound(tmp_path, capsys, orientation, prime):
+    # 4294967311 used to overflow in rref and report a false DISAGREE (exit 4);
+    # 1000000000000000003 used to hang in the trial-division primality test.
+    path = _write(tmp_path, "star3.rtm", _star_document(3, orientation))
+    start = time.perf_counter()
+    assert main(["hom", path, path, "-p", prime]) == 1
+    assert time.perf_counter() - start < 1.0
+    captured = capsys.readouterr()
+    assert "DISAGREE" not in captured.out
+    assert "p < 2**24" in captured.err
 
 
 def test_cmd_decompose_indecomposable_input(tmp_path, capsys, source_document_factory):

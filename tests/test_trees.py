@@ -110,7 +110,10 @@ def test_push_down_rejects_bad_primes(sink_tree):
     for p in (2, 4, 9, 1):
         with pytest.raises(ValueError):
             push_down(sink_tree, p)
-    push_down(sink_tree, 101)  # any odd prime is fine
+    push_down(sink_tree, 101)  # any odd prime below the int64 bound is fine
+    push_down(sink_tree, 16777213)  # the largest prime below 2**24
+    with pytest.raises(ValueError, match=r"p < 2\*\*24"):
+        push_down(sink_tree, 16777259)  # the least prime above it
 
 
 def test_relation_vanishing_on_random_instances():
