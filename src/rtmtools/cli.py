@@ -16,7 +16,7 @@ from . import oracle, structure
 from .algebra import check_locally_bound
 from .network import PullbackNetwork, maximal_r_free_traversals, to_dot, two_cover
 from .textio import InputDocument, ParseError, format_tree_section, parse_document
-from .trees import push_down, validate_tree_over_q
+from .trees import push_down, require_valid, validate_tree_over_q
 
 OK, VALIDATION_FAILURE, PARSE_ERROR, ORACLE_UNAVAILABLE, DISAGREEMENT = 0, 1, 2, 3, 4
 
@@ -68,6 +68,8 @@ def cmd_network(args) -> int:
             file=sys.stderr,
         )
         return VALIDATION_FAILURE
+    require_valid(d1.tree)
+    require_valid(d2.tree)
     net = PullbackNetwork(d1.tree, d2.tree)
     shown = two_cover(net) if args.cover else net
     _network_report(shown, "R[2]" if args.cover else "R[1]")
@@ -105,9 +107,9 @@ def _hom_description(h) -> list[str]:
 
 def cmd_ggms(args) -> int:
     d1, d2 = _load_pair(args.file1, args.file2)
+    m1, m2 = push_down(d1.tree, args.prime), push_down(d2.tree, args.prime)
     ggms = ggm_mod.enumerate_ggms(d1.tree, d2.tree, with_signs=args.signs)
     print(f"{len(ggms)} GGMs")
-    m1, m2 = push_down(d1.tree, args.prime), push_down(d2.tree, args.prime)
     for i, g in enumerate(ggms, start=1):
         vertices = " ".join(
             f"({n},{m},{'+' if s > 0 else '-'})" for n, m, s in sorted(g.vertices)
@@ -138,6 +140,7 @@ def cmd_hom(args) -> int:
 def cmd_indec(args) -> int:
     doc = _load(args.file)
     t = doc.tree
+    rep = push_down(t, args.prime)
     cert = structure.first_certificate(t)
     if cert is None:
         print("theorem: INDECOMPOSABLE")
@@ -147,7 +150,6 @@ def cmd_indec(args) -> int:
             f"theorem: DECOMPOSABLE; certificate: siblings {n1},{n2} "
             f"under {parent}, label {t.child_label(n1)}"
         )
-    rep = push_down(t, args.prime)
     search = oracle.has_nontrivial_idempotent(oracle.hom_space(rep, rep), cap=args.cap)
     if not search.available:
         print("oracle unavailable: endomorphism space too large for the scan")
@@ -161,6 +163,7 @@ def cmd_indec(args) -> int:
 
 def cmd_decompose(args) -> int:
     doc = _load(args.file)
+    push_down(doc.tree, args.prime)  # validates the tree and the prime before any output
     pieces = structure.decompose_fully(doc.tree, args.prime)
     if len(pieces) == 1:
         print("INDECOMPOSABLE: nothing to split")

@@ -120,7 +120,12 @@ class PullbackNetwork(_LinkedNetwork):
             if up is not None:
                 self.pullback_parent[v] = up[0]
                 arrows.append(up[1])
-        assert all(w in self.vertex_set for w in self.pullback_parent.values())
+        for v, w in self.pullback_parent.items():
+            if w not in self.vertex_set:
+                raise ValueError(
+                    f"pullback parent {w} of pair {v} is not a network vertex: "
+                    "its coordinates carry different vertex labels"
+                )
         self.arrows = tuple(sorted(arrows, key=lambda a: (a.source, a.target, a.label)))
         self.edges = tuple(sorted({_edge(v, w) for v in self.vertices for w in self.partners(v)}))
         self._build_indexes()

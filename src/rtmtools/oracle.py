@@ -4,8 +4,11 @@ Everything here is deliberately oblivious to the combinatorics implemented
 elsewhere: Hom-spaces are computed by solving the intertwining equations,
 idempotents are found by exhaustively scanning the endomorphism space, and
 isomorphisms are verified by rank.  Arithmetic is exact integer arithmetic
-modulo an odd prime; inverses come from the extended Euclidean algorithm.
-No floating point is used anywhere.
+modulo an odd prime below 2**24, in dense int64 arrays; inverses come from
+the extended Euclidean algorithm.  No floating point is used anywhere.
+Elimination is Gauss-Jordan on the dense matrix, but each pivot step updates
+only the rows with a nonzero in the pivot column, so the sparse intertwining
+systems of tree modules cost little more than their nonzeros.
 """
 
 from __future__ import annotations
@@ -44,7 +47,13 @@ def _inverse_mod(a: int, p: int) -> int:
 
 
 def rref(mat: np.ndarray, p: int) -> tuple[np.ndarray, int, tuple[int, ...]]:
-    """Reduced row-echelon form over GF(p): (reduced matrix, rank, pivot columns)."""
+    """Reduced row-echelon form over GF(p): (reduced matrix, rank, pivot columns).
+
+    Gauss-Jordan in place on a dense int64 copy.  A pivot step touches only
+    the rows with a nonzero in the pivot column, and only columns from the
+    pivot on: the pivot row is zero left of it.  Entries stay reduced mod p,
+    so with p < 2**24 every product fits in int64 and the result is exact.
+    """
     m = np.asarray(mat, dtype=np.int64) % p
     if m.ndim != 2:
         raise ValueError("need a 2-d matrix")
@@ -60,10 +69,13 @@ def rref(mat: np.ndarray, p: int) -> tuple[np.ndarray, int, tuple[int, ...]]:
         i = r + int(nonzero[0])
         if i != r:
             m[[r, i]] = m[[i, r]]
-        m[r] = (m[r] * _inverse_mod(int(m[r, c]), p)) % p
-        col = m[:, c].copy()
-        col[r] = 0
-        m = (m - np.outer(col, m[r])) % p
+        m[r, c:] = (m[r, c:] * _inverse_mod(int(m[r, c]), p)) % p
+        hit = np.nonzero(m[:, c])[0]
+        hit = hit[hit != r]
+        if hit.size:
+            block = m[hit, c:]  # a copy: updating it in place spares a temporary
+            block -= np.outer(m[hit, c], m[r, c:])
+            m[hit, c:] = block % p
         pivots.append(c)
         r += 1
     return m, len(pivots), tuple(pivots)
@@ -71,19 +83,17 @@ def rref(mat: np.ndarray, p: int) -> tuple[np.ndarray, int, tuple[int, ...]]:
 
 def nullspace(mat: np.ndarray, p: int) -> np.ndarray:
     """Rows form a basis of the right nullspace over GF(p)."""
-    m = np.asarray(mat, dtype=np.int64) % p
+    m = np.asarray(mat, dtype=np.int64)
     rows, cols = m.shape
     if cols == 0:
         return np.zeros((0, 0), dtype=np.int64)
     if rows == 0:
         return np.eye(cols, dtype=np.int64)
     reduced, rank, pivots = rref(m, p)
-    free = [c for c in range(cols) if c not in set(pivots)]
-    basis = np.zeros((len(free), cols), dtype=np.int64)
-    for k, f in enumerate(free):
-        basis[k, f] = 1
-        for row, pc in enumerate(pivots):
-            basis[k, pc] = (-reduced[row, f]) % p
+    free = np.delete(np.arange(cols), pivots)
+    basis = np.zeros((free.size, cols), dtype=np.int64)
+    basis[np.arange(free.size), free] = 1
+    basis[:, list(pivots)] = -reduced[:rank, free].T % p
     return basis
 
 
@@ -109,9 +119,10 @@ def _block_layout(m1: ModuleRep, m2: ModuleRep) -> list[tuple[str, int, int, int
 def hom_space(m1: ModuleRep, m2: ModuleRep) -> HomBasis:
     """Solve the intertwining equations directly.
 
-    Unknowns are all entries of the per-vertex blocks; for every quiver
-    arrow the equation X_target A1 - A2 X_source = 0 contributes one row per
-    matrix entry.  The nullspace basis is reshaped back into homomorphisms.
+    Unknowns are all entries of the per-vertex blocks, flattened row-major;
+    for every quiver arrow the equation X_target A1 - A2 X_source = 0
+    contributes one row per matrix entry (i, j), written straight into one
+    system.  The nullspace basis is reshaped back into homomorphisms.
     """
     if m1.prime != m2.prime:
         raise ValueError("modules use different primes")
@@ -119,33 +130,27 @@ def hom_space(m1: ModuleRep, m2: ModuleRep) -> HomBasis:
         raise ValueError("modules live over different bound quivers")
     p = m1.prime
     layout = _block_layout(m1, m2)
-    offsets = {q: (off, rows, cols) for q, off, rows, cols in layout}
+    offsets = {q: off for q, off, _, _ in layout}
     total = sum(rows * cols for _, _, rows, cols in layout)
-    quiver = m1.codomain.quiver
-    eq_rows = []
-    for a in quiver.arrows:
-        src, tgt = quiver.source(a), quiver.target(a)
-        a1, a2 = m1.matrices[a], m2.matrices[a]
-        n_eq = m2.dim(tgt) * m1.dim(src)
-        if n_eq == 0:
-            continue
-        block = np.zeros((n_eq, total), dtype=np.int64)
-        off_t, rows_t, cols_t = offsets[tgt]
-        if rows_t * cols_t:
-            # vec(X_tgt @ A1) = (I kron A1^T) vec(X_tgt), row-major vec.
-            block[:, off_t : off_t + rows_t * cols_t] = np.kron(
-                np.eye(rows_t, dtype=np.int64), a1.T
-            )
-        off_s, rows_s, cols_s = offsets[src]
-        if rows_s * cols_s:
-            # vec(A2 @ X_src) = (A2 kron I) vec(X_src).
-            block[:, off_s : off_s + rows_s * cols_s] -= np.kron(
-                a2, np.eye(cols_s, dtype=np.int64)
-            )
-        eq_rows.append(block % p)
     if total == 0:
         return HomBasis([], 0)
-    system = np.vstack(eq_rows) if eq_rows else np.zeros((0, total), dtype=np.int64)
+    quiver = m1.codomain.quiver
+    pairs = [(m1.matrices[a], m2.matrices[a]) for a in quiver.arrows]
+    system = np.zeros((sum(a2.shape[0] * a1.shape[1] for a1, a2 in pairs), total), dtype=np.int64)
+    first = 0
+    for a, (a1, a2) in zip(quiver.arrows, pairs):
+        off_s, off_t = offsets[quiver.source(a)], offsets[quiver.target(a)]
+        n_i, n_j = a2.shape[0], a1.shape[1]
+        # Row (i, j) gets X_tgt[i, l] * A1[l, j] and -A2[i, k] * X_src[k, j],
+        # over the nonzeros of A1 and A2.  Each term hits distinct cells, and
+        # on a loop (src == tgt) the second adds onto the first.
+        l, j = np.nonzero(a1)
+        i = np.arange(n_i)[:, None]
+        system[first + i * n_j + j, off_t + i * a1.shape[0] + l] += a1[l, j]
+        i, k = np.nonzero(a2)
+        j = np.arange(n_j)[:, None]
+        system[first + i * n_j + j, off_s + k * n_j + j] -= a2[i, k]
+        first += n_i * n_j
     kernel = nullspace(system, p)
     homs = []
     for row in kernel:

@@ -91,27 +91,43 @@ def embeds(t: TreeOverQ, x: int, y: int, _memo: Optional[dict] = None) -> Option
     """
     memo = {} if _memo is None else _memo
 
-    def solve(a: int, b: int) -> Optional[dict[int, int]]:
-        if (a, b) in memo:
-            return memo[(a, b)]
+    def search(a: int, b: int):
+        """Yields each child pair it needs solved; returns the mapping or None."""
         if t.vertex_label[a] != t.vertex_label[b]:
-            memo[(a, b)] = None
             return None
         mapping = {a: b}
         for c in t.tree.children(a):
-            hit = None
             for d in t.tree.children(b):
                 if t.child_label(d) == t.child_label(c):
-                    sub = solve(c, d)
+                    sub = yield c, d
                     if sub is not None:
-                        hit = sub
+                        mapping.update(sub)
                         break
-            if hit is None:
-                memo[(a, b)] = None
+            else:
                 return None
-            mapping.update(hit)
-        memo[(a, b)] = mapping
         return mapping
+
+    def solve(a: int, b: int) -> Optional[dict[int, int]]:
+        # An explicit stack of suspended searches: deep trees must not hit
+        # Python's recursion limit.
+        if (a, b) in memo:
+            return memo[(a, b)]
+        stack = [((a, b), search(a, b))]
+        result = None
+        while stack:
+            pair, frame = stack[-1]
+            try:
+                need = frame.send(result)
+            except StopIteration as done:
+                memo[pair] = result = done.value
+                stack.pop()
+                continue
+            if need in memo:
+                result = memo[need]
+            else:
+                stack.append((need, search(*need)))
+                result = None
+        return result
 
     mapping = solve(x, y)
     if mapping is None:

@@ -230,6 +230,13 @@ def validate_tree_over_q(t: TreeOverQ) -> TreeValidationReport:
     return TreeValidationReport(True)
 
 
+def require_valid(t: TreeOverQ) -> None:
+    """Raise ValueError naming the first validation failure of the labelled tree."""
+    report = validate_tree_over_q(t)
+    if not report.ok:
+        raise ValueError(f"invalid labelled tree: {report.message}")
+
+
 def restrict(t: TreeOverQ, vertices: tuple[int, ...]) -> TreeOverQ:
     """The labelled subtree on `vertices`, which must span a rooted subtree."""
     vset = set(vertices)
@@ -353,9 +360,7 @@ def push_down(t: TreeOverQ, prime: int = 3) -> ModuleRep:
         raise ValueError(f"prime {prime} is too large: int64 arithmetic is exact only for p < 2**24")
     if not is_odd_prime(prime):
         raise ValueError(f"need an odd prime, got {prime}")
-    report = validate_tree_over_q(t)
-    if not report.ok:
-        raise ValueError(f"invalid labelled tree: {report.message}")
+    require_valid(t)
     q = t.codomain.quiver
     basis: dict[str, tuple[int, ...]] = {qv: () for qv in q.vertices}
     for n in t.tree.vertices:  # already ascending

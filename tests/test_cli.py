@@ -6,6 +6,7 @@ import pytest
 
 from rtmtools import structure
 from rtmtools.cli import main
+from rtmtools.network import PullbackNetwork
 from rtmtools.textio import ParseError, format_document, parse_document
 
 def test_parse_sink_document(sink_document):
@@ -243,3 +244,68 @@ def test_reports_are_deterministic(tmp_path, capsys, sink_document):
     first = capsys.readouterr().out
     main(["network", path, path])
     assert capsys.readouterr().out == first
+
+
+# The tree arrow x4 runs between two vertices labelled 1 but carries
+# `a: 1 -> 2`, so the pullback parent (1, 3) of the pair (2, 4) mixes the
+# vertex labels 2 and 1.
+NONCOMMUTING_SINK = (
+    "QUIVER\nvertex 1\nvertex 2\narrow a 1 2\nRELATIONS\n"
+    "TREE SINK\nnode 1 2\nnode 2 1\nnode 3 1\nnode 4 1\n"
+    "arrow x2 2 1 a\narrow x3 3 1 a\narrow x4 4 3 a\n"
+)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["network"], ["network", "--cover"], ["ggms"], ["hom"], ["indec"], ["decompose"]],
+    ids=lambda argv: " ".join(argv),
+)
+def test_invalid_tree_fails_before_any_output(tmp_path, capsys, argv):
+    path = _write(tmp_path, "bad.rtm", NONCOMMUTING_SINK)
+    files = [path, path] if argv[0] in ("network", "ggms", "hom") else [path]
+    assert main(argv[:1] + files + argv[1:]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "invalid input: invalid labelled tree: labels do not commute at tree arrow 'x4'\n"
+
+
+@pytest.mark.parametrize("prime", ["4", "4294967311"])
+def test_cmd_decompose_checks_the_prime_of_an_indecomposable_tree(tmp_path, capsys, prime):
+    # an indecomposable tree never reaches push_down inside decompose_fully
+    path = _write(tmp_path, "one.rtm", _star_document(0, "SINK"))
+    assert main(["decompose", path, "-p", prime]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and prime in captured.err
+
+
+def test_pullback_network_names_the_missing_parent_pair():
+    t = parse_document(NONCOMMUTING_SINK).tree
+    with pytest.raises(ValueError, match=r"pullback parent \(1, 3\) of pair \(2, 4\)"):
+        PullbackNetwork(t, t)
+
+
+def _twin_chain_document(n, orientation):
+    """Two same-labelled chains of length n under one root, over A_(n+1)."""
+    ends = (lambda i: (i, i - 1)) if orientation == "SINK" else (lambda i: (i - 1, i))
+    lines = ["QUIVER"] + [f"vertex q{i}" for i in range(n + 1)]
+    lines += ["arrow b{} q{} q{}".format(i, *ends(i)) for i in range(1, n + 1)]
+    lines += ["RELATIONS", f"TREE {orientation}", "node 1 q0"]
+    for first in (2, n + 2):
+        for depth in range(1, n + 1):
+            v = first + depth - 1
+            up = 1 if depth == 1 else v - 1
+            src, tgt = (v, up) if orientation == "SINK" else (up, v)
+            lines += [f"node {v} q{depth}", f"arrow x{v} {src} {tgt} b{depth}"]
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("orientation", ["SINK", "SOURCE"])
+def test_cmd_decompose_deep_twin_chain(tmp_path, capsys, orientation):
+    # 1,200 levels used to overflow Python's recursion limit in structure.embeds
+    path = _write(tmp_path, "twin.rtm", _twin_chain_document(1200, orientation))
+    assert main(["decompose", path]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("2 indecomposable summands\nSUMMAND 1 (dim 1201)\n")
+    assert "SUMMAND 2 (dim 1200)\n" in out
+    assert out.endswith("witness: OK\n")

@@ -2,10 +2,15 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rtmtools import (
     SINK,
     SOURCE,
+    BoundQuiver,
+    ModuleRep,
+    Quiver,
     GenerationExhausted,
     RootedTree,
     TreeOverQ,
@@ -21,7 +26,10 @@ from rtmtools import (
     split,
     verify_iso,
 )
-from rtmtools.oracle import _inverse_mod, _sample_attempt
+from rtmtools.oracle import _block_layout, _inverse_mod, _sample_attempt
+
+# The largest prime below the 2**24 bound pins the int64 no-overflow claim.
+PRIMES = (3, 5, 16777213)
 
 
 def test_inverse_mod():
@@ -187,3 +195,135 @@ def test_field_stability_of_verdicts():
                 assert search.available
                 verdicts.append(search.status == "none")
             assert verdicts[0] == verdicts[1] == is_indecomposable(t)
+
+
+@st.composite
+def matrices_mod_p(draw):
+    """(matrix, p): up to 12x12, empty shapes included, often sparse."""
+    p = draw(st.sampled_from(PRIMES))
+    rows, cols = draw(st.integers(0, 12)), draw(st.integers(0, 12))
+    entry = st.one_of(st.just(0), st.integers(-(p - 1), p - 1))
+    flat = draw(st.lists(entry, min_size=rows * cols, max_size=rows * cols))
+    return np.array(flat, dtype=np.int64).reshape(rows, cols), p
+
+
+def _reference_rref(mat: np.ndarray, p: int):
+    """Gauss-Jordan on Python ints, one whole row at a time."""
+    m = [[int(x) % p for x in row] for row in mat.tolist()]
+    pivots = []
+    for c in range(mat.shape[1]):
+        r = len(pivots)
+        pivot = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if pivot is None:
+            continue
+        m[r], m[pivot] = m[pivot], m[r]
+        inv = pow(m[r][c], -1, p)
+        m[r] = [x * inv % p for x in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c]:
+                f = m[i][c]
+                m[i] = [(x - f * y) % p for x, y in zip(m[i], m[r])]
+        pivots.append(c)
+    return m, len(pivots), tuple(pivots)
+
+
+@settings(max_examples=120, deadline=None)
+@given(matrices_mod_p())
+def test_rref_matches_a_python_int_reference(case):
+    mat, p = case
+    reduced, rank, pivots = rref(mat, p)
+    want, want_rank, want_pivots = _reference_rref(mat, p)
+    assert reduced.shape == mat.shape
+    assert reduced.tolist() == want
+    assert (rank, pivots) == (want_rank, want_pivots)
+
+
+@settings(max_examples=120, deadline=None)
+@given(matrices_mod_p())
+def test_nullspace_rows_annihilate_the_matrix(case):
+    mat, p = case
+    basis = nullspace(mat, p)
+    rank = _reference_rref(mat, p)[1]
+    assert basis.shape[0] == mat.shape[1] - rank
+    rows = mat.tolist()
+    for vec in basis.tolist():
+        assert len(vec) == mat.shape[1]
+        assert all(sum(a * b for a, b in zip(row, vec)) % p == 0 for row in rows)
+    assert _reference_rref(basis, p)[1] == basis.shape[0]  # independent rows
+
+
+def _kronecker_hom_kernel(m1, m2) -> np.ndarray:
+    """The Hom system built from Kronecker products with identities, solved."""
+    p = m1.prime
+    layout = _block_layout(m1, m2)
+    offsets = {q: (off, rows, cols) for q, off, rows, cols in layout}
+    total = sum(rows * cols for _, _, rows, cols in layout)
+    quiver = m1.codomain.quiver
+    blocks = []
+    for a in quiver.arrows:
+        src, tgt = quiver.source(a), quiver.target(a)
+        block = np.zeros((m2.dim(tgt) * m1.dim(src), total), dtype=np.int64)
+        off_t, rows_t, cols_t = offsets[tgt]
+        if rows_t * cols_t:
+            block[:, off_t : off_t + rows_t * cols_t] = np.kron(
+                np.eye(rows_t, dtype=np.int64), m1.matrices[a].T
+            )
+        off_s, rows_s, cols_s = offsets[src]
+        if rows_s * cols_s:
+            block[:, off_s : off_s + rows_s * cols_s] -= np.kron(
+                m2.matrices[a], np.eye(cols_s, dtype=np.int64)
+            )
+        blocks.append(block % p)
+    system = np.vstack(blocks) if blocks else np.zeros((0, total), dtype=np.int64)
+    return nullspace(system, p) if total else np.zeros((0, 0), dtype=np.int64)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(0, 199),
+    st.sampled_from((SINK, SOURCE)),
+    st.sampled_from((3, 5)),
+    st.sampled_from(("self", "to-partner", "from-partner")),
+)
+def test_hom_space_matches_the_kronecker_system(seed, orientation, p, pairing):
+    t = random_instance(seed, orientation)
+    u = random_instance(seed + 1000, orientation, codomain=t.codomain)
+    a, b = {"self": (t, t), "to-partner": (t, u), "from-partner": (u, t)}[pairing]
+    m1, m2 = push_down(a, p), push_down(b, p)
+    got = hom_space(m1, m2)
+    want = _kronecker_hom_kernel(m1, m2)
+    assert got.dimension == want.shape[0]
+    for h, row in zip(got.basis, want):
+        np.testing.assert_array_equal(h.flatten(), row)
+
+
+# Two loops and an arrow between them, no relations: arbitrary matrices give
+# modules, including loops with a nonzero diagonal, where the two terms of an
+# intertwining equation meet in one cell.  Tree modules never do that.
+LOOPS = BoundQuiver(Quiver(["1", "2"], [("alpha", "1", "1"), ("beta", "1", "2"), ("gamma", "2", "2")]), [])
+
+
+@st.composite
+def loop_modules(draw):
+    p = draw(st.sampled_from((3, 5)))
+
+    def module():
+        dims = {q: draw(st.integers(0, 3)) for q in ("1", "2")}
+        mats = {}
+        for a, s, t in (("alpha", "1", "1"), ("beta", "1", "2"), ("gamma", "2", "2")):
+            flat = draw(st.lists(st.integers(0, p - 1), min_size=dims[t] * dims[s], max_size=dims[t] * dims[s]))
+            mats[a] = np.array(flat, dtype=np.int64).reshape(dims[t], dims[s])
+        return ModuleRep(p, LOOPS, {q: tuple(range(1, d + 1)) for q, d in dims.items()}, mats)
+
+    return module(), module()
+
+
+@settings(max_examples=120, deadline=None)
+@given(loop_modules())
+def test_hom_space_matches_the_kronecker_system_on_loops(pair):
+    m1, m2 = pair
+    got = hom_space(m1, m2)
+    want = _kronecker_hom_kernel(m1, m2)
+    assert got.dimension == want.shape[0]
+    for h, row in zip(got.basis, want):
+        np.testing.assert_array_equal(h.flatten(), row)
