@@ -129,8 +129,8 @@ def cmd_ggms(args) -> int:
 
 def cmd_hom(args) -> int:
     d1, d2 = _load_pair(args.file1, args.file2)
-    _, rank = ggm_mod.hom_span(d1.tree, d2.tree, args.prime)
     m1, m2 = push_down(d1.tree, args.prime), push_down(d2.tree, args.prime)
+    _, rank = ggm_mod.hom_span(d1.tree, d2.tree, m1, m2)
     dim = oracle.hom_space(m1, m2).dimension
     verdict = "AGREE" if rank == dim else "DISAGREE"
     print(f"GGM span rank: {rank}; oracle dim: {dim}; {verdict}")

@@ -18,11 +18,14 @@ Enumeration works by obligation closure.  Inside a hypothetical graph map,
 every completeness obligation has a unique witness (a second witness would
 create a blocked triangle), so each graph map is the closure of any one of
 its vertices; a depth-first search that branches over every admissible
-witness is therefore exhaustive.
+witness is therefore exhaustive.  Seeding it from each vertex pair with
+sign +1 and refusing smaller pairs finds every map exactly once, from its
+least pair and already canonically signed.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional
 
@@ -30,7 +33,7 @@ import numpy as np
 
 from .network import Edge, NetArrow, PullbackNetwork, TwoCover, _edge, _lift, two_cover
 from .oracle import rref
-from .trees import BranchMorphism, ModuleHom, ModuleRep, TreeOverQ, push_down
+from .trees import BranchMorphism, ModuleHom, ModuleRep, TreeOverQ
 
 
 class Subnetwork:
@@ -109,7 +112,7 @@ class Subnetwork:
         def flip_v(v):
             return (v[0], v[1], -v[2])
 
-        return Subnetwork(
+        return type(self)(
             self.cover,
             (flip_v(v) for v in self.vertices),
             (NetArrow(flip_v(a.source), flip_v(a.target), a.label[:2] + (-a.label[2],)) for a in self.arrows),
@@ -169,93 +172,78 @@ def _met(witnesses: list, links) -> bool:
     return any(link in links for _, link in witnesses)
 
 
-class _State:
-    """Growing closure: signed vertices, links, and vertices left to process."""
+def _closures(cover: TwoCover, table: _Obligations, seed) -> Iterator["GeneralizedGraphMap"]:
+    """Every graph map whose least vertex pair is the seed's, with the seed's sign.
 
-    def __init__(self, cover: TwoCover):
-        self.cover = cover
-        self.signs: dict = {}
-        self.links: set = set()
-        self.neighbours: dict = {}  # vertex -> far ends of its links
-        self.pending: list = []
+    A depth-first search over witness choices that grows one state in place.
+    Vertices and links are kept in order of addition, so going back to a
+    choice point truncates them to the lengths it saved; only an obligation
+    with two or more admissible witnesses leaves a choice point.  Pairs
+    below the seed's are refused, so a map is found only from its least
+    pair.  Two branches differ in a witness link at one vertex, and a map
+    holding both links would be blocked, so no map is found twice.
+    """
+    least, triangle_set = seed[:2], cover.triangle_set
+    signs = {least: seed[2]}
+    vertices = [seed]  # in order of addition
+    links: dict = {}  # link -> (vertex, witness), in order of addition
+    neighbours: dict = defaultdict(list)  # vertex -> far ends of its links
+    choices: list = []  # (vertex count, link count, cursor, untried admissible witnesses)
 
-    def copy(self) -> "_State":
-        st = _State.__new__(_State)
-        st.cover = self.cover
-        st.signs = dict(self.signs)
-        st.links = set(self.links)
-        st.neighbours = dict(self.neighbours)
-        st.pending = list(self.pending)
-        return st
-
-    def add_vertex(self, vertex) -> bool:
-        n, m, s = vertex
-        have = self.signs.get((n, m))
-        if have is None:
-            self.signs[(n, m)] = s
-            self.pending.append(vertex)
-            return True
-        return have == s  # sign clash means an involution violation
-
-    def add_link(self, link) -> bool:
-        """Insert a link, refusing if some incident pair projects to a triangle."""
-        if link in self.links:
-            return True
-        u, v = (link.source, link.target) if isinstance(link, NetArrow) else link
-        triangle_set = self.cover.triangle_set
-        for shared, far in ((u, v), (v, u)):
-            for other_far in self.neighbours.get(shared, ()):
-                if frozenset((other_far[:2], shared[:2], far[:2])) in triangle_set:
+    def admissible(vertex, witness) -> bool:
+        if witness[:2] < least or signs.get(witness[:2], witness[2]) != witness[2]:
+            return False  # a pair below the seed's, or the sign flip of a vertex held
+        for shared, far in ((vertex, witness), (witness, vertex)):
+            for other in neighbours.get(shared, ()):
+                if frozenset((other[:2], shared[:2], far[:2])) in triangle_set:
                     return False
-        self.links.add(link)
-        self.neighbours[u] = self.neighbours.get(u, ()) + (v,)
-        self.neighbours[v] = self.neighbours.get(v, ()) + (u,)
         return True
 
-    def to_subnetwork(self) -> Subnetwork:
-        vertices = [(n, m, s) for (n, m), s in self.signs.items()]
-        arrows = [link for link in self.links if isinstance(link, NetArrow)]
-        edges = [link for link in self.links if not isinstance(link, NetArrow)]
-        return Subnetwork(self.cover, vertices, arrows, edges)
-
-
-def _closures(cover: TwoCover, table: _Obligations, seed) -> Iterator[Subnetwork]:
-    """All completeness closures of a single signed seed vertex."""
-    root_state = _State(cover)
-    root_state.add_vertex(seed)
-
-    def search(state: _State) -> Iterator[Subnetwork]:
-        while state.pending:
-            vertex = state.pending[-1]
-            for _, witnesses in table[vertex]:
-                if not _met(witnesses, state.links):
-                    break
-            else:
-                state.pending.pop()
+    i = k = 0  # cursor: obligation k of vertices[i]
+    while True:
+        options: list = []
+        if i < len(vertices):
+            vertex = vertices[i]
+            obligations = table[vertex]
+            if k == len(obligations):
+                i, k = i + 1, 0
                 continue
-            for witness, link in witnesses:
-                branch_state = state.copy()
-                if not branch_state.add_vertex(witness):
-                    continue
-                if not branch_state.add_link(link):
-                    continue
-                yield from search(branch_state)
-            return  # no admissible witness closed this branch
-        yield state.to_subnetwork()
-
-    yield from search(root_state)
+            witnesses = obligations[k][1]
+            if _met(witnesses, links):
+                k += 1
+                continue
+            options = [(w, link) for w, link in witnesses if admissible(vertex, w)]
+            if len(options) > 1:
+                choices.append((len(vertices), len(links), i, k, options))
+        else:
+            arrows = [link for link in links if isinstance(link, NetArrow)]
+            edges = [link for link in links if not isinstance(link, NetArrow)]
+            yield GeneralizedGraphMap(cover, vertices, arrows, edges)
+        if not options:  # closed or dead end: resume the latest choice point
+            if not choices:
+                return
+            n_vertices, n_links, i, k, options = choices[-1]
+            while len(links) > n_links:
+                _, (u, w) = links.popitem()
+                neighbours[u].pop()
+                neighbours[w].pop()
+            while len(vertices) > n_vertices:
+                del signs[vertices.pop()[:2]]
+            if len(options) == 1:
+                choices.pop()
+        witness, link = options.pop()
+        vertex = vertices[i]
+        if witness[:2] not in signs:
+            signs[witness[:2]] = witness[2]
+            vertices.append(witness)
+        links[link] = (vertex, witness)
+        neighbours[vertex].append(witness)
+        neighbours[witness].append(vertex)
+        k += 1
 
 
 class GeneralizedGraphMap(Subnetwork):
     """A complete, connected, unblocked, involution-free subnetwork."""
-
-    @classmethod
-    def from_subnetwork(cls, sub: Subnetwork) -> "GeneralizedGraphMap":
-        g = cls(sub.cover, sub.vertices, sub.arrows, sub.edges)
-        return g
-
-    def negate(self) -> "GeneralizedGraphMap":
-        return GeneralizedGraphMap.from_subnetwork(Subnetwork.negate(self))
 
 
 def is_complete(sub: Subnetwork) -> CompletenessReport:
@@ -277,12 +265,6 @@ def is_complete(sub: Subnetwork) -> CompletenessReport:
     return CompletenessReport(True)
 
 
-def _canonical(sub: Subnetwork) -> Subnetwork:
-    least = min(v[:2] for v in sub.vertices)
-    sign = dict(((v[0], v[1]), v[2]) for v in sub.vertices)[least]
-    return sub.negate() if sign < 0 else sub
-
-
 def enumerate_ggms(
     t1: TreeOverQ,
     t2: TreeOverQ,
@@ -292,21 +274,20 @@ def enumerate_ggms(
     """Every generalized graph map for the pair, canonically signed.
 
     Each map is normalized so its lexicographically least vertex pair
-    carries sign +1; `with_signs` also returns the sign flips.  Seeding the
-    closure from every network vertex and deduplicating is exhaustive
-    because a graph map is the closure of any one of its vertices.
+    carries sign +1; `with_signs` also returns the sign flips.  The closure
+    is seeded once from each network pair with sign +1 and refuses smaller
+    pairs, so every map comes out exactly once, from its least pair (the
+    canonical parent of reverse search, Avis & Fukuda 1996).
     """
     if cover is None:
         cover = two_cover(PullbackNetwork(t1, t2))
     table = _Obligations(cover.base)
-    found: dict[frozenset, Subnetwork] = {}
-    for pair in cover.base.vertices:
-        for sub in _closures(cover, table, pair + (1,)):
-            canon = _canonical(sub)
-            found.setdefault(canon.vertices, canon)
-    ggms = [GeneralizedGraphMap.from_subnetwork(s) for s in sorted(found.values(), key=Subnetwork.sort_key)]
+    ggms = sorted(
+        (g for pair in cover.base.vertices for g in _closures(cover, table, pair + (1,))),
+        key=Subnetwork.sort_key,
+    )
     if with_signs:
-        ggms = ggms + [g.negate() for g in ggms]
+        ggms += [g.negate() for g in ggms]
     return ggms
 
 
@@ -323,17 +304,19 @@ def ggm_matrix(g: GeneralizedGraphMap, m1: ModuleRep, m2: ModuleRep) -> ModuleHo
 
 
 def hom_span(
-    t1: TreeOverQ, t2: TreeOverQ, prime: int = 3, cover: Optional[TwoCover] = None
+    t1: TreeOverQ, t2: TreeOverQ, m1: ModuleRep, m2: ModuleRep, cover: Optional[TwoCover] = None
 ) -> tuple[list[ModuleHom], int]:
-    """Induced maps of all canonical graph maps and the rank of their span."""
-    m1, m2 = push_down(t1, prime), push_down(t2, prime)
+    """Induced maps of all canonical graph maps and the rank of their span.
+
+    `m1` and `m2` are the modules of `t1` and `t2` (see `push_down`).
+    """
     maps = [ggm_matrix(g, m1, m2) for g in enumerate_ggms(t1, t2, cover=cover)]
     if not maps:
         return [], 0
     stacked = np.stack([h.flatten() for h in maps])
     if stacked.shape[1] == 0:
         return maps, 0
-    _, rank, _ = rref(stacked, prime)
+    _, rank, _ = rref(stacked, m1.prime)
     return maps, rank
 
 

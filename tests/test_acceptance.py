@@ -79,13 +79,13 @@ def test_criterion_1_five_vertex_example_fidelity(sink_tree):
 
 
 def test_criterion_2_span_law(sink_tree, instances):
-    _, rank = hom_span(sink_tree, sink_tree, 3)
     rep = push_down(sink_tree, 3)
+    _, rank = hom_span(sink_tree, sink_tree, rep, rep)
     example_ok = rank == 4 and hom_space(rep, rep).dimension == 4
     disagreements = 0
     for t in instances:
-        _, r = hom_span(t, t, 3)
         m = push_down(t, 3)
+        _, r = hom_span(t, t, m, m)
         if r != hom_space(m, m).dimension:
             disagreements += 1
     _report(

@@ -1,10 +1,11 @@
 """Document parsing, round-trips, and the command surface."""
 
+import sys
 import time
 
 import pytest
 
-from rtmtools import structure
+from rtmtools import push_down, structure
 from rtmtools.cli import main
 from rtmtools.network import PullbackNetwork
 from rtmtools.textio import ParseError, format_document, parse_document
@@ -309,3 +310,33 @@ def test_cmd_decompose_deep_twin_chain(tmp_path, capsys, orientation):
     assert out.startswith("2 indecomposable summands\nSUMMAND 1 (dim 1201)\n")
     assert "SUMMAND 2 (dim 1200)\n" in out
     assert out.endswith("witness: OK\n")
+
+
+@pytest.mark.parametrize("orientation", ["SINK", "SOURCE"])
+def test_cmd_hom_deep_twin_chain(tmp_path, capsys, orientation):
+    # 600 levels used to overflow Python's recursion limit in the GGM closure search
+    path = _write(tmp_path, "twin.rtm", _twin_chain_document(600, orientation))
+    start = time.perf_counter()
+    assert main(["hom", path, path]) == 0
+    assert time.perf_counter() - start < 10.0
+    captured = capsys.readouterr()
+    assert captured.out == "GGM span rank: 3; oracle dim: 3; AGREE\n"
+    assert captured.err == ""
+
+
+def test_cmd_hom_pushes_each_tree_down_once(tmp_path, capsys, monkeypatch, sink_document):
+    calls = []
+
+    def counting_push_down(tree, prime=3):
+        calls.append(tree)
+        return push_down(tree, prime)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("rtmtools"):
+            for key, value in list(vars(module).items()):
+                if value is push_down:
+                    monkeypatch.setattr(module, key, counting_push_down)
+    path = _write(tmp_path, "m.rtm", sink_document)
+    assert main(["hom", path, path]) == 0
+    assert "AGREE" in capsys.readouterr().out
+    assert len(calls) == 2

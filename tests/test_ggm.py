@@ -6,6 +6,8 @@ import pytest
 from rtmtools import (
     SINK,
     SOURCE,
+    BoundQuiver,
+    Quiver,
     RootedTree,
     Subnetwork,
     TreeOverQ,
@@ -21,6 +23,7 @@ from rtmtools import (
     random_instance,
     two_cover,
 )
+from rtmtools.ggm import _closures, _Obligations
 
 DIAGONAL = frozenset({(1, 1, 1), (2, 2, 1), (3, 3, 1), (4, 4, 1), (5, 5, 1)})
 SHIFTED = frozenset({(1, 1, 1), (2, 2, 1), (3, 3, 1), (4, 2, 1), (5, 5, 1)})
@@ -52,8 +55,30 @@ def test_single_vertex_pair_has_one_graph_map(loop_tail_quiver):
     ggms = enumerate_ggms(t, t)
     assert len(ggms) == 1
     assert ggms[0].vertices == frozenset({(1, 1, 1)})
-    _, rank = hom_span(t, t, 3)
+    rep = push_down(t, 3)
+    _, rank = hom_span(t, t, rep, rep)
     assert rank == 1
+
+
+def _star(k, orientation):
+    """Root 1 with k leaves over one vertex with a loop alpha, alpha^2 = 0."""
+    quiver = BoundQuiver(Quiver(["1"], [("alpha", "1", "1")]), [("alpha", "alpha")])
+    arrows = [(f"a{n}", n, 1) if orientation == SINK else (f"a{n}", 1, n) for n in range(2, k + 2)]
+    tree = RootedTree(list(range(1, k + 2)), arrows, orientation)
+    return TreeOverQ(tree, quiver, {n: "1" for n in range(1, k + 2)}, {a: "alpha" for a, _, _ in arrows})
+
+
+def test_closure_stream_emits_each_map_once_from_its_least_pair():
+    trees = [random_instance(seed, o) for seed in range(200) for o in (SINK, SOURCE)]
+    trees += [_star(k, o) for k in (3, 4, 5) for o in (SINK, SOURCE)]
+    for t in trees:
+        cover = two_cover(pullback_network(t, t))
+        table = _Obligations(cover.base)
+        raw = [(pair, g) for pair in cover.base.vertices for g in _closures(cover, table, pair + (1,))]
+        assert len({g.vertices for _, g in raw}) == len(raw)
+        for pair, g in raw:
+            assert min(v[:2] for v in g.vertices) == pair and pair + (1,) in g.vertices
+    assert len(raw) == 3180  # star k=5, both orientations alike
 
 
 def test_completeness_reports_first_failure(sink_tree):
@@ -89,9 +114,9 @@ def test_induced_matrices_of_sink_example(sink_tree):
 
 
 def test_span_rank_matches_oracle_on_sink_example(sink_tree):
-    maps, rank = hom_span(sink_tree, sink_tree, 3)
-    assert len(maps) == 5 and rank == 4
     rep = push_down(sink_tree, 3)
+    maps, rank = hom_span(sink_tree, sink_tree, rep, rep)
+    assert len(maps) == 5 and rank == 4
     assert hom_space(rep, rep).dimension == 4
 
 
@@ -146,8 +171,8 @@ def test_height_law_at_graph_map_vertices(sink_tree):
 
 def test_span_matches_oracle_on_source_pair(source_tree_factory):
     t = source_tree_factory("alpha", "beta", "alpha", "beta")
-    _, rank = hom_span(t, t, 3)
     rep = push_down(t, 3)
+    _, rank = hom_span(t, t, rep, rep)
     assert rank == hom_space(rep, rep).dimension
 
 
@@ -158,8 +183,9 @@ def test_span_matches_oracle_on_random_pairs():
             t2 = random_instance(
                 seed + 300, orientation, max_vertices=7, end_dim_cap=8, codomain=t1.codomain
             )
-            _, rank = hom_span(t1, t2, 3)
-            dim = hom_space(push_down(t1, 3), push_down(t2, 3)).dimension
+            m1, m2 = push_down(t1, 3), push_down(t2, 3)
+            _, rank = hom_span(t1, t2, m1, m2)
+            dim = hom_space(m1, m2).dimension
             assert rank == dim, (seed, orientation)
 
 

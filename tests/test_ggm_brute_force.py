@@ -7,9 +7,16 @@ endpoints, so iterating over link subsets (and single vertices) is
 exhaustive.  This certifies both the enumeration and, by dropping the
 involution-freeness condition, the no-ghost property: every non-empty
 complete connected unblocked subnetwork induces a nonzero map.
+
+On larger random pairs the enumeration is compared with the search it
+replaced, which seeds every vertex, copies its state at every step and
+drops duplicates.
 """
 
 from itertools import combinations
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rtmtools import (
     SINK,
@@ -23,7 +30,15 @@ from rtmtools import (
     random_instance,
     two_cover,
 )
-from rtmtools.ggm import _canonical
+from rtmtools.ggm import _met, _Obligations
+from rtmtools.network import NetArrow
+
+
+def _canonical(sub):
+    """The subnetwork or its sign flip, whichever gives its least vertex pair +1."""
+    least = min(v[:2] for v in sub.vertices)
+    sign = dict(((v[0], v[1]), v[2]) for v in sub.vertices)[least]
+    return sub.negate() if sign < 0 else sub
 
 
 def brute_force_subnetworks(cover):
@@ -77,3 +92,89 @@ def test_enumeration_matches_brute_force_on_tiny_instances():
             total_ggms += len(expected)
     assert checked_pairs >= 60
     assert total_ggms >= 80
+
+
+class _CopyingState:
+    """Closure state of the enumeration before reverse-search pruning."""
+
+    def __init__(self, cover):
+        self.cover, self.signs, self.links, self.neighbours, self.pending = cover, {}, set(), {}, []
+
+    def copy(self):
+        st = _CopyingState(self.cover)
+        st.signs, st.links = dict(self.signs), set(self.links)
+        st.neighbours, st.pending = dict(self.neighbours), list(self.pending)
+        return st
+
+    def add_vertex(self, vertex):
+        have = self.signs.get(vertex[:2])
+        if have is None:
+            self.signs[vertex[:2]] = vertex[2]
+            self.pending.append(vertex)
+            return True
+        return have == vertex[2]
+
+    def add_link(self, link):
+        if link in self.links:
+            return True
+        u, v = (link.source, link.target) if isinstance(link, NetArrow) else link
+        for shared, far in ((u, v), (v, u)):
+            for other_far in self.neighbours.get(shared, ()):
+                if frozenset((other_far[:2], shared[:2], far[:2])) in self.cover.triangle_set:
+                    return False
+        self.links.add(link)
+        self.neighbours[u] = self.neighbours.get(u, ()) + (v,)
+        self.neighbours[v] = self.neighbours.get(v, ()) + (u,)
+        return True
+
+
+def _seed_every_vertex_and_deduplicate(t1, t2):
+    """The closure of every network pair with sign +1, brought to canonical
+    sign, duplicates dropped: a reference for the pruned enumeration."""
+    cover = two_cover(pullback_network(t1, t2))
+    table = _Obligations(cover.base)
+
+    def search(state):
+        while state.pending:
+            vertex = state.pending[-1]
+            for _, witnesses in table[vertex]:
+                if not _met(witnesses, state.links):
+                    break
+            else:
+                state.pending.pop()
+                continue
+            for witness, link in witnesses:
+                branch = state.copy()
+                if branch.add_vertex(witness) and branch.add_link(link):
+                    yield from search(branch)
+            return
+        arrows = [link for link in state.links if isinstance(link, NetArrow)]
+        edges = [link for link in state.links if not isinstance(link, NetArrow)]
+        yield Subnetwork(cover, [p + (s,) for p, s in state.signs.items()], arrows, edges)
+
+    found = {}
+    for pair in cover.base.vertices:
+        seed = _CopyingState(cover)
+        seed.add_vertex(pair + (1,))
+        for sub in search(seed):
+            canon = _canonical(sub)
+            found.setdefault(canon.vertices, canon)
+    return sorted(found.values(), key=Subnetwork.sort_key)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(0, 199),
+    st.sampled_from((SINK, SOURCE)),
+    st.integers(1, 16),
+    st.integers(2, 5),
+    st.integers(2, 4),
+    st.sampled_from(("self", "to-partner", "from-partner")),
+)
+def test_enumeration_matches_seeding_every_vertex(seed, orientation, max_vertices, depth, children, pairing):
+    shape = dict(max_depth=depth, max_children=children, max_vertices=max_vertices, end_dim_cap=None)
+    t = random_instance(seed, orientation, **shape)
+    u = random_instance(seed + 1000, orientation, codomain=t.codomain, **shape)
+    a, b = {"self": (t, t), "to-partner": (t, u), "from-partner": (u, t)}[pairing]
+    want = [(s.vertices, s.arrows, s.edges) for s in _seed_every_vertex_and_deduplicate(a, b)]
+    assert [(g.vertices, g.arrows, g.edges) for g in enumerate_ggms(a, b)] == want
