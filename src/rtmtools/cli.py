@@ -152,7 +152,7 @@ def cmd_indec(args) -> int:
         )
     search = oracle.has_nontrivial_idempotent(oracle.hom_space(rep, rep), cap=args.cap)
     if not search.available:
-        print("oracle unavailable: endomorphism space too large for the scan")
+        print(f"oracle unavailable: {search.reason}")
         return ORACLE_UNAVAILABLE
     oracle_decomposable = search.status == "found"
     print(f"oracle (p={args.prime}): {'DECOMPOSABLE' if oracle_decomposable else 'INDECOMPOSABLE'}")
@@ -163,8 +163,7 @@ def cmd_indec(args) -> int:
 
 def cmd_decompose(args) -> int:
     doc = _load(args.file)
-    push_down(doc.tree, args.prime)  # validates the tree and the prime before any output
-    pieces = structure.decompose_fully(doc.tree, args.prime)
+    pieces = structure.decompose_fully(doc.tree, args.prime)  # validates before any output
     if len(pieces) == 1:
         print("INDECOMPOSABLE: nothing to split")
         print(format_tree_section(doc.tree))

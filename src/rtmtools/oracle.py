@@ -9,13 +9,21 @@ the extended Euclidean algorithm.  No floating point is used anywhere.
 Elimination is Gauss-Jordan on the dense matrix, but each pivot step updates
 only the rows with a nonzero in the pivot column, so the sparse intertwining
 systems of tree modules cost little more than their nonzeros.
+
+The idempotent scan works in coordinates of the endomorphism basis, never on
+candidate matrices.  Structure constants gamma (B_k B_l = sum_m gamma_klm
+B_m) come from one elimination and one batched product per quiver vertex;
+a basis whose span is not closed under composition raises ValueError.  The
+scan then evaluates e**2 - e on coefficient vectors, in the same ascending
+order as a scan of every combination, so it returns the same witness.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Optional
+from functools import lru_cache
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -60,21 +68,23 @@ def rref(mat: np.ndarray, p: int) -> tuple[np.ndarray, int, tuple[int, ...]]:
     rows, cols = m.shape
     pivots = []
     r = 0
-    for c in range(cols):
+    for c in np.flatnonzero(m.any(axis=0)).tolist():  # a zero column stays zero
         if r >= rows:
             break
-        nonzero = np.nonzero(m[r:, c])[0]
-        if nonzero.size == 0:
+        nonzero = m[:, c].nonzero()[0].tolist()
+        i = next((i for i in nonzero if i >= r), None)
+        if i is None:
             continue
-        i = r + int(nonzero[0])
+        # Every other nonzero row is cleared; row r is zero here unless it is row i.
+        hit = [k for k in nonzero if k != i]
         if i != r:
             m[[r, i]] = m[[i, r]]
-        m[r, c:] = (m[r, c:] * _inverse_mod(int(m[r, c]), p)) % p
-        hit = np.nonzero(m[:, c])[0]
-        hit = hit[hit != r]
-        if hit.size:
+        row = m[r, c:]
+        row *= _inverse_mod(int(row[0]), p)
+        row %= p
+        if hit:
             block = m[hit, c:]  # a copy: updating it in place spares a temporary
-            block -= np.outer(m[hit, c], m[r, c:])
+            block -= block[:, :1] * row
             m[hit, c:] = block % p
         pivots.append(c)
         r += 1
@@ -167,19 +177,120 @@ class IdempotentSearch:
 
     status: str  # "found" | "none" | "unavailable"
     idempotent: Optional[ModuleHom] = None
+    reason: str = ""  # why the scan is unavailable
 
     @property
     def available(self) -> bool:
         return self.status != "unavailable"
 
 
+# The scan's table of low coordinates has at most this many rows; when p is
+# larger, it takes the values of the single low coordinate in chunks.
+_SCAN_ROWS = 1 << 14
+
+
+@lru_cache(maxsize=16)
+def _low_rows(p: int, low: int, first: int, stop: int) -> np.ndarray:
+    """Rows [a, 1] for the vectors a on coordinates 0..low-1 with last digit in first..stop-1.
+
+    Ascending mixed-radix order, least significant digit first.  Callers
+    ask for at most _SCAN_ROWS rows, so the cache stays small.
+    """
+    index = np.arange(first * p ** (low - 1), stop * p ** (low - 1))
+    rows = np.ones((len(index), low + 1), dtype=np.int64)
+    rows[:, :low] = index[:, None] // p ** np.arange(low) % p
+    rows.flags.writeable = False
+    return rows
+
+
+def _low_table(gamma: np.ndarray, sym: np.ndarray, p: int, rows: np.ndarray) -> np.ndarray:
+    """Residues Q(a) - a mod p of the vectors a listed by `_low_rows`.
+
+    Q(a)_m = sum_kl a_k a_l gamma[k, l, m].  The table grows one digit at a
+    time: digit j with value t adds t times a term linear in the digits so
+    far (a 2-D product with sym, gamma plus its transpose) and t**2
+    gamma[j, j].  No product overflows: a table with two or more digits
+    has p**2 <= _SCAN_ROWS, and the first digit has no linear term.
+    """
+    low = rows.shape[1] - 1
+    table = np.zeros((1, gamma.shape[2]), dtype=np.int64)
+    for j in range(low):
+        t = rows[: p ** (j + 1) : p**j, j, None, None]  # the values of digit j
+        linear = rows[: len(table), :j] @ sym[:j, j]
+        table = ((table + t * linear + (t * t % p) * gamma[j, j]) % p).reshape(len(table) * len(t), -1)
+    table[:, :low] -= rows[:, :low]
+    return table % p
+
+
+def _block_weights(gamma: np.ndarray, sym: np.ndarray, p: int, low: int) -> Iterator[np.ndarray]:
+    """[cross term; Q(b) - b] mod p for each value b of coordinates low.., ascending.
+
+    Block b adds rows @ weights to the low table: its cross term with the
+    low digits is sum_l b_l sym[l, :low], and weights[-1] meets the 1 that
+    ends each row.  Block 0 adds nothing.  The other weights are one
+    product of the features [1, b_l, b_l b_l'] with a fixed matrix.
+    """
+    dim = gamma.shape[0]
+    high = dim - low
+    yield np.zeros((low + 1, dim), dtype=np.int64)
+    if not high:
+        return
+    to_weights = np.zeros((1 + high + high * high, low + 1, dim), dtype=np.int64)
+    to_weights[1 : 1 + high, :low] = sym[low:, :low]
+    to_weights[np.arange(1, 1 + high), low, np.arange(low, dim)] = -1
+    to_weights[1 + high :, low] = gamma[low:, low:].reshape(high * high, dim)
+    to_weights = to_weights.reshape(len(to_weights), -1)
+    for b in range(1, p**high):
+        digits = [b // p**k % p for k in range(high)]
+        features = np.array([1, *digits, *(x * y % p for x in digits for y in digits)], dtype=np.int64)
+        yield (features @ to_weights % p).reshape(low + 1, dim)
+
+
+def _idempotent_indices(gamma: np.ndarray, p: int) -> Iterator[int]:
+    """Indices sum_k c_k p**k of the vectors c with Q(c) = c, ascending.
+
+    The low coordinates come from one table of at most _SCAN_ROWS rows;
+    when p is larger, the single low coordinate is tabulated in chunks of
+    _SCAN_ROWS values.  Each value b of the high coordinates reuses the
+    table through `_block_weights`.  Two coordinates screen the rows; only
+    the survivors are compared in full.
+    """
+    dim = gamma.shape[0]
+    low = 1
+    while low < dim and p ** (low + 1) <= _SCAN_ROWS:
+        low += 1
+    sym = gamma + gamma.transpose(1, 0, 2)
+    step = max(1, _SCAN_ROWS // p ** (low - 1))  # values of the last low digit per table
+    table = None
+    for b, weights in enumerate(_block_weights(gamma, sym, p, low)):
+        for first in range(0, p, step):
+            if table is None or step < p:
+                rows = _low_rows(p, low, first, min(first + step, p))
+                table = _low_table(gamma, sym, p, rows)
+            hits = np.flatnonzero(~((rows @ weights[:, :2] + table[:, :2]) % p).any(axis=1))
+            if hits.size and dim > 2:
+                hits = hits[~((rows[hits] @ weights + table[hits]) % p).any(axis=1)]
+            yield from (b * p**low + first * p ** (low - 1) + hits).tolist()
+
+
 def has_nontrivial_idempotent(end_basis: HomBasis, cap: int = 10**7) -> IdempotentSearch:
     """Scan every linear combination of the basis for an idempotent != 0, 1.
 
     The scan covers all p**dim candidates; if that exceeds the cap the
-    result is an explicit "unavailable" rather than a weaker answer.
-    Candidates are checked in ascending mixed-radix order of their
-    coefficient vectors, so the returned witness is deterministic.
+    result is an explicit "unavailable", with its reason, rather than a
+    weaker answer.  Candidates are checked in ascending mixed-radix order
+    of their coefficient vectors, the first basis element least
+    significant, so the returned witness is deterministic.
+
+    The scan runs on coefficient vectors, not matrices.  One elimination of
+    [F | I], F the flattened basis, gives coordinates in the basis; the
+    products B_k B_l, one batched product per quiver vertex, give the
+    structure constants gamma with B_k B_l = sum_m gamma[k, l, m] B_m, and
+    e = sum_k c_k B_k is idempotent iff sum_kl c_k c_l gamma[k, l] = c.  The
+    zero vector and the coordinates of the identity are skipped, and the
+    first hit is turned back into blocks.  A basis that is not linearly
+    independent, or whose span is not closed under composition, raises
+    ValueError.
     """
     if end_basis.dimension == 0:
         return IdempotentSearch("none")
@@ -188,34 +299,35 @@ def has_nontrivial_idempotent(end_basis: HomBasis, cap: int = 10**7) -> Idempote
         raise ValueError("idempotent search needs an endomorphism basis")
     p = sample.prime
     dim = end_basis.dimension
-    total = p**dim
-    if total > cap:
-        return IdempotentSearch("unavailable")
+    if p**dim > cap:
+        reason = f"endomorphism space too large for the scan ({p}**{dim} candidates > cap {cap})"
+        return IdempotentSearch("unavailable", reason=reason)
     qs = sorted(sample.blocks)
-    stacked = {q: np.stack([h.blocks[q] for h in end_basis.basis]) for q in qs}
-    identity = {q: np.eye(sample.blocks[q].shape[0], dtype=np.int64) for q in qs}
-    chunk = 1 << 14
-    powers = np.array([p**k for k in range(dim)], dtype=np.int64)
-    for lo in range(1, total, chunk):  # index 0 is the zero map
-        hi = min(lo + chunk, total)
-        idx = np.arange(lo, hi, dtype=np.int64)
-        coeffs = (idx[:, None] // powers[None, :]) % p
-        ok = np.ones(hi - lo, dtype=bool)
-        is_id = np.ones(hi - lo, dtype=bool)
-        per_q = {}
-        for q in qs:
-            cand = np.tensordot(coeffs, stacked[q], axes=([1], [0])) % p
-            per_q[q] = cand
-            square = np.matmul(cand, cand) % p
-            ok &= (square == cand).all(axis=(1, 2))
-            is_id &= (cand == identity[q]).all(axis=(1, 2))
-        ok &= ~is_id
-        hits = np.nonzero(ok)[0]
-        if hits.size:
-            i = int(hits[0])
-            blocks = {q: per_q[q][i] for q in qs}
-            return IdempotentSearch("found", ModuleHom(sample.domain, sample.codomain, blocks))
-    return IdempotentSearch("none")
+    sizes = [sample.blocks[q].shape[0] for q in qs]
+    # The basis extended by the identity, so one batched product per quiver
+    # vertex gives every B_k B_l and, as its last row, the identity.
+    stacked = [np.array([h.blocks[q] for h in end_basis.basis] + [np.eye(n, dtype=np.int64)]) for q, n in zip(qs, sizes)]
+    flat = np.concatenate([s.reshape(dim + 1, n * n) for s, n in zip(stacked, sizes)], axis=1)
+    products = np.concatenate([(s[:, None] @ s[None]).reshape((dim + 1) ** 2, n * n) for s, n in zip(stacked, sizes)], axis=1) % p
+    flat, width = flat[:dim], flat.shape[1]
+    reduced, _, pivots = rref(np.concatenate([flat, np.eye(dim, dtype=np.int64)], axis=1), p)
+    if pivots[-1] >= width:  # a pivot in the identity part: F has rank below dim
+        raise ValueError("idempotent search needs a linearly independent basis")
+    coords = (products[:, list(pivots)] @ reduced[:, width:]) % p
+    spanned = ((coords @ flat) % p == products).all(axis=1)
+    if not spanned[:-1].all():
+        raise ValueError("the span of the basis is not closed under composition")
+    skip = sum(c * p**k for k, c in enumerate(coords[-1].tolist())) if spanned[-1] else 0
+    gamma = coords.reshape(dim + 1, dim + 1, dim)[:dim, :dim]
+    for index in _idempotent_indices(gamma, p):
+        if index and index != skip:
+            break
+    else:
+        return IdempotentSearch("none")
+    entries = (np.array([index // p**k % p for k in range(dim)]) @ flat) % p
+    ends = np.cumsum([n * n for n in sizes]).tolist()
+    blocks = {q: entries[end - n * n : end].reshape(n, n) for q, n, end in zip(qs, sizes, ends)}
+    return IdempotentSearch("found", ModuleHom(sample.domain, sample.codomain, blocks))
 
 
 def verify_iso(h: ModuleHom) -> bool:

@@ -30,6 +30,7 @@ from .trees import (
     TreeOverQ,
     branch,
     direct_sum,
+    materialize,
     push_down,
     restrict,
 )
@@ -198,7 +199,11 @@ def module_idempotent(t: TreeOverQ, endo: IdempotentEndo, prime: int = 3) -> Mod
     """
     if endo.t is not t:
         IdempotentEndo(t, endo.vertex_map)  # revalidate against this tree
-    rep = push_down(t, prime)
+    return _induced_idempotent(t, endo, push_down(t, prime))
+
+
+def _induced_idempotent(t: TreeOverQ, endo: IdempotentEndo, rep: ModuleRep) -> ModuleHom:
+    """`module_idempotent` on `rep`, the module of t."""
     blocks = {q: np.zeros((rep.dim(q), rep.dim(q)), dtype=np.int64) for q in rep.basis}
     for n in t.tree.vertices:
         q = t.vertex_label[n]
@@ -241,9 +246,10 @@ class Decomposition:
     witness: ModuleHom
     module: ModuleRep
     sum_rep: ModuleRep
+    summand_modules: list[ModuleRep]
 
 
-def split(t: TreeOverQ, endo: IdempotentEndo, prime: int = 3) -> Decomposition:
+def split(t: TreeOverQ, endo: IdempotentEndo, prime: int = 3, module: Optional[ModuleRep] = None) -> Decomposition:
     """Split the module along a non-identity idempotent endomorphism.
 
     The fixed subtree (equal to the image subtree) carries the first
@@ -252,6 +258,10 @@ def split(t: TreeOverQ, endo: IdempotentEndo, prime: int = 3) -> Decomposition:
     induced idempotent, the basis vector of a fixed vertex n maps to P v_n
     and that of any other vertex to (1 - P) v_n.  Invertibility and
     intertwining are verified before returning.
+
+    `module`, if given, is the module of t over GF(prime), already built by
+    `push_down` or by an earlier split; t is then not validated again.  The
+    summands are restrictions of t, so their modules are built unchecked.
     """
     if endo.is_identity():
         raise ValueError("cannot split along the identity")
@@ -260,9 +270,10 @@ def split(t: TreeOverQ, endo: IdempotentEndo, prime: int = 3) -> Decomposition:
     fixed_set = set(fixed)
     parts = [fixed] + _complement_components(t, fixed_set)
     summands = [restrict(t, part) for part in parts]
-    idempotent = module_idempotent(t, endo, prime)
-    rep = idempotent.domain
-    sum_rep = direct_sum([push_down(s, prime) for s in summands])
+    rep = push_down(t, prime) if module is None else module
+    idempotent = _induced_idempotent(t, endo, rep)
+    summand_modules = [materialize(s, rep.prime) for s in summands]
+    sum_rep = direct_sum(summand_modules)
     blocks = {}
     for q, image in idempotent.blocks.items():
         kernel = np.eye(len(image), dtype=np.int64) - image
@@ -273,17 +284,26 @@ def split(t: TreeOverQ, endo: IdempotentEndo, prime: int = 3) -> Decomposition:
     witness = ModuleHom(sum_rep, rep, blocks)
     if not oracle.verify_iso(witness):
         raise AssertionError("split witness failed verification")
-    return Decomposition(summands, witness, rep, sum_rep)
+    return Decomposition(summands, witness, rep, sum_rep, summand_modules)
 
 
 def decompose_fully(t: TreeOverQ, prime: int = 3) -> list[TreeOverQ]:
-    """Iterate the split until every piece is indecomposable."""
-    endo = find_nonidentity_idempotent(t)
-    if endo is None:
-        return [t]
+    """Split until every piece is indecomposable; pieces in depth-first order.
+
+    `push_down` validates t once; every later piece is a restriction of
+    it and reuses the module its split built.  An explicit stack, not
+    recursion, so a piece may split any number of times.
+    """
     pieces = []
-    for summand in split(t, endo, prime).summands:
-        pieces.extend(decompose_fully(summand, prime))
+    todo = [(t, push_down(t, prime))]
+    while todo:
+        tree, module = todo.pop()
+        endo = find_nonidentity_idempotent(tree)
+        if endo is None:
+            pieces.append(tree)
+            continue
+        dec = split(tree, endo, prime, module=module)
+        todo.extend(reversed(list(zip(dec.summands, dec.summand_modules))))
     return pieces
 
 

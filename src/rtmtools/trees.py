@@ -354,13 +354,23 @@ def push_down(t: TreeOverQ, prime: int = 3) -> ModuleRep:
     A tree arrow from n to m labelled a puts a 1 in the matrix of a, at the
     row of m and the column of n: in a sink tree a vertex's vector goes to
     its parent, in a source tree to the sum of its children along a.  Basis
-    order is ascending vertex label.
+    order is ascending vertex label.  The prime and the tree are checked
+    first; an invalid one raises ValueError.
     """
     if prime >= PRIME_BOUND:  # checked first: trial division would crawl
         raise ValueError(f"prime {prime} is too large: int64 arithmetic is exact only for p < 2**24")
     if not is_odd_prime(prime):
         raise ValueError(f"need an odd prime, got {prime}")
     require_valid(t)
+    return materialize(t, prime)
+
+
+def materialize(t: TreeOverQ, prime: int) -> ModuleRep:
+    """`push_down` without its checks, for a tree and a prime already checked.
+
+    A restriction of a valid tree to a rooted subtree is valid, so the
+    summands of a split need no second validation.
+    """
     q = t.codomain.quiver
     basis: dict[str, tuple[int, ...]] = {qv: () for qv in q.vertices}
     for n in t.tree.vertices:  # already ascending

@@ -1,6 +1,8 @@
+import os
 from itertools import product
 
 import pytest
+from hypothesis import settings
 
 from rtmtools import (
     SINK,
@@ -10,6 +12,11 @@ from rtmtools import (
     RootedTree,
     TreeOverQ,
 )
+
+# CI runs with HYPOTHESIS_PROFILE=ci: the same examples on every run, and a
+# failure prints the blob that replays it locally (@reproduce_failure).
+settings.register_profile("ci", derandomize=True, print_blob=True)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 
 @pytest.fixture

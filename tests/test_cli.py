@@ -5,7 +5,7 @@ import time
 
 import pytest
 
-from rtmtools import push_down, structure
+from rtmtools import push_down, structure, validate_tree_over_q
 from rtmtools.cli import main
 from rtmtools.network import PullbackNetwork
 from rtmtools.textio import ParseError, format_document, parse_document
@@ -273,7 +273,7 @@ def test_invalid_tree_fails_before_any_output(tmp_path, capsys, argv):
 
 @pytest.mark.parametrize("prime", ["4", "4294967311"])
 def test_cmd_decompose_checks_the_prime_of_an_indecomposable_tree(tmp_path, capsys, prime):
-    # an indecomposable tree never reaches push_down inside decompose_fully
+    # an indecomposable tree is never split, but decompose_fully still checks the prime first
     path = _write(tmp_path, "one.rtm", _star_document(0, "SINK"))
     assert main(["decompose", path, "-p", prime]) == 1
     captured = capsys.readouterr()
@@ -340,3 +340,23 @@ def test_cmd_hom_pushes_each_tree_down_once(tmp_path, capsys, monkeypatch, sink_
     assert main(["hom", path, path]) == 0
     assert "AGREE" in capsys.readouterr().out
     assert len(calls) == 2
+
+
+@pytest.mark.parametrize("orientation", ["SINK", "SOURCE"])
+def test_cmd_decompose_validates_the_tree_once(tmp_path, capsys, monkeypatch, orientation):
+    # Summands are restrictions of the validated tree: no split validates them again.
+    calls = []
+
+    def counting_validate(tree):
+        calls.append(tree)
+        return validate_tree_over_q(tree)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("rtmtools"):
+            for key, value in list(vars(module).items()):
+                if value is validate_tree_over_q:
+                    monkeypatch.setattr(module, key, counting_validate)
+    path = _write(tmp_path, "star.rtm", _star_document(4, orientation))
+    assert main(["decompose", path]) == 0
+    assert "4 indecomposable summands" in capsys.readouterr().out
+    assert len(calls) == 1

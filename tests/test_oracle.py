@@ -2,13 +2,15 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from rtmtools import (
     SINK,
     SOURCE,
     BoundQuiver,
+    HomBasis,
+    ModuleHom,
     ModuleRep,
     Quiver,
     GenerationExhausted,
@@ -26,7 +28,9 @@ from rtmtools import (
     split,
     verify_iso,
 )
+from rtmtools.cli import main
 from rtmtools.oracle import _block_layout, _inverse_mod, _sample_attempt
+from rtmtools.textio import parse_document
 
 # The largest prime below the 2**24 bound pins the int64 no-overflow claim.
 PRIMES = (3, 5, 16777213)
@@ -127,6 +131,17 @@ def test_idempotent_scan_respects_cap(sink_tree):
     search = has_nontrivial_idempotent(basis, cap=10)  # 3^4 = 81 > 10
     assert search.status == "unavailable"
     assert not search.available
+    assert search.reason == "endomorphism space too large for the scan (3**4 candidates > cap 10)"
+
+
+@pytest.mark.parametrize("p", (3, 5, 7))
+def test_idempotent_scan_cap_boundary(sink_tree, p):
+    basis = hom_space(push_down(sink_tree, p), push_down(sink_tree, p))
+    total = p**basis.dimension
+    assert has_nontrivial_idempotent(basis, cap=total).status == "found"
+    search = has_nontrivial_idempotent(basis, cap=total - 1)
+    assert search.status == "unavailable"
+    assert search.reason.endswith(f"({p}**{basis.dimension} candidates > cap {total - 1})")
 
 
 def test_verify_iso(sink_tree):
@@ -327,3 +342,134 @@ def test_hom_space_matches_the_kronecker_system_on_loops(pair):
     assert got.dimension == want.shape[0]
     for h, row in zip(got.basis, want):
         np.testing.assert_array_equal(h.flatten(), row)
+
+
+def _materialising_scan(end_basis: HomBasis):
+    """The idempotent scan on candidate matrices: every combination, chunk by chunk."""
+    if end_basis.dimension == 0:
+        return "none", None
+    sample = end_basis.basis[0]
+    p, dim = sample.prime, end_basis.dimension
+    qs = sorted(sample.blocks)
+    stacked = {q: np.stack([h.blocks[q] for h in end_basis.basis]) for q in qs}
+    identity = {q: np.eye(sample.blocks[q].shape[0], dtype=np.int64) for q in qs}
+    powers = np.array([p**k for k in range(dim)], dtype=np.int64)
+    for lo in range(1, p**dim, 1 << 14):  # index 0 is the zero map
+        idx = np.arange(lo, min(lo + (1 << 14), p**dim), dtype=np.int64)
+        coeffs = (idx[:, None] // powers[None, :]) % p
+        ok = np.ones(len(idx), dtype=bool)
+        is_id = np.ones(len(idx), dtype=bool)
+        per_q = {}
+        for q in qs:
+            cand = np.tensordot(coeffs, stacked[q], axes=([1], [0])) % p
+            per_q[q] = cand
+            ok &= ((cand @ cand) % p == cand).all(axis=(1, 2))
+            is_id &= (cand == identity[q]).all(axis=(1, 2))
+        hits = np.flatnonzero(ok & ~is_id)
+        if hits.size:
+            return "found", {q: per_q[q][hits[0]] for q in qs}
+    return "none", None
+
+
+def _star(k, orientation):
+    ends = (lambda n: (n, 1)) if orientation == SINK else (lambda n: (1, n))
+    return parse_document(
+        "QUIVER\nvertex 1\narrow alpha 1 1\nRELATIONS\nrel alpha alpha\n"
+        + f"TREE {orientation.upper()}\n"
+        + "".join(f"node {n} 1\n" for n in range(1, k + 2))
+        + "".join("arrow a{} {} {} alpha\n".format(n, *ends(n)) for n in range(2, k + 2))
+    ).tree
+
+
+def _uniserial_document(length, orientation):
+    """A chain of `length` alpha-arrows over a loop with alpha**(length + 1) = 0."""
+    ends = (lambda n: (n, n - 1)) if orientation == SINK else (lambda n: (n - 1, n))
+    return (
+        "QUIVER\nvertex 1\narrow alpha 1 1\nRELATIONS\nrel" + " alpha" * (length + 1) + "\n"
+        + f"TREE {orientation.upper()}\n"
+        + "".join(f"node {n} 1\n" for n in range(1, length + 2))
+        + "".join("arrow a{} {} {} alpha\n".format(n, *ends(n)) for n in range(2, length + 2))
+    )
+
+
+def _twin_chain(n, orientation):
+    """Two same-labelled chains of length n under one root, over A_(n+1)."""
+    down = orientation == SINK
+    lines = ["QUIVER"] + [f"vertex q{i}" for i in range(n + 1)]
+    lines += [f"arrow b{i} q{i} q{i - 1}" if down else f"arrow b{i} q{i - 1} q{i}" for i in range(1, n + 1)]
+    lines += ["RELATIONS", f"TREE {orientation.upper()}", "node 1 q0"]
+    for first in (2, n + 2):
+        for depth in range(1, n + 1):
+            v, up = first + depth - 1, 1 if depth == 1 else first + depth - 2
+            src, tgt = (v, up) if down else (up, v)
+            lines += [f"node {v} q{depth}", f"arrow x{v} {src} {tgt} b{depth}"]
+    return parse_document("\n".join(lines) + "\n").tree
+
+
+@st.composite
+def scan_cases(draw):
+    """(tree, p): random instances, stars, twin chains and uniserial chains."""
+    orientation = draw(st.sampled_from((SINK, SOURCE)))
+    family = draw(st.sampled_from(("random", "star", "twin", "uniserial")))
+    if family == "random":
+        t = random_instance(draw(st.integers(0, 199)), orientation)
+    elif family == "star":
+        t = _star(draw(st.integers(0, 3)), orientation)
+    elif family == "twin":
+        t = _twin_chain(draw(st.integers(1, 7)), orientation)
+    else:
+        t = parse_document(_uniserial_document(draw(st.integers(1, 7)), orientation)).tree
+    return t, draw(st.sampled_from((3, 5, 7)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(scan_cases())
+def test_idempotent_scan_matches_the_materialising_scan(case):
+    t, p = case
+    rep = push_down(t, p)
+    basis = hom_space(rep, rep)
+    assume(p**basis.dimension <= 10**5)  # the reference builds every candidate
+    search = has_nontrivial_idempotent(basis)
+    status, blocks = _materialising_scan(basis)
+    assert search.status == status
+    if blocks is not None:
+        assert search.idempotent.blocks.keys() == blocks.keys()
+        for q, block in blocks.items():
+            np.testing.assert_array_equal(search.idempotent.blocks[q], block)
+
+
+def _loop_module(p, dim):
+    """One vertex of dimension `dim` on the loop quiver, every arrow zero."""
+    zero = {"alpha": np.zeros((dim, dim)), "beta": np.zeros((0, dim)), "gamma": np.zeros((0, 0))}
+    return ModuleRep(p, LOOPS, {"1": tuple(range(1, dim + 1))}, zero)
+
+
+def test_idempotent_scan_rejects_a_span_not_closed_under_composition():
+    rep = _loop_module(3, 2)
+    swap = ModuleHom(rep, rep, {"1": np.array([[0, 1], [1, 0]])})  # its square is 1
+    with pytest.raises(ValueError, match="not closed under composition"):
+        has_nontrivial_idempotent(HomBasis([swap], 1))
+
+
+def test_idempotent_scan_rejects_a_dependent_basis():
+    rep = _loop_module(5, 2)
+    one = identity_hom(rep)
+    with pytest.raises(ValueError, match="linearly independent"):
+        has_nontrivial_idempotent(HomBasis([one, one.add(one)], 2))
+
+
+def test_idempotent_scan_without_the_identity_in_the_span():
+    rep = _loop_module(3, 2)
+    corner = ModuleHom(rep, rep, {"1": np.array([[1, 0], [0, 0]])})
+    search = has_nontrivial_idempotent(HomBasis([corner], 1))
+    assert search.status == "found" and search.idempotent.equal(corner)
+
+
+@pytest.mark.parametrize("orientation", (SINK, SOURCE))
+def test_indec_on_uniserial_chain_ten(tmp_path, capsys, orientation):
+    # End dimension 11 at p = 3: all 177,147 combinations are scanned.
+    path = tmp_path / "chain10.rtm"
+    path.write_text(_uniserial_document(10, orientation), encoding="utf-8")
+    assert main(["indec", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert out == "theorem: INDECOMPOSABLE\noracle (p=3): INDECOMPOSABLE\nverdict: AGREE\n"

@@ -1,5 +1,8 @@
 """Indecomposability decisions, induced idempotents, and splitting."""
 
+import inspect
+import sys
+
 import numpy as np
 import pytest
 
@@ -170,6 +173,26 @@ def test_decompose_fully(sink_tree, source_tree_factory):
     assert all(is_indecomposable(p) for p in pieces)
     solo = source_tree_factory("alpha", "beta", "alpha", "beta")
     assert decompose_fully(solo, 3) == [solo]
+
+
+def test_decompose_fully_does_not_recurse_per_split(loop_tail_quiver):
+    # A star with k same-labelled leaves splits off one leaf per split, each
+    # split inside the summand of the previous one: k - 1 nested splits.
+    k = 40
+    tree = RootedTree(range(1, k + 2), [(f"a{n}", n, 1) for n in range(2, k + 2)], SINK)
+    t = TreeOverQ(
+        tree,
+        loop_tail_quiver,
+        {n: "2" for n in range(1, k + 2)},
+        {f"a{n}": "alpha" for n in range(2, k + 2)},
+    )
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack()) + 30)
+    try:
+        pieces = decompose_fully(t, 3)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert sorted(len(p.tree.vertices) for p in pieces) == [1] * (k - 1) + [2]
 
 
 def test_dimension_conservation(sink_tree):
