@@ -6,6 +6,10 @@ command run on them, the exact stdout, stderr, exit code and (for
 compares bytes.  Re-record only when a change of output is intended:
 
     PYTHONPATH=src python tests/test_cli_golden.py
+
+`tests/data/ggms_dot_dir.json` pins, the same way, the files that
+`ggms sink5.rtm sink5.rtm --signs --dot-dir` writes; the same command
+re-records it.
 """
 
 from __future__ import annotations
@@ -21,6 +25,8 @@ from pathlib import Path
 import pytest
 
 GOLDEN = Path(__file__).parent / "data" / "cli_golden.json"
+DOT_DIR_GOLDEN = Path(__file__).parent / "data" / "ggms_dot_dir.json"
+DOT_DIR_ARGV = ["ggms", "sink5.rtm", "sink5.rtm", "--signs", "--dot-dir", "dots"]
 PARTNER_OFFSET = 100_000
 RANDOM_SEEDS = range(40)
 
@@ -201,6 +207,17 @@ def test_cli_output_is_byte_identical(group, tmp_path):
         assert got == want, f"output of {' '.join(want['argv'])} changed"
 
 
+def _dot_dir_run(directory: Path) -> dict:
+    """The run of DOT_DIR_ARGV, with every file it wrote into its directory."""
+    (run,) = _replay(directory, {"sink5.rtm": LOOP_TAIL + SINK5_TREE}, [DOT_DIR_ARGV])
+    run["files"] = {f.name: f.read_text(encoding="utf-8") for f in sorted((directory / "dots").iterdir())}
+    return run
+
+
+def test_ggms_dot_dir_files_are_byte_identical(tmp_path):
+    assert _dot_dir_run(tmp_path) == json.loads(DOT_DIR_GOLDEN.read_text(encoding="utf-8"))
+
+
 def record() -> None:
     import tempfile
 
@@ -210,6 +227,9 @@ def record() -> None:
             golden[group] = {"docs": docs, "runs": _replay(Path(tmp), docs, commands)}
     GOLDEN.parent.mkdir(exist_ok=True)
     GOLDEN.write_text(json.dumps(golden, indent=1, sort_keys=True) + "\n", encoding="utf-8")
+    with tempfile.TemporaryDirectory() as tmp:
+        dot_dir = _dot_dir_run(Path(tmp))
+    DOT_DIR_GOLDEN.write_text(json.dumps(dot_dir, indent=1, sort_keys=True) + "\n", encoding="utf-8")
     runs = sum(len(g["runs"]) for g in golden.values())
     print(f"recorded {runs} runs in {len(golden)} groups to {GOLDEN}", file=sys.stderr)
 
