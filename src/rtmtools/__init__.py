@@ -48,7 +48,6 @@ from .ggm import (
     branch_morphism_from_ggm,
     enumerate_ggms,
     ggm_matrix,
-    ggm_to_dot,
     hom_span,
     is_complete,
 )

@@ -1,14 +1,17 @@
 """Command-line surface.
 
-Exit codes: 0 ok, 1 validation failure, 2 parse error, 3 oracle
+Exit codes: 0 ok, 1 validation failure or an output that cannot be
+written, 2 parse error or an input that cannot be read, 3 oracle
 unavailable, 4 disagreement between the combinatorial decision and the
-oracle (treated as a defect).
+oracle (treated as a defect).  Every output file or directory is prepared
+before the first line of stdout.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from itertools import groupby
 from pathlib import Path
 
 from . import ggm as ggm_mod
@@ -21,8 +24,16 @@ from .trees import push_down, require_valid, validate_tree_over_q
 OK, VALIDATION_FAILURE, PARSE_ERROR, ORACLE_UNAVAILABLE, DISAGREEMENT = 0, 1, 2, 3, 4
 
 
+class _Unreadable(Exception):
+    """An input file could not be read; carries the OSError."""
+
+
 def _load(path: str) -> InputDocument:
-    return parse_document(Path(path).read_text(encoding="utf-8"))
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except OSError as exc:
+        raise _Unreadable(exc) from exc
+    return parse_document(text)
 
 
 def _load_pair(path1: str, path2: str) -> tuple[InputDocument, InputDocument]:
@@ -72,58 +83,31 @@ def cmd_network(args) -> int:
     require_valid(d2.tree)
     net = PullbackNetwork(d1.tree, d2.tree)
     shown = two_cover(net) if args.cover else net
-    _network_report(shown, "R[2]" if args.cover else "R[1]")
     if args.dot:
         Path(args.dot).write_text(to_dot(shown), encoding="utf-8")
+    _network_report(shown, "R[2]" if args.cover else "R[1]")
+    if args.dot:
         print(f"dot written to {args.dot}")
     return OK
 
 
-def _hom_description(h) -> list[str]:
-    """Sparse `v_n -> ...` lines of an induced map, domain vertices ascending."""
-    lines = []
-    p = h.prime
-    for q in sorted(h.blocks):
-        block = h.blocks[q]
-        for col, n in enumerate(h.domain.basis[q]):
-            terms = []
-            for row, m in enumerate(h.codomain.basis[q]):
-                c = int(block[row, col]) % p
-                if c == 0:
-                    continue
-                sign = "-" if c == p - 1 else "+"  # graph maps only produce +-1
-                terms.append((m, sign))
-            if not terms:
-                continue
-            text = ""
-            for i, (m, sign) in enumerate(terms):
-                if i == 0:
-                    text = f"v{m}" if sign == "+" else f"-v{m}"
-                else:
-                    text += f" {sign} v{m}"
-            lines.append((n, f"v{n} -> {text}"))
-    return [text for _, text in sorted(lines)]
-
-
 def cmd_ggms(args) -> int:
     d1, d2 = _load_pair(args.file1, args.file2)
-    m1, m2 = push_down(d1.tree, args.prime), push_down(d2.tree, args.prime)
+    for doc in (d1, d2):
+        push_down(doc.tree, args.prime)  # checks the tree and -p before any output
     ggms = ggm_mod.enumerate_ggms(d1.tree, d2.tree, with_signs=args.signs)
+    if args.dot_dir:
+        Path(args.dot_dir).mkdir(parents=True, exist_ok=True)
     print(f"{len(ggms)} GGMs")
     for i, g in enumerate(ggms, start=1):
-        vertices = " ".join(
-            f"({n},{m},{'+' if s > 0 else '-'})" for n, m, s in sorted(g.vertices)
-        )
-        print(f"GGM {i}: {vertices}")
-        h = ggm_mod.ggm_matrix(g, m1, m2)
-        for line in _hom_description(h):
-            print(f"  {line}")
+        pairs = sorted(g.vertices)
+        print(f"GGM {i}: " + " ".join(f"({n},{m},{'+' if s > 0 else '-'})" for n, m, s in pairs))
+        # the induced map sends v_n to the signed sum of its partners v_m
+        for n, partners in groupby(pairs, key=lambda v: v[0]):
+            text = " ".join(f"{'+' if s > 0 else '-'} v{m}" for _, m, s in partners)
+            print(f"  v{n} -> {text[2:] if text[0] == '+' else '-' + text[2:]}")
         if args.dot_dir:
-            directory = Path(args.dot_dir)
-            directory.mkdir(parents=True, exist_ok=True)
-            (directory / f"ggm_{i:02d}.dot").write_text(
-                ggm_mod.ggm_to_dot(g, name=f"ggm_{i}"), encoding="utf-8"
-            )
+            (Path(args.dot_dir) / f"ggm_{i:02d}.dot").write_text(to_dot(g, name=f"ggm_{i}"), encoding="utf-8")
     return OK
 
 
@@ -233,9 +217,12 @@ def main(argv=None) -> int:
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return PARSE_ERROR
-    except FileNotFoundError as exc:
+    except _Unreadable as exc:
         print(f"cannot read input: {exc}", file=sys.stderr)
         return PARSE_ERROR
+    except OSError as exc:  # reads raise _Unreadable, so this is a --dot file, a --dot-dir or stdout
+        print(f"cannot write output: {exc}", file=sys.stderr)
+        return VALIDATION_FAILURE
     except ValueError as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
         return VALIDATION_FAILURE

@@ -21,6 +21,10 @@ its vertices; a depth-first search that branches over every admissible
 witness is therefore exhaustive.  Seeding it from each vertex pair with
 sign +1 and refusing smaller pairs finds every map exactly once, from its
 least pair and already canonically signed.
+
+A map's signed pairs are the nonzero entries of its induced homomorphism,
+so `_rows` writes them straight into the flat coordinates that
+`trees.hom_layout` defines; no dense blocks are built on the way.
 """
 
 from __future__ import annotations
@@ -31,9 +35,9 @@ from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
-from .network import Edge, NetArrow, PullbackNetwork, TwoCover, _edge, _lift, two_cover
+from .network import Edge, NetArrow, PullbackNetwork, TwoCover, _edge, _lift, _window_blocked, two_cover
 from .oracle import rref
-from .trees import BranchMorphism, ModuleHom, ModuleRep, TreeOverQ
+from .trees import BranchMorphism, ModuleHom, ModuleRep, TreeOverQ, hom_layout
 
 
 class Subnetwork:
@@ -62,16 +66,18 @@ class Subnetwork:
         pairs = [v[:2] for v in self.vertices]
         return len(set(pairs)) == len(pairs)
 
+    def _far_ends(self) -> dict:
+        """The far end of each link at each vertex."""
+        ends: dict = {v: [] for v in self.vertices}
+        for u, w in [(a.source, a.target) for a in self.arrows] + list(self.edges):
+            ends[u].append(w)
+            ends[w].append(u)
+        return ends
+
     def is_connected(self) -> bool:
         if not self.vertices:
             return True
-        adjacency: dict = {v: [] for v in self.vertices}
-        for a in self.arrows:
-            adjacency[a.source].append(a.target)
-            adjacency[a.target].append(a.source)
-        for e in self.edges:
-            adjacency[e[0]].append(e[1])
-            adjacency[e[1]].append(e[0])
+        ends = self._far_ends()
         seen = set()
         stack = [next(iter(self.vertices))]
         while stack:
@@ -79,33 +85,15 @@ class Subnetwork:
             if v in seen:
                 continue
             seen.add(v)
-            stack.extend(adjacency[v])
+            stack.extend(ends[v])
         return seen == set(self.vertices)
 
     def is_r_free(self) -> bool:
         """No two incident links of the subnetwork project through a triangle."""
-        links_at: dict = {v: [] for v in self.vertices}
-        for a in self.arrows:
-            links_at[a.source].append(("a", a))
-            links_at[a.target].append(("a", a))
-        for e in self.edges:
-            links_at[e[0]].append(("e", e))
-            links_at[e[1]].append(("e", e))
-        triangle_set = self.cover.triangle_set
-        for v, links in links_at.items():
-            for i in range(len(links)):
-                for j in range(i + 1, len(links)):
-                    ends = []
-                    for _, link in (links[i], links[j]):
-                        if isinstance(link, NetArrow):
-                            ends.append(link.target if link.source == v else link.source)
-                        else:
-                            ends.append(link[1] if link[0] == v else link[0])
-                    triple = frozenset(
-                        (self.cover.project(ends[0]), self.cover.project(v), self.cover.project(ends[1]))
-                    )
-                    if triple in triangle_set:
-                        return False
+        for v, ends in self._far_ends().items():
+            for i, u in enumerate(ends):
+                if any(_window_blocked(self.cover, u, v, w) for w in ends[i + 1 :]):
+                    return False
         return True
 
     def negate(self) -> "Subnetwork":
@@ -291,33 +279,39 @@ def enumerate_ggms(
     return ggms
 
 
+def _rows(ggms: list[GeneralizedGraphMap], m1: ModuleRep, m2: ModuleRep) -> np.ndarray:
+    """One row per graph map: its induced homomorphism in the `hom_layout` of (m1, m2).
+
+    A graph map sends v_n to the signed sum of its partners v_m, so each
+    signed pair (n, m, s) is the entry s of block q at (m, n), q the label
+    of n and m; every other entry is 0.
+    """
+    layout = hom_layout(m1, m2)
+    cell = {}
+    for q, offset, _, cols in layout:
+        for j, n in enumerate(m1.basis[q]):
+            for i, m in enumerate(m2.basis[q]):
+                cell[n, m] = offset + i * cols + j
+    rows = np.zeros((len(ggms), sum(r * c for _, _, r, c in layout)), dtype=np.int64)
+    for k, g in enumerate(ggms):
+        for n, m, s in g.vertices:
+            rows[k, cell[n, m]] = s
+    return rows
+
+
 def ggm_matrix(g: GeneralizedGraphMap, m1: ModuleRep, m2: ModuleRep) -> ModuleHom:
     """The homomorphism induced by a graph map: v_n maps to the signed sum of partners."""
-    blocks = {
-        q: np.zeros((m2.dim(q), m1.dim(q)), dtype=np.int64) for q in m1.basis
-    }
-    t1 = g.cover.base.t1
-    for (n, m, s) in g.vertices:
-        q = t1.vertex_label[n]
-        blocks[q][m2.basis_index(q, m), m1.basis_index(q, n)] += s
-    return ModuleHom(m1, m2, {q: b % m1.prime for q, b in blocks.items()})
+    return ModuleHom.from_flat(m1, m2, _rows([g], m1, m2)[0])
 
 
-def hom_span(
-    t1: TreeOverQ, t2: TreeOverQ, m1: ModuleRep, m2: ModuleRep, cover: Optional[TwoCover] = None
-) -> tuple[list[ModuleHom], int]:
-    """Induced maps of all canonical graph maps and the rank of their span.
+def hom_span(t1: TreeOverQ, t2: TreeOverQ, m1: ModuleRep, m2: ModuleRep) -> tuple[list[GeneralizedGraphMap], int]:
+    """All canonical graph maps and the rank of the span of their induced maps.
 
     `m1` and `m2` are the modules of `t1` and `t2` (see `push_down`).
     """
-    maps = [ggm_matrix(g, m1, m2) for g in enumerate_ggms(t1, t2, cover=cover)]
-    if not maps:
-        return [], 0
-    stacked = np.stack([h.flatten() for h in maps])
-    if stacked.shape[1] == 0:
-        return maps, 0
-    _, rank, _ = rref(stacked, m1.prime)
-    return maps, rank
+    ggms = enumerate_ggms(t1, t2)
+    rows = _rows(ggms, m1, m2)
+    return ggms, rref(rows, m1.prime)[1] if rows.size else 0
 
 
 def branch_morphism_from_ggm(g: GeneralizedGraphMap, pair: tuple) -> BranchMorphism:
@@ -349,21 +343,3 @@ def branch_morphism_from_ggm(g: GeneralizedGraphMap, pair: tuple) -> BranchMorph
             morphism.arrow_map[arrow] = a.label[p]
             queue.append(w)
     return morphism
-
-
-def ggm_to_dot(g: GeneralizedGraphMap, name: str = "graphmap") -> str:
-    """Graphviz rendering with the sign spelled into each vertex label."""
-
-    def label(v) -> str:
-        return f"{v[0]},{v[1]},{'+' if v[2] > 0 else '-'}"
-
-    lines = [f"digraph {name} {{"]
-    for v in sorted(g.vertices):
-        lines.append(f'  "{label(v)}";')
-    for a in sorted(g.arrows, key=lambda a: (a.source, a.target)):
-        lab = ",".join(str(x) for x in a.label[:2])
-        lines.append(f'  "{label(a.source)}" -> "{label(a.target)}" [label="({lab})"];')
-    for e in sorted(g.edges):
-        lines.append(f'  "{label(e[0])}" -> "{label(e[1])}" [dir=none, style=dashed];')
-    lines.append("}")
-    return "\n".join(lines)

@@ -22,13 +22,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Optional, Union
+from typing import Iterable, NamedTuple, Optional, Union
 
 from .trees import SINK, TreeOverQ
 
 
-@dataclass(frozen=True)
-class NetArrow:
+class NetArrow(NamedTuple):
     """A directed network link; the label records the tree arrows over it."""
 
     source: tuple
@@ -126,7 +125,7 @@ class PullbackNetwork(_LinkedNetwork):
                     f"pullback parent {w} of pair {v} is not a network vertex: "
                     "its coordinates carry different vertex labels"
                 )
-        self.arrows = tuple(sorted(arrows, key=lambda a: (a.source, a.target, a.label)))
+        self.arrows = tuple(sorted(arrows))
         self.edges = tuple(sorted({_edge(v, w) for v in self.vertices for w in self.partners(v)}))
         self._build_indexes()
 
@@ -233,12 +232,7 @@ class TwoCover(_LinkedNetwork):
     def __init__(self, base: PullbackNetwork):
         self.base = base
         self.vertices = tuple(sorted((n, m, s) for (n, m) in base.vertices for s in (-1, 1)))
-        self.arrows = tuple(
-            sorted(
-                (_lift(a, s) for a in base.arrows for s in (-1, 1)),
-                key=lambda a: (a.source, a.target, a.label),
-            )
-        )
+        self.arrows = tuple(sorted(_lift(a, s) for a in base.arrows for s in (-1, 1)))
         self.edges = tuple(
             sorted(
                 _edge(e[0] + (s,), e[1] + (-s,))
@@ -431,17 +425,18 @@ def _vertex_name(v) -> str:
     return f"{v[0]},{v[1]}"
 
 
-def to_dot(net: Network, name: str = "network") -> str:
-    """Graphviz rendering: arrows solid and directed, edges dashed, stable order."""
+def to_dot(net, name: str = "network") -> str:
+    """Graphviz rendering of a network, its double cover or a subnetwork such as
+    a graph map: arrows solid and directed, edges dashed, in sorted order."""
     lines = [f"digraph {name} {{"]
-    for v in net.vertices:
+    for v in sorted(net.vertices):
         lines.append(f'  "{_vertex_name(v)}";')
-    for a in net.arrows:
+    for a in sorted(net.arrows):
         label = ",".join(str(x) for x in a.label[:2])
         lines.append(
             f'  "{_vertex_name(a.source)}" -> "{_vertex_name(a.target)}" [label="({label})"];'
         )
-    for e in net.edges:
+    for e in sorted(net.edges):
         lines.append(
             f'  "{_vertex_name(e[0])}" -> "{_vertex_name(e[1])}" [dir=none, style=dashed];'
         )

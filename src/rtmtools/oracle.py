@@ -8,7 +8,8 @@ modulo an odd prime below 2**24, in dense int64 arrays; inverses come from
 the extended Euclidean algorithm.  No floating point is used anywhere.
 Elimination is Gauss-Jordan on the dense matrix, but each pivot step updates
 only the rows with a nonzero in the pivot column, so the sparse intertwining
-systems of tree modules cost little more than their nonzeros.
+systems of tree modules cost little more than their nonzeros.  The unknowns
+are the flat coordinates of a homomorphism, laid out by `trees.hom_layout`.
 
 The idempotent scan works in coordinates of the endomorphism basis, never on
 candidate matrices.  Structure constants gamma (B_k B_l = sum_m gamma_klm
@@ -34,6 +35,7 @@ from .trees import (
     ModuleRep,
     RootedTree,
     TreeOverQ,
+    hom_layout,
     identity_hom,
     push_down,
     validate_tree_over_q,
@@ -115,31 +117,20 @@ class HomBasis:
     dimension: int
 
 
-def _block_layout(m1: ModuleRep, m2: ModuleRep) -> list[tuple[str, int, int, int]]:
-    """(qvertex, offset, rows, cols) for the flattened unknown vector."""
-    layout = []
-    offset = 0
-    for q in sorted(m1.basis):
-        rows, cols = m2.dim(q), m1.dim(q)
-        layout.append((q, offset, rows, cols))
-        offset += rows * cols
-    return layout
-
-
 def hom_space(m1: ModuleRep, m2: ModuleRep) -> HomBasis:
     """Solve the intertwining equations directly.
 
-    Unknowns are all entries of the per-vertex blocks, flattened row-major;
+    Unknowns are all entries of the per-vertex blocks, in `trees.hom_layout`;
     for every quiver arrow the equation X_target A1 - A2 X_source = 0
     contributes one row per matrix entry (i, j), written straight into one
-    system.  The nullspace basis is reshaped back into homomorphisms.
+    system.  Each nullspace row is read back with `ModuleHom.from_flat`.
     """
     if m1.prime != m2.prime:
         raise ValueError("modules use different primes")
     if m1.codomain != m2.codomain:
         raise ValueError("modules live over different bound quivers")
     p = m1.prime
-    layout = _block_layout(m1, m2)
+    layout = hom_layout(m1, m2)
     offsets = {q: off for q, off, _, _ in layout}
     total = sum(rows * cols for _, _, rows, cols in layout)
     if total == 0:
@@ -161,13 +152,7 @@ def hom_space(m1: ModuleRep, m2: ModuleRep) -> HomBasis:
         j = np.arange(n_j)[:, None]
         system[first + i * n_j + j, off_s + k * n_j + j] -= a2[i, k]
         first += n_i * n_j
-    kernel = nullspace(system, p)
-    homs = []
-    for row in kernel:
-        blocks = {}
-        for q, off, rows, cols in layout:
-            blocks[q] = row[off : off + rows * cols].reshape(rows, cols)
-        homs.append(ModuleHom(m1, m2, blocks))
+    homs = [ModuleHom.from_flat(m1, m2, row) for row in nullspace(system, p)]
     return HomBasis(homs, len(homs))
 
 
@@ -324,10 +309,8 @@ def has_nontrivial_idempotent(end_basis: HomBasis, cap: int = 10**7) -> Idempote
             break
     else:
         return IdempotentSearch("none")
-    entries = (np.array([index // p**k % p for k in range(dim)]) @ flat) % p
-    ends = np.cumsum([n * n for n in sizes]).tolist()
-    blocks = {q: entries[end - n * n : end].reshape(n, n) for q, n, end in zip(qs, sizes, ends)}
-    return IdempotentSearch("found", ModuleHom(sample.domain, sample.codomain, blocks))
+    entries = np.array([index // p**k % p for k in range(dim)]) @ flat
+    return IdempotentSearch("found", ModuleHom.from_flat(sample.domain, sample.codomain, entries))
 
 
 def verify_iso(h: ModuleHom) -> bool:

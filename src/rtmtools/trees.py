@@ -6,6 +6,11 @@ its vertices and arrows by a bound quiver, compatible with sources and
 targets and avoiding the relation ideal, presents a module over the
 zero-relation algebra: one basis vector per tree vertex, with each quiver
 arrow acting by the sum of the tree arrows lying over it.
+
+This module owns the flat coordinates of a homomorphism: `hom_layout`
+places each per-vertex block, row-major, in sorted quiver-vertex order, and
+`ModuleHom.flatten` and `ModuleHom.from_flat` convert between the two forms.
+The oracle's unknowns and the graph maps' rows use the same layout.
 """
 
 from __future__ import annotations
@@ -338,7 +343,6 @@ class ModuleRep:
 
     def relation_product(self, relation: tuple[str, ...]) -> np.ndarray:
         """Composite matrix along a relation word (first-traversed arrow acts first)."""
-        q = self.codomain.quiver
         mat = self.matrices[relation[0]]
         for a in relation[1:]:
             mat = (self.matrices[a] @ mat) % self.prime
@@ -478,11 +482,32 @@ class ModuleHom:
         return all(np.array_equal(self.blocks[q], other.blocks[q]) for q in self.blocks)
 
     def flatten(self) -> np.ndarray:
-        """Row vector of all block entries, quiver vertices in sorted order."""
+        """Row vector of all block entries, in the `hom_layout` of the pair."""
         parts = [self.blocks[q].ravel() for q in sorted(self.blocks)]
         if not parts:
             return np.zeros(0, dtype=np.int64)
         return np.concatenate(parts)
+
+    @classmethod
+    def from_flat(cls, domain: ModuleRep, codomain: ModuleRep, vec: np.ndarray) -> "ModuleHom":
+        """The homomorphism whose `flatten` is `vec`."""
+        layout = hom_layout(domain, codomain)
+        return cls(domain, codomain, {q: vec[off : off + rows * cols].reshape(rows, cols) for q, off, rows, cols in layout})
+
+
+def hom_layout(m1: ModuleRep, m2: ModuleRep) -> list[tuple[str, int, int, int]]:
+    """(qvertex, offset, rows, cols) of each block of a flat homomorphism m1 -> m2.
+
+    Blocks come in sorted quiver-vertex order, each one row-major, rows
+    indexed by the basis of m2 and columns by the basis of m1.
+    """
+    layout = []
+    offset = 0
+    for q in sorted(m1.basis):
+        rows, cols = m2.dim(q), m1.dim(q)
+        layout.append((q, offset, rows, cols))
+        offset += rows * cols
+    return layout
 
 
 def identity_hom(rep: ModuleRep) -> ModuleHom:

@@ -360,3 +360,38 @@ def test_cmd_decompose_validates_the_tree_once(tmp_path, capsys, monkeypatch, or
     assert main(["decompose", path]) == 0
     assert "4 indecomposable summands" in capsys.readouterr().out
     assert len(calls) == 1
+
+
+def test_cmd_validate_of_a_directory_cannot_read_input(tmp_path, capsys):
+    assert main(["validate", str(tmp_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("cannot read input: [Errno 21] Is a directory")
+
+
+def test_cmd_hom_of_a_directory_cannot_read_input(tmp_path, capsys, sink_document):
+    path = _write(tmp_path, "m.rtm", sink_document)
+    assert main(["hom", path, str(tmp_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("cannot read input: [Errno 21] Is a directory")
+
+
+def test_cmd_ggms_dot_dir_on_a_file_fails_before_the_listing(tmp_path, capsys, sink_document):
+    path = _write(tmp_path, "m.rtm", sink_document)
+    assert main(["ggms", path, path, "--dot-dir", path]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("cannot write output: [Errno 17] File exists")
+
+
+def test_cmd_network_dot_on_a_directory_fails_before_the_report(tmp_path, capsys, sink_document):
+    path = _write(tmp_path, "m.rtm", sink_document)
+    assert main(["network", path, path, "--dot", str(tmp_path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("cannot write output: [Errno 21] Is a directory")
+
+
+def test_cmd_network_dot_in_a_missing_directory_cannot_write_output(tmp_path, capsys, sink_document):
+    path = _write(tmp_path, "m.rtm", sink_document)
+    assert main(["network", path, path, "--dot", str(tmp_path / "missing" / "x.dot")]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("cannot write output: [Errno 2] No such file or directory")
+    assert not (tmp_path / "missing").exists()

@@ -14,13 +14,14 @@ from rtmtools import (
     branch_morphism_from_ggm,
     enumerate_ggms,
     ggm_matrix,
-    ggm_to_dot,
     hom_space,
     hom_span,
     is_complete,
     pullback_network,
     push_down,
     random_instance,
+    rref,
+    to_dot,
     two_cover,
 )
 from rtmtools.ggm import _closures, _Obligations
@@ -207,5 +208,35 @@ def test_branch_morphisms_valid_on_random_pairs():
 
 def test_ggm_dot_contains_signed_labels(sink_tree):
     ggms = {g.vertices: g for g in enumerate_ggms(sink_tree, sink_tree)}
-    dot = ggm_to_dot(ggms[EDGE_ONLY])
+    dot = to_dot(ggms[EDGE_ONLY])
     assert '"4,2,+"' in dot and '"4,4,-"' in dot and "style=dashed" in dot
+
+
+def _random_pairs():
+    """`random_instance` seeds 0-199 in both orientations, as self-pairs and partner pairs both ways."""
+    for seed in range(200):
+        for orientation in (SINK, SOURCE):
+            t = random_instance(seed, orientation)
+            u = random_instance(seed + 1000, orientation, codomain=t.codomain)
+            yield from ((t, t), (t, u), (u, t))
+
+
+def test_induced_maps_and_span_rank_follow_the_signed_pairs():
+    for t1, t2 in _random_pairs():
+        for p in (3, 5):
+            m1, m2 = push_down(t1, p), push_down(t2, p)
+            ggms = enumerate_ggms(t1, t2)
+            flat = []
+            for g in ggms:
+                want = {q: np.zeros((m2.dim(q), m1.dim(q)), dtype=np.int64) for q in m1.basis}
+                for n, m, s in g.vertices:
+                    q = t1.vertex_label[n]
+                    want[q][m2.basis_index(q, m), m1.basis_index(q, n)] = s % p
+                h = ggm_matrix(g, m1, m2)
+                assert h.blocks.keys() == want.keys()
+                for q in want:
+                    np.testing.assert_array_equal(h.blocks[q], want[q])
+                flat.append(h.flatten())
+            maps, rank = hom_span(t1, t2, m1, m2)
+            assert [g.vertices for g in maps] == [g.vertices for g in ggms]
+            assert rank == (rref(np.stack(flat), p)[1] if flat and flat[0].size else 0)

@@ -29,8 +29,9 @@ from rtmtools import (
     verify_iso,
 )
 from rtmtools.cli import main
-from rtmtools.oracle import _block_layout, _inverse_mod, _sample_attempt
+from rtmtools.oracle import _inverse_mod, _sample_attempt
 from rtmtools.textio import parse_document
+from rtmtools.trees import hom_layout
 
 # The largest prime below the 2**24 bound pins the int64 no-overflow claim.
 PRIMES = (3, 5, 16777213)
@@ -270,7 +271,7 @@ def test_nullspace_rows_annihilate_the_matrix(case):
 def _kronecker_hom_kernel(m1, m2) -> np.ndarray:
     """The Hom system built from Kronecker products with identities, solved."""
     p = m1.prime
-    layout = _block_layout(m1, m2)
+    layout = hom_layout(m1, m2)
     offsets = {q: (off, rows, cols) for q, off, rows, cols in layout}
     total = sum(rows * cols for _, _, rows, cols in layout)
     quiver = m1.codomain.quiver
@@ -342,6 +343,31 @@ def test_hom_space_matches_the_kronecker_system_on_loops(pair):
     assert got.dimension == want.shape[0]
     for h, row in zip(got.basis, want):
         np.testing.assert_array_equal(h.flatten(), row)
+
+
+@st.composite
+def random_instance_modules(draw):
+    seed, orientation = draw(st.integers(0, 199)), draw(st.sampled_from((SINK, SOURCE)))
+    p, pairing = draw(st.sampled_from((3, 5))), draw(st.sampled_from(("self", "to-partner", "from-partner")))
+    t = random_instance(seed, orientation)
+    u = random_instance(seed + 1000, orientation, codomain=t.codomain)
+    a, b = {"self": (t, t), "to-partner": (t, u), "from-partner": (u, t)}[pairing]
+    return push_down(a, p), push_down(b, p)
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.one_of(loop_modules(), random_instance_modules()))
+def test_from_flat_inverts_flatten_on_hom_bases(pair):
+    m1, m2 = pair
+    layout = hom_layout(m1, m2)
+    for h in hom_space(m1, m2).basis:
+        flat = h.flatten()
+        assert flat.shape == (sum(rows * cols for _, _, rows, cols in layout),)
+        for q, off, rows, cols in layout:  # zero-size blocks included
+            assert h.blocks[q].shape == (rows, cols)
+            np.testing.assert_array_equal(flat[off : off + rows * cols], h.blocks[q].ravel())
+        back = ModuleHom.from_flat(h.domain, h.codomain, flat)
+        assert back.blocks.keys() == h.blocks.keys() and back.equal(h)
 
 
 def _materialising_scan(end_basis: HomBasis):
