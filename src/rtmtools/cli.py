@@ -25,13 +25,13 @@ OK, VALIDATION_FAILURE, PARSE_ERROR, ORACLE_UNAVAILABLE, DISAGREEMENT = 0, 1, 2,
 
 
 class _Unreadable(Exception):
-    """An input file could not be read; carries the OSError."""
+    """An input file could not be read or is not UTF-8; carries the cause."""
 
 
 def _load(path: str) -> InputDocument:
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise _Unreadable(exc) from exc
     return parse_document(text)
 
@@ -114,8 +114,8 @@ def cmd_ggms(args) -> int:
 def cmd_hom(args) -> int:
     d1, d2 = _load_pair(args.file1, args.file2)
     m1, m2 = push_down(d1.tree, args.prime), push_down(d2.tree, args.prime)
-    _, rank = ggm_mod.hom_span(d1.tree, d2.tree, m1, m2)
     dim = oracle.hom_space(m1, m2).dimension
+    _, rank = ggm_mod.hom_span(d1.tree, d2.tree, m1, m2, target=dim)
     verdict = "AGREE" if rank == dim else "DISAGREE"
     print(f"GGM span rank: {rank}; oracle dim: {dim}; {verdict}")
     return OK if verdict == "AGREE" else DISAGREEMENT

@@ -20,11 +20,15 @@ create a blocked triangle), so each graph map is the closure of any one of
 its vertices; a depth-first search that branches over every admissible
 witness is therefore exhaustive.  Seeding it from each vertex pair with
 sign +1 and refusing smaller pairs finds every map exactly once, from its
-least pair and already canonically signed.
+least pair, then signed with +1 at its lexicographically least pair.
+Pairs rank by the depths of their two vertices and the seeds run from the
+deepest pair up, so the first maps out are small and mostly independent.
 
-A map's signed pairs are the nonzero entries of its induced homomorphism,
-so `_rows` writes them straight into the flat coordinates that
-`trees.hom_layout` defines; no dense blocks are built on the way.
+A map's signed pairs are the nonzero entries of its induced homomorphism
+in the flat coordinates of `trees.hom_layout`.  `hom_span` reduces them,
+one sparse row per map, into an echelon basis over GF(p), and can stop
+once the rank reaches a target such as the Hom dimension; the maps after
+the stop are then never built, so never checked.
 """
 
 from __future__ import annotations
@@ -36,7 +40,6 @@ from typing import Iterable, Iterator, Optional
 import numpy as np
 
 from .network import Edge, NetArrow, PullbackNetwork, TwoCover, _edge, _lift, _window_blocked, two_cover
-from .oracle import rref
 from .trees import BranchMorphism, ModuleHom, ModuleRep, TreeOverQ, hom_layout
 
 
@@ -160,26 +163,33 @@ def _met(witnesses: list, links) -> bool:
     return any(link in links for _, link in witnesses)
 
 
-def _closures(cover: TwoCover, table: _Obligations, seed) -> Iterator["GeneralizedGraphMap"]:
-    """Every graph map whose least vertex pair is the seed's, with the seed's sign.
+def _closures(
+    cover: TwoCover, table: _Obligations, seed, position: Optional[dict] = None
+) -> Iterator["GeneralizedGraphMap"]:
+    """Every graph map whose least vertex pair is the seed's, canonically signed.
 
-    A depth-first search over witness choices that grows one state in place.
-    Vertices and links are kept in order of addition, so going back to a
-    choice point truncates them to the lengths it saved; only an obligation
-    with two or more admissible witnesses leaves a choice point.  Pairs
+    Pairs rank by `position`, by default lexicographically.  A depth-first
+    search over witness choices that grows one state in place.  Vertices
+    and links are kept in order of addition, so going back to a choice
+    point truncates them to the lengths it saved; only an obligation with
+    two or more admissible witnesses leaves a choice point.  Pairs ranked
     below the seed's are refused, so a map is found only from its least
     pair.  Two branches differ in a witness link at one vertex, and a map
-    holding both links would be blocked, so no map is found twice.
+    holding both links would be blocked, so no map is found twice.  Maps
+    are yielded with +1 at their lexicographically least pair.
     """
-    least, triangle_set = seed[:2], cover.triangle_set
-    signs = {least: seed[2]}
+    if position is None:
+        position = {pair: i for i, pair in enumerate(cover.base.vertices)}
+    floor, triangle_set = position[seed[:2]], cover.triangle_set
+    signs = {seed[:2]: seed[2]}
     vertices = [seed]  # in order of addition
     links: dict = {}  # link -> (vertex, witness), in order of addition
     neighbours: dict = defaultdict(list)  # vertex -> far ends of its links
     choices: list = []  # (vertex count, link count, cursor, untried admissible witnesses)
 
     def admissible(vertex, witness) -> bool:
-        if witness[:2] < least or signs.get(witness[:2], witness[2]) != witness[2]:
+        # a pair outside the network (an invalid tree) is admitted, for the map to report
+        if position.get(witness[:2], floor) < floor or signs.get(witness[:2], witness[2]) != witness[2]:
             return False  # a pair below the seed's, or the sign flip of a vertex held
         for shared, far in ((vertex, witness), (witness, vertex)):
             for other in neighbours.get(shared, ()):
@@ -206,7 +216,8 @@ def _closures(cover: TwoCover, table: _Obligations, seed) -> Iterator["Generaliz
         else:
             arrows = [link for link in links if isinstance(link, NetArrow)]
             edges = [link for link in links if not isinstance(link, NetArrow)]
-            yield GeneralizedGraphMap(cover, vertices, arrows, edges)
+            g = GeneralizedGraphMap(cover, vertices, arrows, edges)
+            yield g if min(vertices)[2] > 0 else g.negate()
         if not options:  # closed or dead end: resume the latest choice point
             if not choices:
                 return
@@ -253,65 +264,103 @@ def is_complete(sub: Subnetwork) -> CompletenessReport:
     return CompletenessReport(True)
 
 
+def _stream(cover: TwoCover) -> Iterator[GeneralizedGraphMap]:
+    """Every canonical graph map, seeded from the deepest vertex pair up.
+
+    Reverse search needs only some total order on the pairs (Avis & Fukuda
+    1996).  Pairs rank by the depths of their domain and codomain vertices,
+    which unlike vertex ids survive relabelling, so a map whose least pair
+    is deep holds only deep pairs: the first maps out are small and their
+    induced maps mostly independent.
+    """
+    base = cover.base
+    depth1, depth2 = base.t1.tree.height, base.t2.tree.height
+    order = sorted(base.vertices, key=lambda v: (depth1[v[0]], depth2[v[1]]))
+    position = {pair: i for i, pair in enumerate(order)}
+    table = _Obligations(base)
+    for pair in reversed(order):
+        yield from _closures(cover, table, pair + (1,), position)
+
+
 def enumerate_ggms(
     t1: TreeOverQ,
     t2: TreeOverQ,
     with_signs: bool = False,
     cover: Optional[TwoCover] = None,
 ) -> list[GeneralizedGraphMap]:
-    """Every generalized graph map for the pair, canonically signed.
+    """Every generalized graph map for the pair, canonically signed, in `sort_key` order.
 
     Each map is normalized so its lexicographically least vertex pair
     carries sign +1; `with_signs` also returns the sign flips.  The closure
-    is seeded once from each network pair with sign +1 and refuses smaller
-    pairs, so every map comes out exactly once, from its least pair (the
-    canonical parent of reverse search, Avis & Fukuda 1996).
+    is seeded once from each network pair and refuses smaller pairs, so
+    every map comes out exactly once, from its least pair (the canonical
+    parent of reverse search, Avis & Fukuda 1996); see `_stream`.
     """
     if cover is None:
         cover = two_cover(PullbackNetwork(t1, t2))
-    table = _Obligations(cover.base)
-    ggms = sorted(
-        (g for pair in cover.base.vertices for g in _closures(cover, table, pair + (1,))),
-        key=Subnetwork.sort_key,
-    )
+    ggms = sorted(_stream(cover), key=Subnetwork.sort_key)
     if with_signs:
         ggms += [g.negate() for g in ggms]
     return ggms
 
 
-def _rows(ggms: list[GeneralizedGraphMap], m1: ModuleRep, m2: ModuleRep) -> np.ndarray:
-    """One row per graph map: its induced homomorphism in the `hom_layout` of (m1, m2).
+def _cells(m1: ModuleRep, m2: ModuleRep) -> tuple[dict, int]:
+    """The flat column of each pair (n, m) in the `hom_layout` of (m1, m2), and the width.
 
     A graph map sends v_n to the signed sum of its partners v_m, so each
     signed pair (n, m, s) is the entry s of block q at (m, n), q the label
     of n and m; every other entry is 0.
     """
-    layout = hom_layout(m1, m2)
-    cell = {}
-    for q, offset, _, cols in layout:
+    cell, width = {}, 0
+    for q, offset, rows, cols in hom_layout(m1, m2):
         for j, n in enumerate(m1.basis[q]):
             for i, m in enumerate(m2.basis[q]):
                 cell[n, m] = offset + i * cols + j
-    rows = np.zeros((len(ggms), sum(r * c for _, _, r, c in layout)), dtype=np.int64)
-    for k, g in enumerate(ggms):
-        for n, m, s in g.vertices:
-            rows[k, cell[n, m]] = s
-    return rows
+        width = offset + rows * cols
+    return cell, width
 
 
 def ggm_matrix(g: GeneralizedGraphMap, m1: ModuleRep, m2: ModuleRep) -> ModuleHom:
     """The homomorphism induced by a graph map: v_n maps to the signed sum of partners."""
-    return ModuleHom.from_flat(m1, m2, _rows([g], m1, m2)[0])
+    cell, width = _cells(m1, m2)
+    flat = np.zeros(width, dtype=np.int64)
+    for n, m, s in g.vertices:
+        flat[cell[n, m]] = s
+    return ModuleHom.from_flat(m1, m2, flat)
 
 
-def hom_span(t1: TreeOverQ, t2: TreeOverQ, m1: ModuleRep, m2: ModuleRep) -> tuple[list[GeneralizedGraphMap], int]:
-    """All canonical graph maps and the rank of the span of their induced maps.
+def hom_span(
+    t1: TreeOverQ, t2: TreeOverQ, m1: ModuleRep, m2: ModuleRep, target: Optional[int] = None
+) -> tuple[list[GeneralizedGraphMap], int]:
+    """Streamed canonical graph maps, in `sort_key` order, and the rank of their span.
 
-    `m1` and `m2` are the modules of `t1` and `t2` (see `push_down`).
+    `m1` and `m2` are the modules of `t1` and `t2` (see `push_down`).  Each
+    map's signed pairs, a sparse row in the `hom_layout` coordinates, are
+    reduced into an echelon basis over GF(p).  The stream stops once the
+    rank reaches `target`; with `target=None`, or one never reached, every
+    map is streamed.  Maps after the stop are never built, so never checked;
+    a stop at the Hom dimension is sound because every map is a homomorphism.
     """
-    ggms = enumerate_ggms(t1, t2)
-    rows = _rows(ggms, m1, m2)
-    return ggms, rref(rows, m1.prime)[1] if rows.size else 0
+    p = m1.prime
+    cell, _ = _cells(m1, m2)
+    basis: dict = {}  # pivot column -> row with 1 there and nothing left of it
+    maps = []
+    stream = _stream(two_cover(PullbackNetwork(t1, t2)))
+    while len(basis) != target:
+        g = next(stream, None)
+        if g is None:
+            break
+        maps.append(g)
+        row = {cell[n, m]: s % p for n, m, s in g.vertices}
+        while row and (c := min(row)) in basis:
+            f = row[c]
+            for k, v in basis[c].items():
+                row[k] = (row.get(k, 0) - f * v) % p
+            row = {k: v for k, v in row.items() if v}
+        if row:
+            inverse = pow(row[c], -1, p)
+            basis[c] = {k: v * inverse % p for k, v in row.items()}
+    return sorted(maps, key=Subnetwork.sort_key), len(basis)
 
 
 def branch_morphism_from_ggm(g: GeneralizedGraphMap, pair: tuple) -> BranchMorphism:

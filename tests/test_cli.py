@@ -178,11 +178,12 @@ def test_cmd_decompose(tmp_path, capsys, sink_document):
     assert "witness: OK" in out
 
 
-def _star_document(k, orientation):
+def _star_document(k, orientation, root=1):
     nodes = "".join(f"node {n} 1\n" for n in range(1, k + 2))
     arrows = "".join(
-        f"arrow a{n} {n} 1 alpha\n" if orientation == "SINK" else f"arrow a{n} 1 {n} alpha\n"
-        for n in range(2, k + 2)
+        f"arrow a{n} {n} {root} alpha\n" if orientation == "SINK" else f"arrow a{n} {root} {n} alpha\n"
+        for n in range(1, k + 2)
+        if n != root
     )
     return "QUIVER\nvertex 1\narrow alpha 1 1\nRELATIONS\nrel alpha alpha\n" + f"TREE {orientation}\n" + nodes + arrows
 
@@ -395,3 +396,31 @@ def test_cmd_network_dot_in_a_missing_directory_cannot_write_output(tmp_path, ca
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.startswith("cannot write output: [Errno 2] No such file or directory")
     assert not (tmp_path / "missing").exists()
+
+
+@pytest.mark.parametrize("command", ["validate", "hom"])
+def test_input_that_is_not_utf8_cannot_be_read(tmp_path, capsys, sink_document, command):
+    good = _write(tmp_path, "m.rtm", sink_document)
+    bad = tmp_path / "bin.rtm"
+    bad.write_bytes(b"\xff\xfe" + sink_document.encode("utf-16-le"))
+    argv = [command, str(bad)] if command == "validate" else [command, good, str(bad)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("cannot read input: 'utf-8' codec can't decode byte 0xff in position 0")
+
+
+@pytest.mark.parametrize("k, dim", [(7, 50), (8, 65)])
+@pytest.mark.parametrize("orientation", ["SINK", "SOURCE"])
+@pytest.mark.parametrize("root", ["first", "last"])
+def test_cmd_hom_on_large_stars_stops_at_the_oracle_dimension(tmp_path, capsys, k, dim, orientation, root):
+    # star 7 used to enumerate all 823,676 graph maps (111 s, 2.5 GB); star 8 gave no answer in 15 min.
+    # The seed order must not rest on vertex ids: the root takes the least id, then the greatest.
+    document = _star_document(k, orientation, root=1 if root == "first" else k + 1)
+    path = _write(tmp_path, "star.rtm", document)
+    start = time.perf_counter()
+    assert main(["hom", path, path]) == 0
+    assert time.perf_counter() - start < 5.0
+    captured = capsys.readouterr()
+    assert captured.out == f"GGM span rank: {dim}; oracle dim: {dim}; AGREE\n"
+    assert captured.err == ""

@@ -24,7 +24,7 @@ from rtmtools import (
     to_dot,
     two_cover,
 )
-from rtmtools.ggm import _closures, _Obligations
+from rtmtools.ggm import _closures, _Obligations, _stream
 
 DIAGONAL = frozenset({(1, 1, 1), (2, 2, 1), (3, 3, 1), (4, 4, 1), (5, 5, 1)})
 SHIFTED = frozenset({(1, 1, 1), (2, 2, 1), (3, 3, 1), (4, 2, 1), (5, 5, 1)})
@@ -240,3 +240,44 @@ def test_induced_maps_and_span_rank_follow_the_signed_pairs():
             maps, rank = hom_span(t1, t2, m1, m2)
             assert [g.vertices for g in maps] == [g.vertices for g in ggms]
             assert rank == (rref(np.stack(flat), p)[1] if flat and flat[0].size else 0)
+
+
+def test_hom_span_stops_at_the_target_rank():
+    for t1, t2 in _random_pairs():
+        stream = list(_stream(two_cover(pullback_network(t1, t2))))
+        for p in (3, 5):
+            m1, m2 = push_down(t1, p), push_down(t2, p)
+            full, rank = hom_span(t1, t2, m1, m2)
+            dim = hom_space(m1, m2).dimension
+            assert rank == dim
+            # the shortest prefix of the stream whose induced maps reach rank dim
+            flat = [ggm_matrix(g, m1, m2).flatten() for g in stream]
+            stop = next(k for k in range(len(flat) + 1) if (rref(np.stack(flat[:k]), p)[1] if k else 0) == dim)
+            maps, streamed_rank = hom_span(t1, t2, m1, m2, target=dim)
+            assert streamed_rank == dim
+            assert [g.vertices for g in maps] == [g.vertices for g in sorted(stream[:stop], key=Subnetwork.sort_key)]
+            assert {g.vertices for g in maps} <= {g.vertices for g in full}
+            # a target beyond the span, as when rank and dimension disagree, streams every map
+            maps, short_rank = hom_span(t1, t2, m1, m2, target=dim + 1)
+            assert short_rank == rank
+            assert [g.vertices for g in maps] == [g.vertices for g in full]
+
+
+def _reversed_ids(t):
+    """The same labelled tree with its vertex ids in reverse order."""
+    top = max(t.tree.vertices) + 1
+    arrows = [(a, top - t.tree.arrow_source[a], top - t.tree.arrow_target[a]) for a in t.tree.arrow_source]
+    tree = RootedTree([top - n for n in t.tree.vertices], arrows, t.tree.orientation)
+    return TreeOverQ(tree, t.codomain, {top - n: q for n, q in t.vertex_label.items()}, t.arrow_label)
+
+
+def test_enumeration_matches_the_lexicographic_reverse_search():
+    # Seeds in pair order, refusing lexicographically smaller pairs: every map from its least pair, signed +1 there.
+    for t1, t2 in _random_pairs():
+        for u1, u2 in ((t1, t2), (_reversed_ids(t1), _reversed_ids(t2))):
+            cover = two_cover(pullback_network(u1, u2))
+            table = _Obligations(cover.base)
+            want = [g for pair in cover.base.vertices for g in _closures(cover, table, pair + (1,))]
+            want.sort(key=Subnetwork.sort_key)
+            got = enumerate_ggms(u1, u2, cover=cover)
+            assert [(g.vertices, g.arrows, g.edges) for g in got] == [(g.vertices, g.arrows, g.edges) for g in want]
