@@ -26,9 +26,10 @@ deepest pair up, so the first maps out are small and mostly independent.
 
 A map's signed pairs are the nonzero entries of its induced homomorphism
 in the flat coordinates of `trees.hom_layout`.  `hom_span` reduces them,
-one sparse row per map, into an echelon basis over GF(p), and can stop
-once the rank reaches a target such as the Hom dimension; the maps after
-the stop are then never built, so never checked.
+one sparse row per map, into an echelon basis over GF(p) with the oracle's
+elimination step, and can stop once the rank reaches a target such as the
+Hom dimension; the maps after the stop are then never built, so never
+checked.
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ from typing import Iterable, Iterator, Optional
 import numpy as np
 
 from .network import Edge, NetArrow, PullbackNetwork, TwoCover, _edge, _lift, _window_blocked, two_cover
+from .oracle import _eliminate
 from .trees import BranchMorphism, ModuleHom, ModuleRep, TreeOverQ, hom_layout
 
 
@@ -353,10 +355,7 @@ def hom_span(
         maps.append(g)
         row = {cell[n, m]: s % p for n, m, s in g.vertices}
         while row and (c := min(row)) in basis:
-            f = row[c]
-            for k, v in basis[c].items():
-                row[k] = (row.get(k, 0) - f * v) % p
-            row = {k: v for k, v in row.items() if v}
+            _eliminate(row, basis[c], c, p)
         if row:
             inverse = pow(row[c], -1, p)
             basis[c] = {k: v * inverse % p for k, v in row.items()}

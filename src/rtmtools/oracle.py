@@ -4,12 +4,19 @@ Everything here is deliberately oblivious to the combinatorics implemented
 elsewhere: Hom-spaces are computed by solving the intertwining equations,
 idempotents are found by exhaustively scanning the endomorphism space, and
 isomorphisms are verified by rank.  Arithmetic is exact integer arithmetic
-modulo an odd prime below 2**24, in dense int64 arrays; inverses come from
-the extended Euclidean algorithm.  No floating point is used anywhere.
-Elimination is Gauss-Jordan on the dense matrix, but each pivot step updates
-only the rows with a nonzero in the pivot column, so the sparse intertwining
-systems of tree modules cost little more than their nonzeros.  The unknowns
-are the flat coordinates of a homomorphism, laid out by `trees.hom_layout`.
+modulo an odd prime below 2**24; inverses come from the extended Euclidean
+algorithm.  No floating point is used anywhere.
+
+Every elimination is one sparse Gauss-Jordan, `_gauss_jordan`, on rows
+{column: nonzero residue} of Python ints: the Hom system, the rank of each
+block of a claimed isomorphism, and, through the dense wrappers `rref` and
+`nullspace`, the scan's coordinates.  `ggm.hom_span` reduces its rows with
+the same step, `_eliminate`.  Columns go in ascending order and the pivot is
+the sparsest eligible row (Markowitz's rule), so the intertwining systems of
+tree modules cost about their nonzeros and fill-in; the reduced form, hence
+every basis and witness, does not depend on the pivot row chosen.  The
+unknowns are the flat coordinates of a homomorphism, laid out by
+`trees.hom_layout`.
 
 The idempotent scan works in coordinates of the endomorphism basis, never on
 candidate matrices.  Structure constants gamma (B_k B_l = sum_m gamma_klm
@@ -23,7 +30,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterator, Optional
 
 import numpy as np
@@ -35,6 +42,7 @@ from .trees import (
     ModuleRep,
     RootedTree,
     TreeOverQ,
+    entries,
     hom_layout,
     identity_hom,
     push_down,
@@ -56,74 +64,144 @@ def _inverse_mod(a: int, p: int) -> int:
     return old_s % p
 
 
-def rref(mat: np.ndarray, p: int) -> tuple[np.ndarray, int, tuple[int, ...]]:
-    """Reduced row-echelon form over GF(p): (reduced matrix, rank, pivot columns).
+def _eliminate(row: dict, pivot: dict, c: int, p: int) -> tuple[list[int], list[int]]:
+    """row -= row[c] * pivot over GF(p), in place, for a pivot row with 1 at column c.
 
-    Gauss-Jordan in place on a dense int64 copy.  A pivot step touches only
-    the rows with a nonzero in the pivot column, and only columns from the
-    pivot on: the pivot row is zero left of it.  Entries stay reduced mod p,
-    so with p < 2**24 every product fits in int64 and the result is exact.
+    Rows are {column: nonzero residue}.  Returns the columns the step
+    filled in and those it cancelled, column c among them; with p prime,
+    only a column already in row can cancel.
     """
+    f = row[c]
+    filled, cancelled = [], []
+    for k, v in pivot.items():
+        x = row.get(k)
+        if x is None:
+            row[k] = -f * v % p
+            filled.append(k)
+        elif x := (x - f * v) % p:
+            row[k] = x
+        else:
+            del row[k]
+            cancelled.append(k)
+    return filled, cancelled
+
+
+def _gauss_jordan(rows: list[dict], p: int) -> list[tuple[int, dict]]:
+    """Reduced row-echelon form of sparse rows over GF(p): (pivot column, row) pairs, ascending.
+
+    Columns are taken in ascending order.  The pivot is the row not yet
+    used with the fewest nonzeros in that column (Markowitz's rule), and
+    the column is cleared from every other row; an index column -> rows
+    sends each step only to the rows with a nonzero there.  The RREF does
+    not depend on which pivot row is chosen.  `rows` is reduced in place.
+    """
+    where: dict = {}  # column -> indices of the rows with a nonzero there
+    for i, row in enumerate(rows):
+        for c in row:
+            where.setdefault(c, set()).add(i)
+    used = set()
+    pivots = []
+    for c in sorted(where):
+        hit = where[c]
+        free = [i for i in hit if i not in used]
+        if not free:
+            continue
+        i = min(free, key=lambda i: (len(rows[i]), i)) if len(free) > 1 else free[0]
+        pivot = rows[i]
+        if pivot[c] != 1:
+            inverse = _inverse_mod(pivot[c], p)
+            for k, v in pivot.items():
+                pivot[k] = v * inverse % p
+        for k in [k for k in hit if k != i]:
+            filled, cancelled = _eliminate(rows[k], pivot, c, p)
+            for col in filled:
+                where[col].add(k)
+            for col in cancelled:
+                where[col].discard(k)
+        used.add(i)
+        pivots.append((c, pivot))
+    return pivots
+
+
+def _dense_rows(mat: np.ndarray, p: int) -> list[dict]:
+    """The rows of a 2-d matrix as sparse rows, from its `entries` (one `np.flatnonzero`)."""
     m = np.asarray(mat, dtype=np.int64) % p
     if m.ndim != 2:
         raise ValueError("need a 2-d matrix")
-    rows, cols = m.shape
-    pivots = []
-    r = 0
-    for c in np.flatnonzero(m.any(axis=0)).tolist():  # a zero column stays zero
-        if r >= rows:
-            break
-        nonzero = m[:, c].nonzero()[0].tolist()
-        i = next((i for i in nonzero if i >= r), None)
-        if i is None:
-            continue
-        # Every other nonzero row is cleared; row r is zero here unless it is row i.
-        hit = [k for k in nonzero if k != i]
-        if i != r:
-            m[[r, i]] = m[[i, r]]
-        row = m[r, c:]
-        row *= _inverse_mod(int(row[0]), p)
-        row %= p
-        if hit:
-            block = m[hit, c:]  # a copy: updating it in place spares a temporary
-            block -= block[:, :1] * row
-            m[hit, c:] = block % p
-        pivots.append(c)
-        r += 1
-    return m, len(pivots), tuple(pivots)
+    rows: list[dict] = [{} for _ in range(len(m))]
+    for i, j, x in entries(m):
+        rows[i][j] = x
+    return rows
 
 
-def nullspace(mat: np.ndarray, p: int) -> np.ndarray:
-    """Rows form a basis of the right nullspace over GF(p)."""
-    m = np.asarray(mat, dtype=np.int64)
-    rows, cols = m.shape
-    if cols == 0:
-        return np.zeros((0, 0), dtype=np.int64)
-    if rows == 0:
-        return np.eye(cols, dtype=np.int64)
-    reduced, rank, pivots = rref(m, p)
-    free = np.delete(np.arange(cols), pivots)
-    basis = np.zeros((free.size, cols), dtype=np.int64)
-    basis[np.arange(free.size), free] = 1
-    basis[:, list(pivots)] = -reduced[:rank, free].T % p
+def _null_rows(pivots: list[tuple[int, dict]], cols: int, p: int) -> np.ndarray:
+    """Rows form the basis of the nullspace of an RREF, one per free column, ascending.
+
+    The row of free column f has 1 at f and minus the entry of pivot row r
+    at f in the pivot column of r.
+    """
+    free = sorted(set(range(cols)).difference(c for c, _ in pivots))
+    position = {f: i for i, f in enumerate(free)}
+    basis = np.zeros((len(free), cols), dtype=np.int64)
+    basis[range(len(free)), free] = 1
+    r, c, v = [], [], []
+    for pc, row in pivots:
+        for k, x in row.items():
+            if k != pc:
+                r.append(position[k])
+                c.append(pc)
+                v.append(-x % p)
+    basis[r, c] = v
     return basis
 
 
-@dataclass
-class HomBasis:
-    """A basis of the space of homomorphisms between two modules."""
+def rref(mat: np.ndarray, p: int) -> tuple[np.ndarray, int, tuple[int, ...]]:
+    """Reduced row-echelon form over GF(p): (reduced matrix, rank, pivot columns).
 
-    basis: list[ModuleHom]
-    dimension: int
+    Dense in and out: the nonzeros of the matrix go through the sparse
+    Gauss-Jordan of `_gauss_jordan` on Python ints, so the result is exact.
+    """
+    rows = _dense_rows(mat, p)
+    pivots = _gauss_jordan(rows, p)
+    reduced = np.zeros((len(rows), np.shape(mat)[1]), dtype=np.int64)
+    for r, (_, row) in enumerate(pivots):
+        reduced[r, list(row)] = list(row.values())
+    return reduced, len(pivots), tuple(c for c, _ in pivots)
+
+
+def nullspace(mat: np.ndarray, p: int) -> np.ndarray:
+    """Rows form a basis of the right nullspace over GF(p), one per free column, ascending."""
+    return _null_rows(_gauss_jordan(_dense_rows(mat, p), p), np.shape(mat)[1], p)
+
+
+class HomBasis:
+    """A basis of the homomorphisms between two modules over GF(prime), and its dimension.
+
+    `basis` is a list of maps, or a function that builds the list: then it
+    runs on the first read of `basis`, so a caller that reads only
+    `dimension` and `prime` builds no map.  Given a list, `prime` defaults
+    to the prime of its first map.
+    """
+
+    def __init__(self, basis, dimension: int, prime: Optional[int] = None):
+        self._basis = basis
+        self.dimension = dimension
+        self.prime = basis[0].prime if prime is None and dimension else prime
+
+    @cached_property
+    def basis(self) -> list[ModuleHom]:
+        return self._basis() if callable(self._basis) else self._basis
 
 
 def hom_space(m1: ModuleRep, m2: ModuleRep) -> HomBasis:
-    """Solve the intertwining equations directly.
+    """Solve the intertwining equations directly, as sparse rows.
 
     Unknowns are all entries of the per-vertex blocks, in `trees.hom_layout`;
     for every quiver arrow the equation X_target A1 - A2 X_source = 0
-    contributes one row per matrix entry (i, j), written straight into one
-    system.  Each nullspace row is read back with `ModuleHom.from_flat`.
+    contributes one row per matrix entry (i, j), built from the nonzeros of
+    A1 and A2.  The dimension is unknowns - rank of the sparse elimination;
+    the basis, one map per free unknown in ascending order, is read off the
+    reduced rows with `ModuleHom.from_flat` only when it is first read.
     """
     if m1.prime != m2.prime:
         raise ValueError("modules use different primes")
@@ -134,26 +212,31 @@ def hom_space(m1: ModuleRep, m2: ModuleRep) -> HomBasis:
     offsets = {q: off for q, off, _, _ in layout}
     total = sum(rows * cols for _, _, rows, cols in layout)
     if total == 0:
-        return HomBasis([], 0)
+        return HomBasis([], 0, p)
     quiver = m1.codomain.quiver
-    pairs = [(m1.matrices[a], m2.matrices[a]) for a in quiver.arrows]
-    system = np.zeros((sum(a2.shape[0] * a1.shape[1] for a1, a2 in pairs), total), dtype=np.int64)
-    first = 0
-    for a, (a1, a2) in zip(quiver.arrows, pairs):
+    rows: list[dict] = []
+    for a in quiver.arrows:
+        a1, a2 = m1.matrices[a], m2.matrices[a]
         off_s, off_t = offsets[quiver.source(a)], offsets[quiver.target(a)]
         n_i, n_j = a2.shape[0], a1.shape[1]
         # Row (i, j) gets X_tgt[i, l] * A1[l, j] and -A2[i, k] * X_src[k, j],
-        # over the nonzeros of A1 and A2.  Each term hits distinct cells, and
-        # on a loop (src == tgt) the second adds onto the first.
-        l, j = np.nonzero(a1)
-        i = np.arange(n_i)[:, None]
-        system[first + i * n_j + j, off_t + i * a1.shape[0] + l] += a1[l, j]
-        i, k = np.nonzero(a2)
-        j = np.arange(n_j)[:, None]
-        system[first + i * n_j + j, off_s + k * n_j + j] -= a2[i, k]
-        first += n_i * n_j
-    homs = [ModuleHom.from_flat(m1, m2, row) for row in nullspace(system, p)]
-    return HomBasis(homs, len(homs))
+        # over the nonzeros of A1 and A2; on a loop (src == tgt) the two
+        # terms can meet in one cell, and add.
+        eqs: list[dict] = [{} for _ in range(n_i * n_j)]
+        for l, j, x in entries(a1):
+            for i in range(n_i):
+                eqs[i * n_j + j][off_t + i * a1.shape[0] + l] = x
+        for i, k, x in entries(a2):
+            for j in range(n_j):
+                row, cell = eqs[i * n_j + j], off_s + k * n_j + j
+                row[cell] = row.get(cell, 0) - x
+        rows += eqs
+    pivots = _gauss_jordan([{c: x % p for c, x in row.items() if x % p} for row in rows], p)
+
+    def maps() -> list[ModuleHom]:
+        return [ModuleHom.from_flat(m1, m2, row) for row in _null_rows(pivots, total, p)]
+
+    return HomBasis(maps, total - len(pivots), p)
 
 
 @dataclass
@@ -279,14 +362,14 @@ def has_nontrivial_idempotent(end_basis: HomBasis, cap: int = 10**7) -> Idempote
     """
     if end_basis.dimension == 0:
         return IdempotentSearch("none")
-    sample = end_basis.basis[0]
-    if sample.domain is not sample.codomain and sample.domain.basis != sample.codomain.basis:
-        raise ValueError("idempotent search needs an endomorphism basis")
-    p = sample.prime
+    p = end_basis.prime
     dim = end_basis.dimension
     if p**dim > cap:
         reason = f"endomorphism space too large for the scan ({p}**{dim} candidates > cap {cap})"
         return IdempotentSearch("unavailable", reason=reason)
+    sample = end_basis.basis[0]
+    if sample.domain is not sample.codomain and sample.domain.basis != sample.codomain.basis:
+        raise ValueError("idempotent search needs an endomorphism basis")
     qs = sorted(sample.blocks)
     sizes = [sample.blocks[q].shape[0] for q in qs]
     # The basis extended by the identity, so one batched product per quiver
@@ -314,11 +397,15 @@ def has_nontrivial_idempotent(end_basis: HomBasis, cap: int = 10**7) -> Idempote
 
 
 def verify_iso(h: ModuleHom) -> bool:
-    """True iff every per-vertex block is square and invertible and h intertwines."""
+    """True iff every per-vertex block is square and invertible and h intertwines.
+
+    A block is invertible iff the sparse elimination of its nonzeros has
+    full rank; `ModuleHom.intertwines` also works from nonzeros.
+    """
     for blk in h.blocks.values():
         if blk.shape[0] != blk.shape[1]:
             return False
-        if blk.shape[0] and rref(blk, h.prime)[1] != blk.shape[0]:
+        if len(_gauss_jordan(_dense_rows(blk, h.prime), h.prime)) != blk.shape[0]:
             return False
     return h.intertwines()
 

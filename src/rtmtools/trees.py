@@ -422,6 +422,24 @@ def direct_sum(reps: list[ModuleRep]) -> ModuleRep:
     return ModuleRep(prime, codomain, basis, matrices)
 
 
+def entries(mat: np.ndarray) -> list[tuple[int, int, int]]:
+    """(row, column, value) of each nonzero entry of a 2-d array, row by row, as Python ints."""
+    flat, cols = np.flatnonzero(mat), mat.shape[1]
+    return [(k // cols, k % cols, x) for k, x in zip(flat.tolist(), mat.ravel()[flat].tolist())]
+
+
+def _sparse_product(left: list, right: list, p: int) -> dict:
+    """{(i, j): x} for the nonzero entries x of left @ right mod p, given the `entries` of both."""
+    by_row: dict = {}
+    for k, j, v in right:
+        by_row.setdefault(k, []).append((j, v))
+    out: dict = {}
+    for i, k, x in left:
+        for j, v in by_row.get(k, ()):
+            out[i, j] = out.get((i, j), 0) + x * v
+    return {key: x % p for key, x in out.items() if x % p}
+
+
 class ModuleHom:
     """A per-quiver-vertex family of matrices from one module to another."""
 
@@ -442,14 +460,17 @@ class ModuleHom:
             self.blocks[qv] = blk
 
     def intertwines(self) -> bool:
-        """Whether the blocks commute with every quiver-arrow action."""
+        """Whether the blocks commute with every quiver-arrow action.
+
+        Both sides of X_tgt A1 = A2 X_src are compared as their nonzero
+        entries, summed over the nonzeros of the factors on Python ints.
+        """
         q = self.domain.codomain.quiver
         p = self.prime
+        nonzeros = {qv: entries(blk) for qv, blk in self.blocks.items()}
         for a in q.arrows:
-            src, tgt = q.source(a), q.target(a)
-            lhs = (self.blocks[tgt] @ self.domain.matrices[a]) % p
-            rhs = (self.codomain.matrices[a] @ self.blocks[src]) % p
-            if not np.array_equal(lhs, rhs):
+            lhs = _sparse_product(nonzeros[q.target(a)], entries(self.domain.matrices[a]), p)
+            if lhs != _sparse_product(entries(self.codomain.matrices[a]), nonzeros[q.source(a)], p):
                 return False
         return True
 

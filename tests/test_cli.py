@@ -9,6 +9,7 @@ from rtmtools import push_down, structure, validate_tree_over_q
 from rtmtools.cli import main
 from rtmtools.network import PullbackNetwork
 from rtmtools.textio import ParseError, format_document, parse_document
+from rtmtools.trees import ModuleHom
 
 def test_parse_sink_document(sink_document):
     doc = parse_document(sink_document)
@@ -323,6 +324,47 @@ def test_cmd_hom_deep_twin_chain(tmp_path, capsys, orientation):
     captured = capsys.readouterr()
     assert captured.out == "GGM span rank: 3; oracle dim: 3; AGREE\n"
     assert captured.err == ""
+
+
+@pytest.mark.parametrize("orientation", ["SINK", "SOURCE"])
+def test_cmd_indec_deep_twin_chain(tmp_path, capsys, orientation):
+    # 1,200 levels took 17-21 s in the dense elimination of the Hom system
+    path = _write(tmp_path, "twin.rtm", _twin_chain_document(1200, orientation))
+    start = time.perf_counter()
+    assert main(["indec", path]) == 0
+    assert time.perf_counter() - start < 5.0
+    captured = capsys.readouterr()
+    assert captured.out.endswith("verdict: AGREE\n")
+    assert captured.err == ""
+
+
+@pytest.mark.parametrize("orientation", ["SINK", "SOURCE"])
+def test_cmd_indec_on_a_large_star_reads_only_the_dimension(tmp_path, capsys, orientation):
+    # star 120 used to allocate a dense 14,641**2 int64 Hom system (1.7 GB)
+    path = _write(tmp_path, "star.rtm", _star_document(120, orientation))
+    start = time.perf_counter()
+    assert main(["indec", path]) == 3
+    assert time.perf_counter() - start < 10.0
+    captured = capsys.readouterr()
+    assert "3**14401 candidates > cap 10000000" in captured.out
+    assert captured.err == ""
+
+
+@pytest.mark.parametrize("argv", [["hom"], ["indec", "--cap", "10"]], ids=" ".join)
+def test_commands_that_read_only_the_hom_dimension_build_no_map(tmp_path, capsys, monkeypatch, sink_document, argv):
+    built = []
+    init = ModuleHom.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(ModuleHom, "__init__", counting_init)
+    path = _write(tmp_path, "m.rtm", sink_document)
+    files = [path, path] if argv[0] == "hom" else [path]
+    assert main(argv[:1] + files + argv[1:]) == (0 if argv[0] == "hom" else 3)
+    assert "oracle" in capsys.readouterr().out
+    assert built == []
 
 
 def test_cmd_hom_pushes_each_tree_down_once(tmp_path, capsys, monkeypatch, sink_document):

@@ -155,6 +155,79 @@ def test_verify_iso(sink_tree):
     assert verify_iso(split(sink_tree, endo, 3).witness)
 
 
+def _dense_intertwines(h) -> bool:
+    q = h.domain.codomain.quiver
+    return all(
+        np.array_equal(h.blocks[q.target(a)] @ h.domain.matrices[a] % h.prime, h.codomain.matrices[a] @ h.blocks[q.source(a)] % h.prime)
+        for a in q.arrows
+    )
+
+
+def _dense_is_iso(h) -> bool:
+    """`verify_iso` by dense products and the Python-int reference rank."""
+    square = all(blk.shape[0] == blk.shape[1] for blk in h.blocks.values())
+    return square and all(_reference_rref(blk, h.prime)[1] == len(blk) for blk in h.blocks.values()) and _dense_intertwines(h)
+
+
+@pytest.fixture(scope="module")
+def split_witnesses():
+    """The split of every decomposable `random_instance`, seeds 0-199, both orientations, p = 3 or 5."""
+    out = []
+    for seed in range(200):
+        for orientation in (SINK, SOURCE):
+            t = random_instance(seed, orientation)
+            endo = find_nonidentity_idempotent(t)
+            if endo is not None:
+                out.append(split(t, endo, (3, 5)[seed % 2]))
+    assert len(out) >= 90
+    return out
+
+
+def _with_block(h, q, block):
+    return ModuleHom(h.domain, h.codomain, {**h.blocks, q: block})
+
+
+def test_verify_iso_rejects_a_witness_with_one_entry_changed(split_witnesses):
+    for dec in split_witnesses:
+        w = dec.witness
+        assert verify_iso(w) and _dense_is_iso(w)
+        # the first entry, in block and row-major order, whose change by +1 the reference rejects
+        changed = (
+            _with_block(w, q, w.blocks[q] + np.eye(1, w.blocks[q].size, k, dtype=np.int64).reshape(w.blocks[q].shape))
+            for q in sorted(w.blocks)
+            for k in range(w.blocks[q].size)
+        )
+        bad = next(h for h in changed if not _dense_is_iso(h))
+        assert not verify_iso(bad)
+
+
+def test_verify_iso_rejects_a_singular_block_that_intertwines(split_witnesses):
+    for dec in split_witnesses:
+        # the projection of the direct sum onto its first summand intertwines and is idempotent
+        first = set(dec.summands[0].tree.vertices)
+        blocks = {q: np.diag([int(n in first) for n in vs]).reshape(len(vs), len(vs)) for q, vs in dec.sum_rep.basis.items()}
+        h = dec.witness.compose(ModuleHom(dec.sum_rep, dec.sum_rep, blocks))
+        assert _dense_intertwines(h) and not _dense_is_iso(h)
+        assert not verify_iso(h)
+
+
+def test_verify_iso_rejects_an_invertible_map_that_does_not_intertwine(split_witnesses):
+    for dec in split_witnesses:
+        w = dec.witness
+        # scale a block by 2, or shear it by 1 + E_ij: invertible, so only intertwining can fail
+        changes = []
+        for q in sorted(w.blocks):
+            n = len(w.blocks[q])
+            changes.append(_with_block(w, q, 2 * w.blocks[q]))
+            for i, j in ((i, j) for i in range(n) for j in range(n) if i != j):
+                shear = np.eye(n, dtype=np.int64)
+                shear[i, j] = 1
+                changes.append(_with_block(w, q, w.blocks[q] @ shear))
+        h = next(h for h in changes if not _dense_intertwines(h))
+        assert all(_reference_rref(blk, h.prime)[1] == len(blk) for blk in h.blocks.values())
+        assert not verify_iso(h)
+
+
 def test_random_instance_is_deterministic():
     a = random_instance(0, SINK)
     b = random_instance(0, SINK)
@@ -252,6 +325,19 @@ def test_rref_matches_a_python_int_reference(case):
     assert reduced.shape == mat.shape
     assert reduced.tolist() == want
     assert (rank, pivots) == (want_rank, want_pivots)
+
+
+@settings(max_examples=120, deadline=None)
+@given(matrices_mod_p(), st.randoms(use_true_random=False))
+def test_rref_does_not_depend_on_the_row_order(case, rng):
+    # The pivot is the sparsest eligible row, so a permutation changes which row is chosen.
+    mat, p = case
+    order = list(range(mat.shape[0]))
+    rng.shuffle(order)
+    reduced, rank, pivots = rref(mat, p)
+    again, again_rank, again_pivots = rref(mat[order], p)
+    assert again.tolist() == reduced.tolist()
+    assert (again_rank, again_pivots) == (rank, pivots)
 
 
 @settings(max_examples=120, deadline=None)
