@@ -32,10 +32,8 @@ from .trees import (
 )
 from .network import (
     PullbackNetwork,
-    Traversal,
     Triangle,
     TwoCover,
-    is_r_free,
     maximal_r_free_traversals,
     pullback_network,
     to_dot,

@@ -59,6 +59,7 @@ def cmd_validate(args) -> int:
 
 
 def _network_report(net, label: str) -> None:
+    census = maximal_r_free_traversals(net)
     print(f"vertices: {len(net.vertices)}")
     print(f"arrows: {len(net.arrows)}")
     print(f"edges: {len(net.edges)}")
@@ -66,8 +67,7 @@ def _network_report(net, label: str) -> None:
         roots = " ".join(f"({n},{m})" for n, m in sorted(net.forest_roots))
         print(f"roots: {roots}")
         print(f"triangles: {len(net.triangle_set)}")
-    census = maximal_r_free_traversals(net)
-    print(f"maximal {label}-free traversals: {len(census)}")
+    print(f"maximal {label}-free traversals: {census}")
 
 
 def cmd_network(args) -> int:

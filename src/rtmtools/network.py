@@ -15,14 +15,18 @@ fields of odd characteristic.
 Traversals are non-backtracking walks along links (arrows, reversed arrows,
 edges).  A traversal is blocked as soon as two consecutive links visit three
 vertices that induce a triangle; the census of maximal unblocked traversals
-is the combinatorial skeleton behind Hom-space computations.
+is the combinatorial skeleton behind Hom-space computations.  The census is
+counted, never listed: a dynamic programme on the acyclic graph of directed
+steps counts the maximal walks in both directions, and halving that count
+is exact because no walk is its own reverse (see
+`maximal_r_free_traversals`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, NamedTuple, Optional, Union
+from typing import NamedTuple, Optional, Union
 
 from .trees import SINK, TreeOverQ
 
@@ -103,13 +107,11 @@ class PullbackNetwork(_LinkedNetwork):
         self.parent_side = 1 if self.orientation == SINK else 0
         self.child_side = 1 - self.parent_side
 
+        by_label: dict = {}
+        for m in t2.tree.vertices:
+            by_label.setdefault(t2.vertex_label[m], []).append(m)
         self.vertices = tuple(
-            sorted(
-                (n, m)
-                for n in t1.tree.vertices
-                for m in t2.tree.vertices
-                if t1.vertex_label[n] == t2.vertex_label[m]
-            )
+            sorted((n, m) for n in t1.tree.vertices for m in by_label.get(t1.vertex_label[n], ()))
         )
         self.vertex_set = frozenset(self.vertices)
         self.pullback_parent: dict = {}
@@ -245,12 +247,6 @@ class TwoCover(_LinkedNetwork):
     def project(self, vertex):
         return vertex[:2]
 
-    def project_arrow(self, arrow: NetArrow) -> NetArrow:
-        return NetArrow(arrow.source[:2], arrow.target[:2], arrow.label[:2])
-
-    def project_edge(self, edge: Edge) -> Edge:
-        return _edge(edge[0][:2], edge[1][:2])
-
     @property
     def triangle_set(self) -> frozenset:
         return self.base.triangle_set
@@ -267,155 +263,67 @@ def two_cover(net: PullbackNetwork) -> TwoCover:
     return TwoCover(net)
 
 
-# A traversal step is ("fwd", arrow), ("bwd", arrow) or ("edge", edge).
-Step = tuple
-
-
-def _step_endpoints(step: Step, at) -> tuple:
-    kind, link = step
-    if kind == "fwd":
-        return link.source, link.target
-    if kind == "bwd":
-        return link.target, link.source
-    u, v = link
-    if at == u:
-        return u, v
-    return v, u
-
-
-def _inverse_step(step: Step) -> Step:
-    kind, link = step
-    if kind == "fwd":
-        return ("bwd", link)
-    if kind == "bwd":
-        return ("fwd", link)
-    return step
-
-
-class Traversal:
-    """A non-backtracking walk along links, beginning at `start`."""
-
-    def __init__(self, start, steps: Iterable[Step] = ()):
-        self.start = start
-        self.steps = tuple(steps)
-
-    def __len__(self) -> int:
-        return len(self.steps)
-
-    def vertex_sequence(self) -> tuple:
-        out = [self.start]
-        for step in self.steps:
-            frm, to = _step_endpoints(step, out[-1])
-            out.append(to)
-        return tuple(out)
-
-    def inverse(self) -> "Traversal":
-        vseq = self.vertex_sequence()
-        return Traversal(vseq[-1], tuple(_inverse_step(s) for s in reversed(self.steps)))
-
-    def step_kinds(self) -> tuple[str, ...]:
-        return tuple(kind for kind, _ in self.steps)
-
-    def validate(self, net: Network) -> None:
-        """Raise ValueError unless this is a well-formed traversal of `net`."""
-        if self.start not in net.vertex_set:
-            raise ValueError(f"unknown start vertex {self.start}")
-        at = self.start
-        prev: Optional[Step] = None
-        for step in self.steps:
-            kind, link = step
-            if kind in ("fwd", "bwd"):
-                if link not in net.arrow_set:
-                    raise ValueError(f"unknown arrow {link}")
-                frm, to = _step_endpoints(step, at)
-                if frm != at:
-                    raise ValueError(f"step {step} does not start at {at}")
-            elif kind == "edge":
-                if link not in net.edge_set:
-                    raise ValueError(f"unknown edge {link}")
-                if at not in link:
-                    raise ValueError(f"edge {link} is not incident to {at}")
-                frm, to = _step_endpoints(step, at)
-            else:
-                raise ValueError(f"unknown step kind {kind!r}")
-            if prev is not None and step == _inverse_step(prev):
-                raise ValueError("traversal backtracks")
-            prev = step
-            at = to
-
-
 def _window_blocked(net: Network, u, v, w) -> bool:
     """Whether the visited triple (u, v, w) induces a triangle downstairs."""
     triple = frozenset((net.project(u), net.project(v), net.project(w)))
     return triple in net.triangle_set
 
 
-def is_r_free(traversal: Traversal, net: Network) -> bool:
-    """No two consecutive links pass through a triangle (after projection)."""
-    traversal.validate(net)
-    vseq = traversal.vertex_sequence()
-    for i in range(len(vseq) - 2):
-        if _window_blocked(net, vseq[i], vseq[i + 1], vseq[i + 2]):
-            return False
-    return True
+def _neighbours(net: Network, v) -> list:
+    """The far ends of the links at `v`: arrow heads, arrow tails, edge partners."""
+    return (
+        [a.target for a in net.arrows_from(v)]
+        + [a.source for a in net.arrows_into(v)]
+        + [e[1] if e[0] == v else e[0] for e in net.edges_at(v)]
+    )
 
 
-def _moves_from(net: Network, v) -> list[Step]:
-    moves: list[Step] = [("fwd", a) for a in net.arrows_from(v)]
-    moves += [("bwd", a) for a in net.arrows_into(v)]
-    moves += [("edge", e) for e in net.edges_at(v)]
-    return moves
-
-
-def _legal_extensions(net: Network, at, prev_vertex, prev_step: Optional[Step]) -> list[Step]:
-    out = []
-    for step in _moves_from(net, at):
-        if prev_step is not None and step == _inverse_step(prev_step):
-            continue
-        _, to = _step_endpoints(step, at)
-        if prev_step is not None and _window_blocked(net, prev_vertex, at, to):
-            continue
-        out.append(step)
-    return out
-
-
-def maximal_r_free_traversals(net: Network) -> list[Traversal]:
-    """All maximal unblocked traversals, counted up to inversion.
+def maximal_r_free_traversals(net: Network) -> int:
+    """The number of maximal unblocked traversals, counted up to inversion.
 
     A traversal is maximal when no single link can extend it at either end
     without backtracking or passing through a triangle.  Zero-length
     traversals are admitted only at isolated vertices, so each connected
     component contributes at least one traversal.
+
+    The census is counted, never listed, on the graph of directed steps.  A
+    step (u, v) runs along one link; (v, w) may follow it when w != u and
+    {u, v, w} does not project to a triangle.  Each step begins one maximal
+    walk if nothing may follow it, and otherwise as many as its successors
+    together.  A step has no legal predecessor exactly when its reverse has
+    no successor; the maximal walks are counted from those steps.
+
+    The step graph is acyclic, in the cover too, because blocking is decided
+    on the projection.  A legal walk climbs the pullback forest, crosses at
+    most one edge, then descends: f*e?b* for sink trees, b*e?f* for source
+    trees.  A step down cannot be followed by a step up, as each vertex has
+    at most one pullback parent.  The two ends of an edge share their
+    pullback parent, so a step up after an edge, or an edge after a step
+    down, closes a blocked 1-edge triangle; two edges at one vertex close a
+    3-edge triangle.  So no walk is longer than twice the forest height + 1.
+
+    Halving the directed count is exact: no two links join the same two
+    vertices, so a walk is its vertex sequence, and a non-backtracking walk
+    without loops is never its own reverse.
     """
-    results: dict[tuple, Traversal] = {}
-
-    def record(trav: Traversal) -> None:
-        vseq = trav.vertex_sequence()
-        key = min(vseq, vseq[::-1])
-        results.setdefault(key, trav if key == vseq else trav.inverse())
-
-    def extend(start, steps: list[Step], at, prev_vertex) -> None:
-        nexts = _legal_extensions(net, at, prev_vertex, steps[-1])
-        if not nexts:
-            trav = Traversal(start, steps)
-            back = trav.inverse()
-            bseq = back.vertex_sequence()
-            if not _legal_extensions(net, bseq[-1], bseq[-2], back.steps[-1]):
-                record(trav)
-            return
-        for step in nexts:
-            _, to = _step_endpoints(step, at)
-            extend(start, steps + [step], to, at)
-
+    succ: dict = {}
+    isolated = 0
     for v in net.vertices:
-        first_moves = _moves_from(net, v)
-        if not first_moves:
-            record(Traversal(v))
-            continue
-        for step in first_moves:
-            _, to = _step_endpoints(step, v)
-            extend(v, [step], to, v)
-    return [results[k] for k in sorted(results)]
+        around = _neighbours(net, v)
+        isolated += not around
+        for u in around:
+            succ[u, v] = [(v, w) for w in around if w != u and not _window_blocked(net, u, v, w)]
+    walks: dict = {}  # step -> number of maximal walks it begins
+    stack = list(succ)
+    while stack:
+        todo = [s for s in succ[stack[-1]] if s not in walks]
+        if todo:
+            stack += todo
+        else:
+            step = stack.pop()
+            walks[step] = sum(walks[s] for s in succ[step]) or 1
+    directed = sum(walks[u, v] for u, v in succ if not succ[v, u])
+    return directed // 2 + isolated
 
 
 def _vertex_name(v) -> str:

