@@ -82,6 +82,8 @@ class Quiver:
         return Path(source, at, tuple(arrows))
 
     def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
         if not isinstance(other, Quiver):
             return NotImplemented
         return (
@@ -110,6 +112,8 @@ class BoundQuiver:
         self.max_relation_length = max((len(r) for r in self.relations), default=0)
 
     def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
         if not isinstance(other, BoundQuiver):
             return NotImplemented
         return self.quiver == other.quiver and set(self.relations) == set(other.relations)

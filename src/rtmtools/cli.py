@@ -10,6 +10,7 @@ before the first line of stdout.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from itertools import groupby
 from pathlib import Path
@@ -98,16 +99,17 @@ def cmd_ggms(args) -> int:
     ggms = ggm_mod.enumerate_ggms(d1.tree, d2.tree, with_signs=args.signs)
     if args.dot_dir:
         Path(args.dot_dir).mkdir(parents=True, exist_ok=True)
-    print(f"{len(ggms)} GGMs")
+        for i, g in enumerate(ggms, start=1):
+            (Path(args.dot_dir) / f"ggm_{i:02d}.dot").write_text(to_dot(g, name=f"ggm_{i}"), encoding="utf-8")
+    lines = [f"{len(ggms)} GGMs"]
     for i, g in enumerate(ggms, start=1):
         pairs = sorted(g.vertices)
-        print(f"GGM {i}: " + " ".join(f"({n},{m},{'+' if s > 0 else '-'})" for n, m, s in pairs))
+        lines.append(f"GGM {i}: " + " ".join(f"({n},{m},{'+' if s > 0 else '-'})" for n, m, s in pairs))
         # the induced map sends v_n to the signed sum of its partners v_m
         for n, partners in groupby(pairs, key=lambda v: v[0]):
             text = " ".join(f"{'+' if s > 0 else '-'} v{m}" for _, m, s in partners)
-            print(f"  v{n} -> {text[2:] if text[0] == '+' else '-' + text[2:]}")
-        if args.dot_dir:
-            (Path(args.dot_dir) / f"ggm_{i:02d}.dot").write_text(to_dot(g, name=f"ggm_{i}"), encoding="utf-8")
+            lines.append(f"  v{n} -> {text[2:] if text[0] == '+' else '-' + text[2:]}")
+    print("\n".join(lines))
     return OK
 
 
@@ -209,9 +211,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser `main` builds on first use and reuses: `parse_args` leaves it unchanged."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one command; may be called repeatedly in one process."""
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except ParseError as exc:

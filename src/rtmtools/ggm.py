@@ -64,6 +64,19 @@ class Subnetwork:
             if e[0] not in self.vertices or e[1] not in self.vertices:
                 raise ValueError(f"edge {e} not supported by subnetwork vertices")
 
+    @classmethod
+    def _built(cls, cover: TwoCover, vertices: Iterable, arrows: Iterable[NetArrow], edges: Iterable[Edge]):
+        """A subnetwork whose links are known to lie in the cover, between its vertices.
+
+        For maps this module built, and their sign flips; skips the checks of `__init__`.
+        """
+        sub = cls.__new__(cls)
+        sub.cover = cover
+        sub.vertices = frozenset(vertices)
+        sub.arrows = frozenset(arrows)
+        sub.edges = frozenset(edges)
+        return sub
+
     def signed_pairs(self) -> dict:
         return {(n, m): s for (n, m, s) in self.vertices}
 
@@ -105,7 +118,8 @@ class Subnetwork:
         def flip_v(v):
             return (v[0], v[1], -v[2])
 
-        return type(self)(
+        # the cover holds both signs of each vertex and link, so the flip stays inside it
+        return self._built(
             self.cover,
             (flip_v(v) for v in self.vertices),
             (NetArrow(flip_v(a.source), flip_v(a.target), a.label[:2] + (-a.label[2],)) for a in self.arrows),
@@ -218,7 +232,10 @@ def _closures(
         else:
             arrows = [link for link in links if isinstance(link, NetArrow)]
             edges = [link for link in links if not isinstance(link, NetArrow)]
-            g = GeneralizedGraphMap(cover, vertices, arrows, edges)
+            if not cover.vertex_set.issuperset(vertices):  # a tree that fails validation
+                raise ValueError("subnetwork vertex outside the cover")
+            # every link joins two held vertices, and lies in the cover when they do
+            g = GeneralizedGraphMap._built(cover, vertices, arrows, edges)
             yield g if min(vertices)[2] > 0 else g.negate()
         if not options:  # closed or dead end: resume the latest choice point
             if not choices:

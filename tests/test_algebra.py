@@ -149,3 +149,15 @@ def test_locally_bound_iff_path_enumeration_saturates():
             assert longest < cap, f"seed {seed}: bound quiver has a length-{cap} path"
         else:
             assert longest == cap, f"seed {seed}: unbounded quiver saturated early"
+
+
+def test_equality_compares_contents_not_identity(two_loop_quiver):
+    assert two_loop_quiver == two_loop_quiver and two_loop_quiver.quiver == two_loop_quiver.quiver
+    q = two_loop_quiver.quiver
+    copy = Quiver(["1"], [("alpha", "1", "1"), ("beta", "1", "1")])
+    assert copy is not q and copy == q
+    same = BoundQuiver(copy, reversed(two_loop_quiver.relations))
+    assert same is not two_loop_quiver and same == two_loop_quiver
+    fewer = BoundQuiver(copy, two_loop_quiver.relations[1:])
+    assert fewer != two_loop_quiver and two_loop_quiver != fewer
+    assert Quiver(["1"], [("alpha", "1", "1")]) != q

@@ -1,11 +1,12 @@
 """Document parsing, round-trips, and the command surface."""
 
+import functools
 import sys
 import time
 
 import pytest
 
-from rtmtools import push_down, structure, validate_tree_over_q
+from rtmtools import cli, push_down, structure, validate_tree_over_q
 from rtmtools.cli import main
 from rtmtools.network import PullbackNetwork
 from rtmtools.textio import ParseError, format_document, parse_document
@@ -481,3 +482,62 @@ def test_cmd_hom_on_large_stars_stops_at_the_oracle_dimension(tmp_path, capsys, 
     captured = capsys.readouterr()
     assert captured.out == f"GGM span rank: {dim}; oracle dim: {dim}; AGREE\n"
     assert captured.err == ""
+
+
+def test_cmd_ggms_writes_every_dot_file_before_the_listing(tmp_path, capsys, sink_document):
+    path = _write(tmp_path, "m.rtm", sink_document)
+    (tmp_path / "dots" / "ggm_03.dot").mkdir(parents=True)  # the third file cannot be written
+    assert main(["ggms", path, path, "--dot-dir", str(tmp_path / "dots")]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("cannot write output: [Errno 21] Is a directory")
+
+
+def _counted_parser(monkeypatch):
+    """Start `main` from an empty parser cache and count the parsers it builds."""
+    built, build = [], cli.build_parser
+
+    def counting_build_parser():
+        built.append(None)
+        return build()
+
+    monkeypatch.setattr(cli, "build_parser", counting_build_parser)
+    monkeypatch.setattr(cli, "_parser", functools.cache(cli._parser.__wrapped__))
+    return built
+
+
+def test_main_builds_its_parser_once_per_process(tmp_path, capsys, monkeypatch, sink_document):
+    built = _counted_parser(monkeypatch)
+    path = _write(tmp_path, "m.rtm", sink_document)
+    argvs = [["validate", path], ["network", path, path], ["network", path, path, "--cover"], ["hom", path, path]]
+    argvs += [["ggms", path, path], ["indec", path, "--cap", "10"], ["decompose", path, "-p", "5"]]
+    first = {}
+    for i in range(20):
+        argv = argvs[i % len(argvs)]
+        code = main(argv)
+        out = capsys.readouterr().out
+        assert first.setdefault(" ".join(argv), (code, out)) == (code, out)
+    assert len(built) == 1
+    assert cli.build_parser() is not cli.build_parser()
+
+
+def test_rejected_arguments_leave_the_shared_parser_intact(tmp_path, capsys, monkeypatch, sink_document):
+    built = _counted_parser(monkeypatch)
+    path = _write(tmp_path, "m.rtm", sink_document)
+    assert main(["hom", path, path]) == 0
+    reference = capsys.readouterr().out
+    for argv, code in [
+        (["indec", path, "-p", "x"], 2),
+        (["indec", path, "--cap", "y"], 2),
+        ([], 2),
+        (["frobnicate", path], 2),
+        (["--help"], 0),
+        (["hom", "--help"], 0),
+    ]:
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == code
+        captured = capsys.readouterr()
+        assert (captured.out if code == 0 else captured.err).startswith("usage: rtmtools")
+        assert main(["hom", path, path]) == 0
+        assert capsys.readouterr().out == reference
+    assert len(built) == 1

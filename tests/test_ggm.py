@@ -281,3 +281,40 @@ def test_enumeration_matches_the_lexicographic_reverse_search():
             want.sort(key=Subnetwork.sort_key)
             got = enumerate_ggms(u1, u2, cover=cover)
             assert [(g.vertices, g.arrows, g.edges) for g in got] == [(g.vertices, g.arrows, g.edges) for g in want]
+
+
+@pytest.mark.parametrize("orientation", [SINK, SOURCE])
+def test_built_maps_and_their_flips_pass_the_validating_constructor(orientation):
+    # The search and `negate` build maps without the checks of `Subnetwork.__init__`.
+    for seed in range(200):
+        t = random_instance(seed, orientation)
+        u = random_instance(seed + 1000, orientation, codomain=t.codomain)
+        for t1, t2 in ((t, t), (t, u), (u, t)):
+            for g in enumerate_ggms(t1, t2, with_signs=True):
+                checked = Subnetwork(g.cover, g.vertices, g.arrows, g.edges)
+                assert (checked.vertices, checked.arrows, checked.edges) == (g.vertices, g.arrows, g.edges)
+                flip = g.negate()
+                assert type(flip) is type(g)
+                checked = Subnetwork(g.cover, flip.vertices, flip.arrows, flip.edges)
+                assert (checked.vertices, checked.arrows, checked.edges) == (flip.vertices, flip.arrows, flip.edges)
+
+
+@pytest.mark.parametrize("orientation", [SINK, SOURCE])
+def test_a_tree_that_fails_validation_still_reports_a_vertex_outside_the_cover(orientation):
+    # Two alpha-children with different vertex labels: a child witness falls outside the network.
+    q = BoundQuiver(Quiver(["A", "B"], [("alpha", "A", "A")]), [])
+    arrows = [("a2", 2, 1), ("a3", 3, 1)] if orientation == SINK else [("a2", 1, 2), ("a3", 1, 3)]
+    t = TreeOverQ(RootedTree([1, 2, 3], arrows, orientation), q, {1: "A", 2: "A", 3: "B"}, {"a2": "alpha", "a3": "alpha"})
+    with pytest.raises(ValueError, match="subnetwork vertex outside the cover"):
+        enumerate_ggms(t, t)
+
+
+def test_a_subnetwork_built_from_outside_is_checked(sink_tree):
+    cover = two_cover(pullback_network(sink_tree, sink_tree))
+    with pytest.raises(ValueError, match="vertex outside the cover"):
+        Subnetwork(cover, [(1, 3, 1)])
+    arrow = next(a for a in cover.arrows if a.source[2] > 0)
+    with pytest.raises(ValueError, match="not supported"):
+        Subnetwork(cover, [arrow.source], [arrow])
+    with pytest.raises(ValueError, match="link outside the cover"):
+        Subnetwork(cover, [arrow.source, arrow.target], [arrow._replace(label=arrow.label[:2] + (-1,))])
