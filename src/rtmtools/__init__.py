@@ -24,7 +24,6 @@ from .trees import (
     RootedTree,
     TreeOverQ,
     branch,
-    direct_sum,
     identity_hom,
     is_tree_module,
     push_down,

@@ -109,7 +109,6 @@ class BoundQuiver:
             quiver.path(first, word)  # raises if not composable
             rels.append(word)
         self.relations = tuple(dict.fromkeys(rels))
-        self.max_relation_length = max((len(r) for r in self.relations), default=0)
 
     def __eq__(self, other: object) -> bool:
         if self is other:
@@ -134,13 +133,20 @@ def path_in_ideal(bq: BoundQuiver, path: Path) -> bool:
     relation occurs in it as a contiguous subword.
     """
     bq.quiver.path(path.source, path.arrows)  # structural re-check
-    word = path.arrows
+    return first_relation(bq, path.arrows) is not None
+
+
+def first_relation(bq: BoundQuiver, word: tuple[str, ...]) -> Optional[tuple[int, tuple[str, ...]]]:
+    """(position, relation) of the first relation found as a contiguous subword of `word`, or None.
+
+    Relations are tried in order, each at every position from the left.
+    """
     for rel in bq.relations:
         k = len(rel)
         for i in range(len(word) - k + 1):
             if word[i : i + k] == rel:
-                return True
-    return False
+                return i, rel
+    return None
 
 
 def _word_completes_relation(bq: BoundQuiver, word: tuple[str, ...]) -> bool:

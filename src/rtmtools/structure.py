@@ -29,7 +29,6 @@ from .trees import (
     ModuleRep,
     TreeOverQ,
     branch,
-    direct_sum,
     materialize,
     push_down,
     restrict,
@@ -47,21 +46,11 @@ class IdempotentEndo:
     def __init__(self, t: TreeOverQ, vertex_map: dict[int, int]):
         self.t = t
         self.vertex_map = dict(vertex_map)
-        tree = t.tree
-        if set(self.vertex_map) != set(tree.vertices):
-            raise ValueError("vertex map must be total")
-        if self.vertex_map[tree.root] != tree.root:
-            raise ValueError("the root must be fixed")
-        for n in tree.vertices:
-            img = self.vertex_map[n]
-            if n == tree.root:
-                continue
-            if self.vertex_map[tree.parent[n]] != tree.parent[img]:
-                raise ValueError(f"parents do not commute at {n}")
-            if t.vertex_label[n] != t.vertex_label[img] or t.child_label(n) != t.child_label(img):
-                raise ValueError(f"labels not preserved at {n}")
-        for n in tree.vertices:
-            if self.vertex_map[self.vertex_map[n]] != self.vertex_map[n]:
+        root = t.tree.root
+        if not BranchMorphism(root, root, self.vertex_map).check(t, t):
+            raise ValueError("vertex map is not a label-compatible endomorphism fixing the root")
+        for n, img in self.vertex_map.items():
+            if self.vertex_map[img] != img:
                 raise ValueError(f"not idempotent at {n}")
 
     def is_identity(self) -> bool:
@@ -142,28 +131,20 @@ def embeds(t: TreeOverQ, x: int, y: int, _memo: Optional[dict] = None) -> Option
     return BranchMorphism(x, y, mapping, arrow_map)
 
 
-def _sibling_certificates(t: TreeOverQ):
-    """Ordered same-labelled sibling pairs in breadth-first order."""
-    tree = t.tree
-    queue = [tree.root]
+def first_certificate(t: TreeOverQ) -> Optional[tuple[int, int, int, BranchMorphism]]:
+    """First (parent, n1, n2, witness) sibling certificate in breadth-first order."""
+    queue = [t.tree.root]
     memo: dict = {}
-    while queue:
-        parent = queue.pop(0)
-        kids = tree.children(parent)
+    for parent in queue:  # the queue grows while it is read
+        kids = t.tree.children(parent)
         for n1 in kids:
             for n2 in kids:
                 if n1 == n2 or t.child_label(n1) != t.child_label(n2):
                     continue
                 witness = embeds(t, n1, n2, memo)
                 if witness is not None:
-                    yield parent, n1, n2, witness
+                    return parent, n1, n2, witness
         queue.extend(kids)
-
-
-def first_certificate(t: TreeOverQ) -> Optional[tuple[int, int, int, BranchMorphism]]:
-    """First (parent, n1, n2, witness) sibling certificate in breadth-first order."""
-    for cert in _sibling_certificates(t):
-        return cert
     return None
 
 
@@ -213,85 +194,63 @@ def _induced_idempotent(t: TreeOverQ, endo: IdempotentEndo, rep: ModuleRep) -> M
     return ModuleHom(rep, rep, blocks)
 
 
-def _complement_components(t: TreeOverQ, kept: set[int]) -> list[tuple[int, ...]]:
-    """Connected components of the dropped vertices, ordered by least vertex."""
-    rest = [v for v in t.tree.vertices if v not in kept]
-    rest_set = set(rest)
-    seen: set[int] = set()
-    components = []
-    for v in rest:
-        if v in seen:
-            continue
-        comp = set()
-        stack = [v]
-        while stack:
-            u = stack.pop()
-            if u in comp:
-                continue
-            comp.add(u)
-            neighbors = list(t.tree.children(u))
-            if u != t.tree.root:
-                neighbors.append(t.tree.parent[u])
-            stack.extend(w for w in neighbors if w in rest_set and w not in comp)
-        seen |= comp
-        components.append(tuple(sorted(comp)))
-    return sorted(components)
-
-
 @dataclass
 class Decomposition:
-    """Summands plus the explicit isomorphism from their direct sum."""
+    """Summands plus the explicit isomorphism from their direct sum (`witness.domain`,
+    in the basis of the split module `witness.codomain`)."""
 
     summands: list[TreeOverQ]
     witness: ModuleHom
-    module: ModuleRep
-    sum_rep: ModuleRep
-    summand_modules: list[ModuleRep]
 
 
 def split(t: TreeOverQ, endo: IdempotentEndo, prime: int = 3, module: Optional[ModuleRep] = None) -> Decomposition:
     """Split the module along a non-identity idempotent endomorphism.
 
     The fixed subtree (equal to the image subtree) carries the first
-    summand; each connected component of the complement carries one more.
-    The witness matrix realizes the isomorphism explicitly: with P the
-    induced idempotent, the basis vector of a fixed vertex n maps to P v_n
-    and that of any other vertex to (1 - P) v_n.  Invertibility and
-    intertwining are verified before returning.
+    summand.  It is closed under parents, so the rest of the tree is the
+    branches at its tops, the non-fixed vertices with a fixed parent; each
+    carries one more summand, in order of least vertex.  Their direct sum
+    is the module of t with the arrow above each top cut, in t's basis.
+    The witness realizes the isomorphism explicitly: with P the induced
+    idempotent, the basis vector of a fixed vertex n maps to P v_n and that
+    of any other vertex to (1 - P) v_n.  Invertibility and intertwining
+    are verified before returning.
 
     `module`, if given, is the module of t over GF(prime), already built by
-    `push_down` or by an earlier split; t is then not validated again.  The
-    summands are restrictions of t, so their modules are built unchecked.
+    `push_down` or by an earlier split; t is then not validated again.
     """
     if endo.is_identity():
         raise ValueError("cannot split along the identity")
     fixed = endo.fixed_vertices()
     assert fixed == endo.image_vertices()
+    tree = t.tree
     fixed_set = set(fixed)
-    parts = [fixed] + _complement_components(t, fixed_set)
-    summands = [restrict(t, part) for part in parts]
+    tops = [n for n in tree.vertices if n not in fixed_set and tree.parent[n] in fixed_set]
+    summands = [restrict(t, part) for part in [fixed] + sorted(tree.branch_vertices(n) for n in tops)]
     rep = push_down(t, prime) if module is None else module
-    idempotent = _induced_idempotent(t, endo, rep)
-    summand_modules = [materialize(s, rep.prime) for s in summands]
-    sum_rep = direct_sum(summand_modules)
+    q = t.codomain.quiver
+    matrices = {a: m.copy() for a, m in rep.matrices.items()}
+    for n in tops:
+        arrow = tree.child_arrow[n]
+        a = t.arrow_label[arrow]
+        row = rep.basis_index(q.target(a), tree.arrow_target[arrow])
+        matrices[a][row, rep.basis_index(q.source(a), tree.arrow_source[arrow])] = 0
+    sum_rep = ModuleRep(rep.prime, rep.codomain, rep.basis, matrices)
     blocks = {}
-    for q, image in idempotent.blocks.items():
-        kernel = np.eye(len(image), dtype=np.int64) - image
-        blocks[q] = np.zeros((rep.dim(q), sum_rep.dim(q)), dtype=np.int64)
-        for col, n in enumerate(sum_rep.basis[q]):
-            i = rep.basis_index(q, n)
-            blocks[q][:, col] = image[:, i] if n in fixed_set else kernel[:, i]
+    for qv, image in _induced_idempotent(t, endo, rep).blocks.items():
+        fixed_column = np.array([n in fixed_set for n in rep.basis[qv]], dtype=bool)
+        blocks[qv] = np.where(fixed_column, image, np.eye(len(image), dtype=np.int64) - image)
     witness = ModuleHom(sum_rep, rep, blocks)
     if not oracle.verify_iso(witness):
         raise AssertionError("split witness failed verification")
-    return Decomposition(summands, witness, rep, sum_rep, summand_modules)
+    return Decomposition(summands, witness)
 
 
 def decompose_fully(t: TreeOverQ, prime: int = 3) -> list[TreeOverQ]:
     """Split until every piece is indecomposable; pieces in depth-first order.
 
     `push_down` validates t once; every later piece is a restriction of
-    it and reuses the module its split built.  An explicit stack, not
+    it, so its module is built unchecked.  An explicit stack, not
     recursion, so a piece may split any number of times.
     """
     pieces = []
@@ -303,7 +262,7 @@ def decompose_fully(t: TreeOverQ, prime: int = 3) -> list[TreeOverQ]:
             pieces.append(tree)
             continue
         dec = split(tree, endo, prime, module=module)
-        todo.extend(reversed(list(zip(dec.summands, dec.summand_modules))))
+        todo.extend((s, materialize(s, prime)) for s in reversed(dec.summands))
     return pieces
 
 

@@ -20,7 +20,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .algebra import BoundQuiver, StructureError
+from .algebra import BoundQuiver, StructureError, first_relation
 
 SINK = "sink"
 SOURCE = "source"
@@ -202,9 +202,9 @@ class TreeOverQ:
 def validate_tree_over_q(t: TreeOverQ) -> TreeValidationReport:
     """Check commuting squares and the bound condition, with a witness.
 
-    The bound condition slides a window of the maximal relation length along
-    the image of each root-to-leaf path; every tree path is contained in one
-    of these, so checking their images suffices.
+    The bound condition looks for each relation in the image of each
+    root-to-leaf path (`algebra.first_relation`); every tree path is
+    contained in one of these, so checking their images suffices.
     """
     tree, q = t.tree, t.codomain.quiver
     for a in tree.arrows:
@@ -221,17 +221,14 @@ def validate_tree_over_q(t: TreeOverQ) -> TreeValidationReport:
             chain.append(tree.parent[chain[-1]])
         if leaf != tree.root and tree.arrow_target[tree.child_arrow[leaf]] == leaf:
             chain.reverse()  # the arrows run from the root to the leaf
-        word = t.image_word(chain)
-        for rel in t.codomain.relations:
-            k = len(rel)
-            for i in range(len(word) - k + 1):
-                if word[i : i + k] == rel:
-                    vertices = tuple(chain[i : i + k + 1])
-                    return TreeValidationReport(
-                        False,
-                        "image of a tree path lies in the relation ideal",
-                        (vertices, rel),
-                    )
+        hit = first_relation(t.codomain, t.image_word(chain))
+        if hit is not None:
+            i, rel = hit
+            return TreeValidationReport(
+                False,
+                "image of a tree path lies in the relation ideal",
+                (tuple(chain[i : i + len(rel) + 1]), rel),
+            )
     return TreeValidationReport(True)
 
 
@@ -393,35 +390,6 @@ def materialize(t: TreeOverQ, prime: int) -> ModuleRep:
     return ModuleRep(prime, t.codomain, basis, matrices)
 
 
-def direct_sum(reps: list[ModuleRep]) -> ModuleRep:
-    """Block-diagonal sum; summand bases must use disjoint tree-vertex labels."""
-    if not reps:
-        raise ValueError("empty direct sum")
-    prime, codomain = reps[0].prime, reps[0].codomain
-    if any(r.prime != prime or r.codomain != codomain for r in reps):
-        raise ValueError("summands must share prime and codomain")
-    q = codomain.quiver
-    basis: dict[str, tuple[int, ...]] = {qv: () for qv in q.vertices}
-    for r in reps:
-        for qv in q.vertices:
-            basis[qv] = basis[qv] + r.basis[qv]
-    for qv in q.vertices:
-        if len(set(basis[qv])) != len(basis[qv]):
-            raise ValueError("summand bases overlap")
-    matrices = {}
-    for a in q.arrows:
-        src, tgt = q.source(a), q.target(a)
-        mat = np.zeros((len(basis[tgt]), len(basis[src])), dtype=np.int64)
-        row = col = 0
-        for r in reps:
-            block = r.matrices[a]
-            mat[row : row + block.shape[0], col : col + block.shape[1]] = block
-            row += block.shape[0]
-            col += block.shape[1]
-        matrices[a] = mat
-    return ModuleRep(prime, codomain, basis, matrices)
-
-
 def entries(mat: np.ndarray) -> list[tuple[int, int, int]]:
     """(row, column, value) of each nonzero entry of a 2-d array, row by row, as Python ints."""
     flat, cols = np.flatnonzero(mat), mat.shape[1]
@@ -547,12 +515,14 @@ class BranchMorphism:
     arrow_map: dict[str, str] = field(default_factory=dict)
 
     def check(self, t_dom: TreeOverQ, t_cod: TreeOverQ) -> bool:
-        """Roots map to roots, parents commute, labels are preserved."""
-        if self.vertex_map.get(self.domain_root) != self.codomain_root:
-            return False
+        """Total on the branch, roots map to roots, parents commute, labels are preserved."""
         dom = t_dom.tree
+        if set(self.vertex_map) != set(dom.branch_vertices(self.domain_root)):
+            return False
+        if self.vertex_map[self.domain_root] != self.codomain_root:
+            return False
         for n, img in self.vertex_map.items():
-            if t_dom.vertex_label[n] != t_cod.vertex_label[img]:
+            if t_dom.vertex_label[n] != t_cod.vertex_label.get(img):
                 return False
             if n == self.domain_root:
                 continue
@@ -561,4 +531,4 @@ class BranchMorphism:
                 return False
             if t_dom.child_label(n) != t_cod.child_label(img):
                 return False
-        return set(self.vertex_map) == set(dom.branch_vertices(self.domain_root))
+        return True

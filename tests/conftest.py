@@ -11,6 +11,9 @@ from rtmtools import (
     Quiver,
     RootedTree,
     TreeOverQ,
+    find_nonidentity_idempotent,
+    random_instance,
+    split,
 )
 
 # CI runs with HYPOTHESIS_PROFILE=ci: the same examples on every run, and a
@@ -112,3 +115,17 @@ def source_document(a2: str, a3: str, a4: str, a5: str) -> str:
 @pytest.fixture
 def source_document_factory():
     return source_document
+
+
+@pytest.fixture(scope="session")
+def random_splits():
+    """(tree, split) for every decomposable `random_instance`, seeds 0-199, both orientations, p = 3 or 5."""
+    out = []
+    for seed in range(200):
+        for orientation in (SINK, SOURCE):
+            t = random_instance(seed, orientation)
+            endo = find_nonidentity_idempotent(t)
+            if endo is not None:
+                out.append((t, split(t, endo, (3, 5)[seed % 2])))
+    assert len(out) >= 90
+    return out

@@ -12,7 +12,7 @@ from rtmtools import (
     enumerate_paths_from,
     path_in_ideal,
 )
-from rtmtools.algebra import automaton_state_count
+from rtmtools.algebra import automaton_state_count, first_relation
 
 
 def brute_force_relation_free_paths(bq, vertex, max_len):
@@ -74,6 +74,16 @@ def test_path_in_ideal_examples(loop_tail_quiver):
     assert not path_in_ideal(loop_tail_quiver, q.path("1", ("beta", "alpha")))
     assert path_in_ideal(loop_tail_quiver, q.path("2", ("alpha", "alpha")))
     assert not path_in_ideal(loop_tail_quiver, q.path("2"))
+
+
+def test_first_relation_reports_position_and_relation(loop_tail_quiver, two_loop_quiver):
+    assert first_relation(loop_tail_quiver, ("beta", "alpha", "alpha")) == (1, ("alpha", "alpha"))
+    assert first_relation(loop_tail_quiver, ("beta", "alpha")) is None
+    # relations are tried in order, so an earlier relation wins over an earlier position
+    word = ("beta", "beta", "beta", "alpha", "alpha", "alpha")
+    first = two_loop_quiver.relations[0]
+    assert first == ("alpha", "alpha", "alpha")
+    assert first_relation(two_loop_quiver, word) == (3, first)
 
 
 def test_every_relation_is_in_its_own_ideal(two_loop_quiver):

@@ -16,7 +16,6 @@ from rtmtools import (
     GenerationExhausted,
     RootedTree,
     TreeOverQ,
-    direct_sum,
     find_nonidentity_idempotent,
     has_nontrivial_idempotent,
     hom_space,
@@ -106,8 +105,7 @@ def test_end_is_invariant_under_splitting(sink_tree):
     rep = push_down(sink_tree, 3)
     endo = find_nonidentity_idempotent(sink_tree)
     dec = split(sink_tree, endo, 3)
-    summed = direct_sum([push_down(s, 3) for s in dec.summands])
-    assert hom_space(rep, summed).dimension == hom_space(rep, rep).dimension == 4
+    assert hom_space(rep, dec.witness.domain).dimension == hom_space(rep, rep).dimension == 4
 
 
 def test_idempotent_scan_on_sink_example(sink_tree):
@@ -169,26 +167,12 @@ def _dense_is_iso(h) -> bool:
     return square and all(_reference_rref(blk, h.prime)[1] == len(blk) for blk in h.blocks.values()) and _dense_intertwines(h)
 
 
-@pytest.fixture(scope="module")
-def split_witnesses():
-    """The split of every decomposable `random_instance`, seeds 0-199, both orientations, p = 3 or 5."""
-    out = []
-    for seed in range(200):
-        for orientation in (SINK, SOURCE):
-            t = random_instance(seed, orientation)
-            endo = find_nonidentity_idempotent(t)
-            if endo is not None:
-                out.append(split(t, endo, (3, 5)[seed % 2]))
-    assert len(out) >= 90
-    return out
-
-
 def _with_block(h, q, block):
     return ModuleHom(h.domain, h.codomain, {**h.blocks, q: block})
 
 
-def test_verify_iso_rejects_a_witness_with_one_entry_changed(split_witnesses):
-    for dec in split_witnesses:
+def test_verify_iso_rejects_a_witness_with_one_entry_changed(random_splits):
+    for _, dec in random_splits:
         w = dec.witness
         assert verify_iso(w) and _dense_is_iso(w)
         # the first entry, in block and row-major order, whose change by +1 the reference rejects
@@ -201,18 +185,19 @@ def test_verify_iso_rejects_a_witness_with_one_entry_changed(split_witnesses):
         assert not verify_iso(bad)
 
 
-def test_verify_iso_rejects_a_singular_block_that_intertwines(split_witnesses):
-    for dec in split_witnesses:
+def test_verify_iso_rejects_a_singular_block_that_intertwines(random_splits):
+    for _, dec in random_splits:
         # the projection of the direct sum onto its first summand intertwines and is idempotent
         first = set(dec.summands[0].tree.vertices)
-        blocks = {q: np.diag([int(n in first) for n in vs]).reshape(len(vs), len(vs)) for q, vs in dec.sum_rep.basis.items()}
-        h = dec.witness.compose(ModuleHom(dec.sum_rep, dec.sum_rep, blocks))
+        summed = dec.witness.domain
+        blocks = {q: np.diag([int(n in first) for n in vs]).reshape(len(vs), len(vs)) for q, vs in summed.basis.items()}
+        h = dec.witness.compose(ModuleHom(summed, summed, blocks))
         assert _dense_intertwines(h) and not _dense_is_iso(h)
         assert not verify_iso(h)
 
 
-def test_verify_iso_rejects_an_invertible_map_that_does_not_intertwine(split_witnesses):
-    for dec in split_witnesses:
+def test_verify_iso_rejects_an_invertible_map_that_does_not_intertwine(random_splits):
+    for _, dec in random_splits:
         w = dec.witness
         # scale a block by 2, or shear it by 1 + E_ij: invertible, so only intertwining can fail
         changes = []

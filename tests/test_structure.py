@@ -12,6 +12,7 @@ from rtmtools import (
     IdempotentEndo,
     RootedTree,
     TreeOverQ,
+    branch,
     cor2_report,
     decompose_fully,
     embeds,
@@ -80,12 +81,25 @@ def test_source_all_equal_labels_decomposable(source_tree_factory):
 
 
 def test_idempotent_invariants_validated(sink_tree):
-    with pytest.raises(ValueError):  # not idempotent
+    not_a_morphism = "not a label-compatible endomorphism"
+    with pytest.raises(ValueError, match=not_a_morphism):  # parents do not commute at 5
         IdempotentEndo(sink_tree, {1: 1, 2: 4, 3: 3, 4: 2, 5: 5})
-    with pytest.raises(ValueError):  # moves the root
+    with pytest.raises(ValueError, match=not_a_morphism):  # moves the root
         IdempotentEndo(sink_tree, {1: 2, 2: 2, 3: 3, 4: 4, 5: 5})
-    with pytest.raises(ValueError):  # label clash: 3 and 4 carry different labels
+    with pytest.raises(ValueError, match=not_a_morphism):  # label clash: 3 and 4 carry different labels
         IdempotentEndo(sink_tree, {1: 1, 2: 2, 3: 4, 4: 4, 5: 5})
+    with pytest.raises(ValueError, match=not_a_morphism):  # not total: 5 has no image
+        IdempotentEndo(sink_tree, {1: 1, 2: 2, 3: 3, 4: 2})
+    with pytest.raises(ValueError, match=not_a_morphism):  # 6 is not a tree vertex
+        IdempotentEndo(sink_tree, {1: 1, 2: 2, 3: 3, 4: 2, 5: 5, 6: 6})
+
+
+def test_idempotence_is_checked_on_a_morphism(loop_tail_quiver):
+    star = RootedTree([1, 2, 3, 4], [(f"a{n}", n, 1) for n in (2, 3, 4)], SINK)
+    t = TreeOverQ(star, loop_tail_quiver, {n: "2" for n in range(1, 5)}, {f"a{n}": "alpha" for n in (2, 3, 4)})
+    IdempotentEndo(t, {1: 1, 2: 4, 3: 4, 4: 4})
+    with pytest.raises(ValueError, match="not idempotent at 2"):  # 2 -> 3 -> 4
+        IdempotentEndo(t, {1: 1, 2: 3, 3: 4, 4: 4})
 
 
 def test_module_idempotent_sink(sink_tree):
@@ -127,11 +141,43 @@ def test_split_of_sink_example(sink_tree):
     assert dec.summands[1].vertex_label[4] == "2"  # simple summand at vertex 2
     assert verify_iso(dec.witness)
     # witness column of v4 is v4 - v2
-    col = dec.witness.blocks["2"][:, dec.sum_rep.basis["2"].index(4)]
+    col = dec.witness.blocks["2"][:, dec.witness.domain.basis_index("2", 4)]
     expected = np.zeros(3, dtype=int)
-    expected[dec.module.basis_index("2", 4)] = 1
-    expected[dec.module.basis_index("2", 2)] = 2  # -1 mod 3
+    expected[dec.witness.codomain.basis_index("2", 4)] = 1
+    expected[dec.witness.codomain.basis_index("2", 2)] = 2  # -1 mod 3
     np.testing.assert_array_equal(col, expected)
+
+
+def test_split_is_the_direct_sum_of_the_summands_in_the_basis_of_the_tree(random_splits):
+    for t, dec in random_splits:
+        summed, rep = dec.witness.domain, dec.witness.codomain
+        assert summed.basis == rep.basis
+        parts = [s.tree.vertices for s in dec.summands]
+        assert sorted(n for part in parts for n in part) == list(t.tree.vertices)
+        fixed = set(parts[0])
+        assert dec.summands[0].tree.root == t.tree.root
+        assert parts[1:] == sorted(parts[1:])
+        for s in dec.summands[1:]:
+            top = s.tree.root
+            assert top not in fixed and t.tree.parent[top] in fixed
+            want = branch(t, top)
+            assert (s.tree.vertices, s.tree.arrow_source, s.tree.arrow_target) == (
+                want.tree.vertices,
+                want.tree.arrow_source,
+                want.tree.arrow_target,
+            )
+            assert (s.vertex_label, s.arrow_label) == (want.vertex_label, want.arrow_label)
+        # each arrow matrix is block-diagonal over the summands, with the summand's module as its block
+        q = t.codomain.quiver
+        covered = {a: np.zeros(mat.shape, dtype=bool) for a, mat in summed.matrices.items()}
+        for s in dec.summands:
+            block = push_down(s, rep.prime)
+            for a, mat in summed.matrices.items():
+                rows = [summed.basis_index(q.target(a), n) for n in block.basis[q.target(a)]]
+                cols = [summed.basis_index(q.source(a), n) for n in block.basis[q.source(a)]]
+                np.testing.assert_array_equal(mat[np.ix_(rows, cols)], block.matrices[a])
+                covered[a][np.ix_(rows, cols)] = True
+        assert not any(mat[~covered[a]].any() for a, mat in summed.matrices.items())
 
 
 def test_split_rejects_identity(sink_tree):
