@@ -158,7 +158,7 @@ def cmd_decompose(args) -> int:
     for i, piece in enumerate(pieces, start=1):
         print(f"SUMMAND {i} (dim {len(piece.tree.vertices)})")
         print(format_tree_section(piece))
-    # every split behind `pieces` checked its witness isomorphism, or raised
+    # decompose_fully checked one composed witness isomorphism from the direct sum of `pieces`, or raised
     print("witness: OK")
     return OK
 

@@ -115,19 +115,23 @@ class Subnetwork:
         return True
 
     def negate(self) -> "Subnetwork":
-        def flip_v(v):
-            return (v[0], v[1], -v[2])
-
-        # the cover holds both signs of each vertex and link, so the flip stays inside it
-        return self._built(
-            self.cover,
-            (flip_v(v) for v in self.vertices),
-            (NetArrow(flip_v(a.source), flip_v(a.target), a.label[:2] + (-a.label[2],)) for a in self.arrows),
-            (_edge(flip_v(e[0]), flip_v(e[1])) for e in self.edges),
-        )
+        return self._built(self.cover, *_flip(self.vertices, self.arrows, self.edges))
 
     def sort_key(self) -> tuple:
         return (len(self.vertices), tuple(sorted(self.vertices)))
+
+
+def _flip(vertices: Iterable, arrows: Iterable[NetArrow], edges: Iterable[Edge]) -> tuple:
+    """The sign flips of a subnetwork's vertices, arrows and edges; the cover holds both signs of each."""
+
+    def flip(v):
+        return (v[0], v[1], -v[2])
+
+    return (
+        map(flip, vertices),
+        (NetArrow(flip(a.source), flip(a.target), a.label[:2] + (-a.label[2],)) for a in arrows),
+        (_edge(flip(e[0]), flip(e[1])) for e in edges),
+    )
 
 
 @dataclass(frozen=True)
@@ -235,8 +239,8 @@ def _closures(
             if not cover.vertex_set.issuperset(vertices):  # a tree that fails validation
                 raise ValueError("subnetwork vertex outside the cover")
             # every link joins two held vertices, and lies in the cover when they do
-            g = GeneralizedGraphMap._built(cover, vertices, arrows, edges)
-            yield g if min(vertices)[2] > 0 else g.negate()
+            parts = (vertices, arrows, edges)
+            yield GeneralizedGraphMap._built(cover, *(parts if min(vertices)[2] > 0 else _flip(*parts)))
         if not options:  # closed or dead end: resume the latest choice point
             if not choices:
                 return
@@ -395,8 +399,7 @@ def branch_morphism_from_ggm(g: GeneralizedGraphMap, pair: tuple) -> BranchMorph
     tc = base.trees[c].tree
     morphism = BranchMorphism(pair[c], pair[p], {pair[c]: pair[p]}, {})
     queue = [pair]
-    while queue:
-        v = queue.pop(0)
+    for v in queue:  # the queue grows while it is read
         for x in tc.children(v[c]):
             arrow = tc.child_arrow[x]
             witnesses = [a for a in g.arrows if a.label[c] == arrow and v in (a.source[:2], a.target[:2])]

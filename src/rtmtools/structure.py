@@ -9,10 +9,11 @@ so the whole decision is polynomial; the exhaustive idempotent scan of the
 oracle module provides the independent cross-check.
 
 All of this reads only the tree's parent map, so it is the same for both
-orientations.  The one exception is `module_idempotent`: the module of a
-source tree is the transpose dual of the module of the opposite sink tree,
-so the induced idempotent of a source tree is the transpose of the sink
-formula.  `split` builds its witness from that idempotent.
+orientations.  The one exception is the induced idempotent
+(`_idempotent_entries`): the module of a source tree is the transpose dual
+of the module of the opposite sink tree, so the induced idempotent of a
+source tree is the transpose of the sink formula.  Every split witness is
+built from that idempotent.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ from .trees import (
     ModuleRep,
     TreeOverQ,
     branch,
-    materialize,
     push_down,
     restrict,
 )
@@ -180,18 +180,18 @@ def module_idempotent(t: TreeOverQ, endo: IdempotentEndo, prime: int = 3) -> Mod
     """
     if endo.t is not t:
         IdempotentEndo(t, endo.vertex_map)  # revalidate against this tree
-    return _induced_idempotent(t, endo, push_down(t, prime))
-
-
-def _induced_idempotent(t: TreeOverQ, endo: IdempotentEndo, rep: ModuleRep) -> ModuleHom:
-    """`module_idempotent` on `rep`, the module of t."""
+    rep = push_down(t, prime)
     blocks = {q: np.zeros((rep.dim(q), rep.dim(q)), dtype=np.int64) for q in rep.basis}
-    for n in t.tree.vertices:
-        q = t.vertex_label[n]
-        blocks[q][rep.basis_index(q, endo.vertex_map[n]), rep.basis_index(q, n)] = 1
-    if t.orientation == SOURCE:
-        blocks = {q: b.T for q, b in blocks.items()}
+    for i, j in _idempotent_entries(t, endo):
+        q = t.vertex_label[j]
+        blocks[q][rep.basis_index(q, i), rep.basis_index(q, j)] = 1
     return ModuleHom(rep, rep, blocks)
+
+
+def _idempotent_entries(t: TreeOverQ, endo: IdempotentEndo) -> list[tuple[int, int]]:
+    """(row, column) of each 1 of the induced idempotent: (endo(n), n), transposed for a source tree."""
+    pairs = [(m, n) for n, m in endo.vertex_map.items()]
+    return [(n, m) for m, n in pairs] if t.orientation == SOURCE else pairs
 
 
 @dataclass
@@ -203,21 +203,17 @@ class Decomposition:
     witness: ModuleHom
 
 
-def split(t: TreeOverQ, endo: IdempotentEndo, prime: int = 3, module: Optional[ModuleRep] = None) -> Decomposition:
-    """Split the module along a non-identity idempotent endomorphism.
+def _split_step(t: TreeOverQ, endo: IdempotentEndo) -> tuple[list[TreeOverQ], list[str], dict[int, dict[int, int]]]:
+    """The summands of the split along endo, the tree arrows it cuts, and its witness W minus 1.
 
     The fixed subtree (equal to the image subtree) carries the first
     summand.  It is closed under parents, so the rest of the tree is the
     branches at its tops, the non-fixed vertices with a fixed parent; each
     carries one more summand, in order of least vertex.  Their direct sum
-    is the module of t with the arrow above each top cut, in t's basis.
-    The witness realizes the isomorphism explicitly: with P the induced
-    idempotent, the basis vector of a fixed vertex n maps to P v_n and that
-    of any other vertex to (1 - P) v_n.  Invertibility and intertwining
-    are verified before returning.
-
-    `module`, if given, is the module of t over GF(prime), already built by
-    `push_down` or by an earlier split; t is then not validated again.
+    is the module of t with the arrow above each top cut, in t's basis.  W
+    sends v_n to P v_n for a fixed vertex n and to (1 - P) v_n for any
+    other, P the induced idempotent, so W - 1 is the off-diagonal part of P
+    negated on the non-fixed columns: sparse columns {vertex: {row vertex: +-1}}.
     """
     if endo.is_identity():
         raise ValueError("cannot split along the identity")
@@ -227,42 +223,78 @@ def split(t: TreeOverQ, endo: IdempotentEndo, prime: int = 3, module: Optional[M
     fixed_set = set(fixed)
     tops = [n for n in tree.vertices if n not in fixed_set and tree.parent[n] in fixed_set]
     summands = [restrict(t, part) for part in [fixed] + sorted(tree.branch_vertices(n) for n in tops)]
-    rep = push_down(t, prime) if module is None else module
-    q = t.codomain.quiver
+    moves: dict = {}
+    for i, j in _idempotent_entries(t, endo):
+        if i != j:
+            moves.setdefault(j, {})[i] = 1 if j in fixed_set else -1
+    return summands, [tree.child_arrow[n] for n in tops], moves
+
+
+def _verified_witness(t: TreeOverQ, rep: ModuleRep, cut: list[str], columns: dict[int, dict[int, int]]) -> ModuleHom:
+    """The map from `rep` with the `cut` tree arrows zeroed (the direct sum) to `rep`, the module of t.
+
+    It sends v_n to `columns[n]` ({row vertex: residue}), or to v_n if n has
+    no column; it raises AssertionError unless `oracle.verify_iso` accepts it.
+    """
+    tree, q = t.tree, t.codomain.quiver
     matrices = {a: m.copy() for a, m in rep.matrices.items()}
-    for n in tops:
-        arrow = tree.child_arrow[n]
+    for arrow in cut:
         a = t.arrow_label[arrow]
         row = rep.basis_index(q.target(a), tree.arrow_target[arrow])
         matrices[a][row, rep.basis_index(q.source(a), tree.arrow_source[arrow])] = 0
-    sum_rep = ModuleRep(rep.prime, rep.codomain, rep.basis, matrices)
-    blocks = {}
-    for qv, image in _induced_idempotent(t, endo, rep).blocks.items():
-        fixed_column = np.array([n in fixed_set for n in rep.basis[qv]], dtype=bool)
-        blocks[qv] = np.where(fixed_column, image, np.eye(len(image), dtype=np.int64) - image)
-    witness = ModuleHom(sum_rep, rep, blocks)
+    blocks = {qv: np.eye(rep.dim(qv), dtype=np.int64) for qv in rep.basis}
+    for n, column in columns.items():
+        qv = t.vertex_label[n]
+        j = rep.basis_index(qv, n)
+        blocks[qv][:, j] = 0
+        blocks[qv][[rep.basis_index(qv, m) for m in column], j] = list(column.values())
+    witness = ModuleHom(ModuleRep(rep.prime, rep.codomain, rep.basis, matrices), rep, blocks)
     if not oracle.verify_iso(witness):
         raise AssertionError("split witness failed verification")
+    return witness
+
+
+def split(t: TreeOverQ, endo: IdempotentEndo, prime: int = 3) -> Decomposition:
+    """Split the module along a non-identity idempotent endomorphism (see `_split_step`).
+
+    The witness realizes the isomorphism explicitly, and is verified before returning.
+    """
+    summands, cut, moves = _split_step(t, endo)
+    witness = _verified_witness(t, push_down(t, prime), cut, {j: {j: 1, **col} for j, col in moves.items()})
     return Decomposition(summands, witness)
 
 
 def decompose_fully(t: TreeOverQ, prime: int = 3) -> list[TreeOverQ]:
     """Split until every piece is indecomposable; pieces in depth-first order.
 
-    `push_down` validates t once; every later piece is a restriction of
-    it, so its module is built unchecked.  An explicit stack, not
-    recursion, so a piece may split any number of times.
+    Every piece is a restriction of t in t's basis, so the whole iteration
+    is t's module with the arrows cut by every split.  The split witnesses
+    multiply into one W from the direct sum of the pieces to the module of
+    t, which `oracle.verify_iso` checks once.  `push_down` validates t once.
+    An explicit stack, not recursion, so a piece may split any number of times.
     """
-    pieces = []
-    todo = [(t, push_down(t, prime))]
+    rep = push_down(t, prime)
+    pieces, cut, columns = [], [], {}  # columns: those of W that are not v_n
+    todo = [t]
     while todo:
-        tree, module = todo.pop()
-        endo = find_nonidentity_idempotent(tree)
+        piece = todo.pop()
+        endo = find_nonidentity_idempotent(piece)
         if endo is None:
-            pieces.append(tree)
+            pieces.append(piece)
             continue
-        dec = split(tree, endo, prime, module=module)
-        todo.extend((s, materialize(s, prime)) for s in reversed(dec.summands))
+        summands, arrows, moves = _split_step(piece, endo)
+        cut += arrows
+        # W <- W (1 + moves), column j gaining moves[j][i] W v_i.  No column read is
+        # written: a sink split reads fixed columns and writes others, a source split the reverse.
+        for j, move in moves.items():
+            column = dict(columns.get(j, {j: 1}))
+            for i, x in move.items():
+                for r, y in columns.get(i, {i: 1}).items():
+                    column[r] = (column.get(r, 0) + x * y) % prime
+            columns[j] = {r: y for r, y in column.items() if y}
+        todo.extend(reversed(summands))
+    if cut:
+        _verified_witness(t, rep, cut, columns)
     return pieces
 
 

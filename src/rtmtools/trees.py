@@ -110,8 +110,7 @@ class RootedTree:
 
         self.height: dict[int, int] = {self.root: 0}
         queue = [self.root]
-        while queue:
-            v = queue.pop(0)
+        for v in queue:  # the queue grows while it is read
             for c in self._children[v]:
                 self.height[c] = self.height[v] + 1
                 queue.append(c)
@@ -363,15 +362,6 @@ def push_down(t: TreeOverQ, prime: int = 3) -> ModuleRep:
     if not is_odd_prime(prime):
         raise ValueError(f"need an odd prime, got {prime}")
     require_valid(t)
-    return materialize(t, prime)
-
-
-def materialize(t: TreeOverQ, prime: int) -> ModuleRep:
-    """`push_down` without its checks, for a tree and a prime already checked.
-
-    A restriction of a valid tree to a rooted subtree is valid, so the
-    summands of a split need no second validation.
-    """
     q = t.codomain.quiver
     basis: dict[str, tuple[int, ...]] = {qv: () for qv in q.vertices}
     for n in t.tree.vertices:  # already ascending

@@ -6,7 +6,7 @@ import time
 
 import pytest
 
-from rtmtools import cli, push_down, structure, validate_tree_over_q
+from rtmtools import cli, oracle, push_down, structure, validate_tree_over_q
 from rtmtools.cli import main
 from rtmtools.network import PullbackNetwork
 from rtmtools.textio import ParseError, format_document, parse_document
@@ -190,23 +190,50 @@ def _star_document(k, orientation, root=1):
     return "QUIVER\nvertex 1\narrow alpha 1 1\nRELATIONS\nrel alpha alpha\n" + f"TREE {orientation}\n" + nodes + arrows
 
 
+def _count_decompose_calls(monkeypatch):
+    """Count the split steps, the `oracle.verify_iso` calls and the `push_down`s, by argument."""
+    calls = {"step": [], "verify_iso": [], "push_down": []}
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name].append(args)
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(structure, "_split_step", counting("step", structure._split_step))
+    monkeypatch.setattr(oracle, "verify_iso", counting("verify_iso", oracle.verify_iso))
+    for name, module in list(sys.modules.items()):
+        if name.startswith("rtmtools"):
+            for key, value in list(vars(module).items()):
+                if value is push_down:
+                    monkeypatch.setattr(module, key, counting("push_down", push_down))
+    return calls
+
+
 @pytest.mark.parametrize("k", [3, 4])
 @pytest.mark.parametrize("orientation", ["SINK", "SOURCE"])
 def test_cmd_decompose_splits_once_per_extra_summand(tmp_path, capsys, monkeypatch, k, orientation):
-    calls = []
-    split = structure.split
-
-    def counting_split(*args, **kwargs):
-        calls.append(args)
-        return split(*args, **kwargs)
-
-    monkeypatch.setattr(structure, "split", counting_split)
+    calls = _count_decompose_calls(monkeypatch)
     path = _write(tmp_path, "star.rtm", _star_document(k, orientation))
     assert main(["decompose", path]) == 0
     out = capsys.readouterr().out
     assert f"{k} indecomposable summands" in out
-    assert len(calls) == k - 1  # summands - 1: every split adds exactly one summand here
+    assert len(calls["step"]) == k - 1  # summands - 1: every split adds exactly one summand here
+    # one check of the composed witness, and only the input tree's module is built
+    assert len(calls["verify_iso"]) == 1
+    assert [args[0].tree.vertices for args in calls["push_down"]] == [tuple(range(1, k + 2))]
     assert out.endswith("witness: OK\n")
+
+
+@pytest.mark.parametrize("orientation", ["SINK", "SOURCE"])
+def test_cmd_decompose_star_400_checks_one_composed_witness(tmp_path, capsys, monkeypatch, orientation):
+    calls = _count_decompose_calls(monkeypatch)
+    path = _write(tmp_path, "star400.rtm", _star_document(400, orientation))
+    assert main(["decompose", path]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "400 indecomposable summands" and lines[-1] == "witness: OK"
+    assert (len(calls["step"]), len(calls["verify_iso"]), len(calls["push_down"])) == (399, 1, 1)
 
 
 @pytest.mark.parametrize("orientation", ["SINK", "SOURCE"])

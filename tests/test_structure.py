@@ -26,6 +26,7 @@ from rtmtools import (
     split,
     verify_iso,
 )
+from rtmtools import oracle, structure
 from rtmtools.structure import first_certificate
 
 
@@ -239,6 +240,91 @@ def test_decompose_fully_does_not_recurse_per_split(loop_tail_quiver):
     finally:
         sys.setrecursionlimit(limit)
     assert sorted(len(p.tree.vertices) for p in pieces) == [1] * (k - 1) + [2]
+
+
+def _chained_splits(t, prime):
+    """Reference pieces: `split` each piece in turn, depth-first, each split checking its own witness."""
+    pieces, todo = [], [t]
+    while todo:
+        piece = todo.pop()
+        endo = find_nonidentity_idempotent(piece)
+        if endo is None:
+            pieces.append(piece)
+        else:
+            todo.extend(reversed(split(piece, endo, prime).summands))
+    return pieces
+
+
+def _shape(t):
+    return (t.tree.vertices, t.tree.arrow_source, t.tree.arrow_target, t.vertex_label, t.arrow_label)
+
+
+def test_decompose_fully_matches_chained_splits_under_one_composed_witness(monkeypatch):
+    witnesses = []
+    verify = oracle.verify_iso
+    monkeypatch.setattr(oracle, "verify_iso", lambda h: witnesses.append(h) or verify(h))
+    decomposable = 0
+    for seed in range(200):
+        for orientation in (SINK, SOURCE):
+            t = random_instance(seed, orientation)
+            for prime in (3, 5):
+                witnesses.clear()
+                pieces = decompose_fully(t, prime)
+                composite = list(witnesses)
+                assert [_shape(x) for x in pieces] == [_shape(x) for x in _chained_splits(t, prime)]
+                if len(pieces) == 1:
+                    assert composite == []
+                    continue
+                decomposable += 1
+                # one witness, from the direct sum of the pieces in t's basis to the module of t
+                [w] = composite
+                assert verify(w)
+                rep, q = push_down(t, prime), t.codomain.quiver
+                summed = {a: np.zeros_like(m) for a, m in rep.matrices.items()}
+                for x in pieces:
+                    for e in x.tree.arrows:
+                        a = x.arrow_label[e]
+                        row = rep.basis_index(q.target(a), x.tree.arrow_target[e])
+                        summed[a][row, rep.basis_index(q.source(a), x.tree.arrow_source[e])] = 1
+                assert w.domain.basis == w.codomain.basis == rep.basis
+                for a, m in rep.matrices.items():
+                    np.testing.assert_array_equal(w.domain.matrices[a], summed[a])
+                    np.testing.assert_array_equal(w.codomain.matrices[a], m)
+    assert decomposable >= 150
+
+
+def _corrupt_entry(prime, cut, columns):
+    """Move the greatest off-identity entry of W by 1.
+
+    Not every such move breaks W: on a source star, the column of a leaf may
+    take any multiple of another leaf.  The test uses trees on which it does.
+    """
+    j, r = max((j, r) for j, column in columns.items() for r in column if r != j)
+    return cut, {**columns, j: {**columns[j], r: (columns[j][r] + 1) % prime}}
+
+
+def _leave_uncut(prime, cut, columns):
+    """Keep the first cut arrow in the direct sum."""
+    return cut[1:], columns
+
+
+@pytest.mark.parametrize("corrupt", [_corrupt_entry, _leave_uncut])
+@pytest.mark.parametrize("prime", [3, 5])
+def test_decompose_fully_raises_on_a_corrupted_composite(monkeypatch, sink_tree, source_tree_factory, loop_tail_quiver, corrupt, prime):
+    verified = structure._verified_witness
+    monkeypatch.setattr(structure, "_verified_witness", lambda t, rep, cut, columns: verified(t, rep, *corrupt(prime, cut, columns)))
+    stars = [
+        TreeOverQ(
+            RootedTree(range(1, 5), [(f"a{n}", *((n, 1) if orientation == SINK else (1, n))) for n in (2, 3, 4)], orientation),
+            loop_tail_quiver,
+            {n: "2" for n in range(1, 5)},
+            {f"a{n}": "alpha" for n in (2, 3, 4)},
+        )
+        for orientation in (SINK, SOURCE)
+    ]
+    for t in [sink_tree, source_tree_factory("alpha", "alpha", "alpha", "alpha"), *stars]:
+        with pytest.raises(AssertionError, match="witness failed verification"):
+            decompose_fully(t, prime)
 
 
 def test_dimension_conservation(sink_tree):
