@@ -4,8 +4,8 @@ Everything here is deliberately oblivious to the combinatorics implemented
 elsewhere: Hom-spaces are computed by solving the intertwining equations,
 idempotents are found by exhaustively scanning the endomorphism space, and
 isomorphisms are verified by rank.  Arithmetic is exact integer arithmetic
-modulo an odd prime below 2**24; inverses come from the extended Euclidean
-algorithm.  No floating point is used anywhere.
+modulo an odd prime below 2**24; inverses are Python's `pow(x, -1, p)`.  No
+floating point is used anywhere.
 
 Every elimination is one sparse Gauss-Jordan, `_gauss_jordan`, on rows
 {column: nonzero residue} of Python ints: the Hom system, the rank of each
@@ -48,20 +48,6 @@ from .trees import (
     push_down,
     validate_tree_over_q,
 )
-
-
-def _inverse_mod(a: int, p: int) -> int:
-    """Multiplicative inverse modulo p by the extended Euclidean algorithm."""
-    a %= p
-    if a == 0:
-        raise ZeroDivisionError("no inverse of 0")
-    old_r, r = a, p
-    old_s, s = 1, 0
-    while r:
-        quotient = old_r // r
-        old_r, r = r, old_r - quotient * r
-        old_s, s = s, old_s - quotient * s
-    return old_s % p
 
 
 def _eliminate(row: dict, pivot: dict, c: int, p: int) -> tuple[list[int], list[int]]:
@@ -109,7 +95,7 @@ def _gauss_jordan(rows: list[dict], p: int) -> list[tuple[int, dict]]:
         i = min(free, key=lambda i: (len(rows[i]), i)) if len(free) > 1 else free[0]
         pivot = rows[i]
         if pivot[c] != 1:
-            inverse = _inverse_mod(pivot[c], p)
+            inverse = pow(pivot[c], -1, p)
             for k, v in pivot.items():
                 pivot[k] = v * inverse % p
         for k in [k for k in hit if k != i]:

@@ -8,6 +8,9 @@ into the other.  The sibling search is a memoized pairwise dynamic program,
 so the whole decision is polynomial; the exhaustive idempotent scan of the
 oracle module provides the independent cross-check.
 
+A split moves only the branch of the first sibling of a certificate, so
+`decompose_fully` checks and splits along the certificate's witness alone.
+
 All of this reads only the tree's parent map, so it is the same for both
 orientations.  The one exception is the induced idempotent
 (`_idempotent_entries`): the module of a source tree is the transpose dual
@@ -166,9 +169,7 @@ def find_nonidentity_idempotent(t: TreeOverQ) -> Optional[IdempotentEndo]:
 
 def is_indecomposable(t: TreeOverQ) -> bool:
     """Theorem-level decision through the sibling-embedding criterion."""
-    if len(t.tree.vertices) == 1:
-        return True
-    return find_nonidentity_idempotent(t) is None
+    return first_certificate(t) is None
 
 
 def module_idempotent(t: TreeOverQ, endo: IdempotentEndo, prime: int = 3) -> ModuleHom:
@@ -182,15 +183,15 @@ def module_idempotent(t: TreeOverQ, endo: IdempotentEndo, prime: int = 3) -> Mod
         IdempotentEndo(t, endo.vertex_map)  # revalidate against this tree
     rep = push_down(t, prime)
     blocks = {q: np.zeros((rep.dim(q), rep.dim(q)), dtype=np.int64) for q in rep.basis}
-    for i, j in _idempotent_entries(t, endo):
+    for i, j in _idempotent_entries(t, endo.vertex_map):
         q = t.vertex_label[j]
         blocks[q][rep.basis_index(q, i), rep.basis_index(q, j)] = 1
     return ModuleHom(rep, rep, blocks)
 
 
-def _idempotent_entries(t: TreeOverQ, endo: IdempotentEndo) -> list[tuple[int, int]]:
-    """(row, column) of each 1 of the induced idempotent: (endo(n), n), transposed for a source tree."""
-    pairs = [(m, n) for n, m in endo.vertex_map.items()]
+def _idempotent_entries(t: TreeOverQ, vertex_map: dict[int, int]) -> list[tuple[int, int]]:
+    """(row, column) of the 1 of the induced idempotent at each n of vertex_map: (image of n, n), transposed for a source tree."""
+    pairs = [(m, n) for n, m in vertex_map.items()]
     return [(n, m) for m, n in pairs] if t.orientation == SOURCE else pairs
 
 
@@ -203,31 +204,44 @@ class Decomposition:
     witness: ModuleHom
 
 
-def _split_step(t: TreeOverQ, endo: IdempotentEndo) -> tuple[list[TreeOverQ], list[str], dict[int, dict[int, int]]]:
-    """The summands of the split along endo, the tree arrows it cuts, and its witness W minus 1.
+def _split_step(t: TreeOverQ, moved: dict[int, int]) -> tuple[list[TreeOverQ], list[str], dict[int, dict[int, int]]]:
+    """The summands of the split along an idempotent, the tree arrows it cuts, and its witness W minus 1.
 
-    The fixed subtree (equal to the image subtree) carries the first
-    summand.  It is closed under parents, so the rest of the tree is the
-    branches at its tops, the non-fixed vertices with a fixed parent; each
-    carries one more summand, in order of least vertex.  Their direct sum
-    is the module of t with the arrow above each top cut, in t's basis.  W
-    sends v_n to P v_n for a fixed vertex n and to (1 - P) v_n for any
-    other, P the induced idempotent, so W - 1 is the off-diagonal part of P
-    negated on the non-fixed columns: sparse columns {vertex: {row vertex: +-1}}.
+    `moved` holds the image of each vertex the idempotent moves; it fixes
+    every other vertex.  The fixed subtree (equal to the image subtree)
+    carries the first summand.  It is closed under parents, so the moved
+    vertices are the branches at their tops, the moved vertices with a fixed
+    parent; each carries one more summand, in order of least vertex.  Their
+    direct sum is the module of t with the arrow above each top cut, in t's
+    basis.  W sends v_n to P v_n for a fixed vertex n and to (1 - P) v_n for
+    any other, P the induced idempotent, so W - 1 is the off-diagonal part of
+    P negated on the moved columns: sparse columns {vertex: {row vertex: +-1}}.
     """
-    if endo.is_identity():
+    if not moved:
         raise ValueError("cannot split along the identity")
-    fixed = endo.fixed_vertices()
-    assert fixed == endo.image_vertices()
     tree = t.tree
-    fixed_set = set(fixed)
-    tops = [n for n in tree.vertices if n not in fixed_set and tree.parent[n] in fixed_set]
+    tops = [n for n in moved if tree.parent[n] not in moved]
+    fixed = tuple(n for n in tree.vertices if n not in moved)
     summands = [restrict(t, part) for part in [fixed] + sorted(tree.branch_vertices(n) for n in tops)]
     moves: dict = {}
-    for i, j in _idempotent_entries(t, endo):
-        if i != j:
-            moves.setdefault(j, {})[i] = 1 if j in fixed_set else -1
+    for i, j in _idempotent_entries(t, moved):
+        moves.setdefault(j, {})[i] = -1 if j in moved else 1
     return summands, [tree.child_arrow[n] for n in tops], moves
+
+
+def _checked_moves(t: TreeOverQ, witness: BranchMorphism) -> dict[int, int]:
+    """The vertex map of a sibling certificate's witness, checked on the branch it moves.
+
+    With the identity elsewhere, it is an idempotent endomorphism of t
+    exactly when it is a label-compatible morphism from the branch of n1 and
+    n2 = witness(n1) is another sibling of n1 under the same arrow label.
+    Raises AssertionError otherwise.
+    """
+    tree, n1, n2 = t.tree, witness.domain_root, witness.codomain_root
+    siblings = n1 != n2 and tree.parent.get(n1) == tree.parent.get(n2)
+    if not (witness.check(t, t) and siblings and t.child_label(n1) == t.child_label(n2)):
+        raise AssertionError("sibling certificate failed its check")
+    return witness.vertex_map
 
 
 def _verified_witness(t: TreeOverQ, rep: ModuleRep, cut: list[str], columns: dict[int, dict[int, int]]) -> ModuleHom:
@@ -259,7 +273,7 @@ def split(t: TreeOverQ, endo: IdempotentEndo, prime: int = 3) -> Decomposition:
 
     The witness realizes the isomorphism explicitly, and is verified before returning.
     """
-    summands, cut, moves = _split_step(t, endo)
+    summands, cut, moves = _split_step(t, {n: m for n, m in endo.vertex_map.items() if m != n})
     witness = _verified_witness(t, push_down(t, prime), cut, {j: {j: 1, **col} for j, col in moves.items()})
     return Decomposition(summands, witness)
 
@@ -267,22 +281,24 @@ def split(t: TreeOverQ, endo: IdempotentEndo, prime: int = 3) -> Decomposition:
 def decompose_fully(t: TreeOverQ, prime: int = 3) -> list[TreeOverQ]:
     """Split until every piece is indecomposable; pieces in depth-first order.
 
-    Every piece is a restriction of t in t's basis, so the whole iteration
-    is t's module with the arrows cut by every split.  The split witnesses
-    multiply into one W from the direct sum of the pieces to the module of
-    t, which `oracle.verify_iso` checks once.  `push_down` validates t once.
-    An explicit stack, not recursion, so a piece may split any number of times.
+    Each piece splits along its first sibling certificate, checked on the
+    branch it moves (`_checked_moves`).  Every piece is a restriction of t
+    in t's basis, so the whole iteration is t's module with the arrows cut
+    by every split.  The split witnesses multiply into one W from the direct
+    sum of the pieces to the module of t, which `oracle.verify_iso` checks
+    once.  `push_down` validates t once.  An explicit stack, not recursion,
+    so a piece may split any number of times.
     """
     rep = push_down(t, prime)
     pieces, cut, columns = [], [], {}  # columns: those of W that are not v_n
     todo = [t]
     while todo:
         piece = todo.pop()
-        endo = find_nonidentity_idempotent(piece)
-        if endo is None:
+        cert = first_certificate(piece)
+        if cert is None:
             pieces.append(piece)
             continue
-        summands, arrows, moves = _split_step(piece, endo)
+        summands, arrows, moves = _split_step(piece, _checked_moves(piece, cert[-1]))
         cut += arrows
         # W <- W (1 + moves), column j gaining moves[j][i] W v_i.  No column read is
         # written: a sink split reads fixed columns and writes others, a source split the reverse.

@@ -240,18 +240,14 @@ def require_valid(t: TreeOverQ) -> None:
 
 def restrict(t: TreeOverQ, vertices: tuple[int, ...]) -> TreeOverQ:
     """The labelled subtree on `vertices`, which must span a rooted subtree."""
-    vset = set(vertices)
-    arrows = [
-        (a, t.tree.arrow_source[a], t.tree.arrow_target[a])
-        for a in t.tree.arrows
-        if t.tree.arrow_source[a] in vset and t.tree.arrow_target[a] in vset
-    ]
-    sub = RootedTree(vertices, arrows, t.tree.orientation)
+    tree, vset = t.tree, set(vertices)
+    arrows = [tree.child_arrow[v] for v in vertices if tree.parent.get(v) in vset]
+    sub = RootedTree(vertices, [(a, tree.arrow_source[a], tree.arrow_target[a]) for a in arrows], tree.orientation)
     return TreeOverQ(
         sub,
         t.codomain,
         {v: t.vertex_label[v] for v in vertices},
-        {name: t.arrow_label[name] for name, _, _ in arrows},
+        {a: t.arrow_label[a] for a in arrows},
     )
 
 

@@ -191,8 +191,8 @@ def _star_document(k, orientation, root=1):
 
 
 def _count_decompose_calls(monkeypatch):
-    """Count the split steps, the `oracle.verify_iso` calls and the `push_down`s, by argument."""
-    calls = {"step": [], "verify_iso": [], "push_down": []}
+    """Count the split steps, the `oracle.verify_iso` calls, the `push_down`s and the `IdempotentEndo`s built, by argument."""
+    calls = {"step": [], "verify_iso": [], "push_down": [], "endo": []}
 
     def counting(name, fn):
         def wrapper(*args, **kwargs):
@@ -203,6 +203,7 @@ def _count_decompose_calls(monkeypatch):
 
     monkeypatch.setattr(structure, "_split_step", counting("step", structure._split_step))
     monkeypatch.setattr(oracle, "verify_iso", counting("verify_iso", oracle.verify_iso))
+    monkeypatch.setattr(structure.IdempotentEndo, "__init__", counting("endo", structure.IdempotentEndo.__init__))
     for name, module in list(sys.modules.items()):
         if name.startswith("rtmtools"):
             for key, value in list(vars(module).items()):
@@ -223,6 +224,7 @@ def test_cmd_decompose_splits_once_per_extra_summand(tmp_path, capsys, monkeypat
     # one check of the composed witness, and only the input tree's module is built
     assert len(calls["verify_iso"]) == 1
     assert [args[0].tree.vertices for args in calls["push_down"]] == [tuple(range(1, k + 2))]
+    assert calls["endo"] == []  # each split goes along its sibling certificate, not a whole-piece idempotent
     assert out.endswith("witness: OK\n")
 
 
@@ -233,7 +235,7 @@ def test_cmd_decompose_star_400_checks_one_composed_witness(tmp_path, capsys, mo
     assert main(["decompose", path]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert lines[0] == "400 indecomposable summands" and lines[-1] == "witness: OK"
-    assert (len(calls["step"]), len(calls["verify_iso"]), len(calls["push_down"])) == (399, 1, 1)
+    assert (len(calls["step"]), len(calls["verify_iso"]), len(calls["push_down"]), len(calls["endo"])) == (399, 1, 1, 0)
 
 
 @pytest.mark.parametrize("orientation", ["SINK", "SOURCE"])

@@ -28,20 +28,12 @@ from rtmtools import (
     verify_iso,
 )
 from rtmtools.cli import main
-from rtmtools.oracle import _inverse_mod, _sample_attempt
+from rtmtools.oracle import _sample_attempt
 from rtmtools.textio import parse_document
 from rtmtools.trees import hom_layout
 
 # The largest prime below the 2**24 bound pins the int64 no-overflow claim.
 PRIMES = (3, 5, 16777213)
-
-
-def test_inverse_mod():
-    for p in (3, 5, 7, 101):
-        for a in range(1, p):
-            assert (a * _inverse_mod(a, p)) % p == 1
-    with pytest.raises(ZeroDivisionError):
-        _inverse_mod(0, 5)
 
 
 def test_rref_examples():

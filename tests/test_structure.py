@@ -1,6 +1,7 @@
 """Indecomposability decisions, induced idempotents, and splitting."""
 
 import inspect
+import random
 import sys
 
 import numpy as np
@@ -9,6 +10,7 @@ import pytest
 from rtmtools import (
     SINK,
     SOURCE,
+    BranchMorphism,
     IdempotentEndo,
     RootedTree,
     TreeOverQ,
@@ -181,6 +183,31 @@ def test_split_is_the_direct_sum_of_the_summands_in_the_basis_of_the_tree(random
         assert not any(mat[~covered[a]].any() for a, mat in summed.matrices.items())
 
 
+def _two_loop_tree(two_loop_quiver, orientation, edges):
+    """A tree over the two-loop quiver from (child, parent, arrow label) edges; every vertex is labelled 1."""
+    vertices = sorted({1} | {c for c, _, _ in edges})
+    arrows = [(f"a{c}", *((c, p) if orientation == SINK else (p, c))) for c, p, _ in edges]
+    return TreeOverQ(RootedTree(vertices, arrows, orientation), two_loop_quiver, {n: "1" for n in vertices}, {f"a{c}": a for c, _, a in edges})
+
+
+@pytest.mark.parametrize("orientation", [SINK, SOURCE])
+def test_split_along_several_tops(two_loop_quiver, orientation):
+    star = _two_loop_tree(two_loop_quiver, orientation, [(n, 1, "alpha") for n in (2, 3, 4)])
+    # tops 5 < 6, but the branch at 6 holds 2, so it comes first
+    comb = _two_loop_tree(two_loop_quiver, orientation, [(5, 1, "alpha"), (6, 1, "alpha"), (7, 1, "alpha"), (2, 6, "beta"), (3, 7, "beta")])
+    cases = [
+        (star, {1: 1, 2: 4, 3: 4, 4: 4}, [(1, 4), (2,), (3,)]),
+        (comb, {1: 1, 2: 3, 3: 3, 5: 7, 6: 7, 7: 7}, [(1, 3, 7), (2, 6), (5,)]),
+    ]
+    for t, vertex_map, parts in cases:
+        dec = split(t, IdempotentEndo(t, vertex_map), 3)
+        assert [s.tree.vertices for s in dec.summands] == parts
+        for s in dec.summands[1:]:
+            want = branch(t, s.tree.root)
+            assert _shape(s) == _shape(want)
+        assert verify_iso(dec.witness)
+
+
 def test_split_rejects_identity(sink_tree):
     identity = IdempotentEndo(sink_tree, {n: n for n in sink_tree.tree.vertices})
     with pytest.raises(ValueError):
@@ -325,6 +352,88 @@ def test_decompose_fully_raises_on_a_corrupted_composite(monkeypatch, sink_tree,
     for t in [sink_tree, source_tree_factory("alpha", "alpha", "alpha", "alpha"), *stars]:
         with pytest.raises(AssertionError, match="witness failed verification"):
             decompose_fully(t, prime)
+
+
+def _corrupted_witnesses(t, witness, rng):
+    """Copies of a certificate's witness with one image sent to a random vertex, or one non-root vertex dropped."""
+    n1, vmap = witness.domain_root, witness.vertex_map
+    copies = []
+    for _ in range(5):
+        m = {**vmap, rng.choice(sorted(vmap)): rng.choice(t.tree.vertices)}
+        copies.append(BranchMorphism(n1, m[n1], m))
+    if len(vmap) > 1:
+        dropped = rng.choice(sorted(set(vmap) - {n1}))
+        copies.append(BranchMorphism(n1, vmap[n1], {n: m for n, m in vmap.items() if n != dropped}))
+    return copies
+
+
+def _induces_a_moving_idempotent(t, witness):
+    """The whole-piece check: the witness with the identity elsewhere is an IdempotentEndo that moves n1."""
+    vertex_map = {n: n for n in t.tree.vertices}
+    vertex_map.update(witness.vertex_map)
+    try:
+        IdempotentEndo(t, vertex_map)
+    except ValueError:
+        return False
+    return vertex_map[witness.domain_root] != witness.domain_root
+
+
+@pytest.mark.parametrize("shape", [{}, {"max_vertices": 16, "max_depth": 5, "end_dim_cap": None}], ids=["default", "deeper"])
+@pytest.mark.parametrize("orientation", [SINK, SOURCE])
+def test_certificate_check_agrees_with_the_whole_piece_idempotent(orientation, shape):
+    checked = rejected = 0
+    for seed in range(200):
+        rng = random.Random(seed)
+        todo = [random_instance(seed, orientation, **shape)]
+        while todo:  # every piece of the decomposition
+            t = todo.pop()
+            cert = first_certificate(t)
+            if cert is None:
+                continue
+            for witness in [cert[-1]] + _corrupted_witnesses(t, cert[-1], rng):
+                try:
+                    moved = structure._checked_moves(t, witness)
+                except AssertionError:
+                    moved = None
+                    rejected += 1
+                assert (moved is not None) == _induces_a_moving_idempotent(t, witness), (seed, witness)
+                checked += 1
+            todo += structure._split_step(t, cert[-1].vertex_map)[0]
+    assert checked >= 150 and 0.2 * checked <= rejected <= 0.8 * checked
+
+
+def _root_to_itself(t, witness):
+    n1 = witness.domain_root
+    return BranchMorphism(n1, n1, {**witness.vertex_map, n1: n1})
+
+
+def _root_to_parent(t, witness):
+    n1 = witness.domain_root
+    up = t.tree.parent[n1]
+    return BranchMorphism(n1, up, {**witness.vertex_map, n1: up})
+
+
+def _drop_a_leaf(t, witness):
+    leaf = max(witness.vertex_map)
+    return BranchMorphism(witness.domain_root, witness.codomain_root, {n: m for n, m in witness.vertex_map.items() if n != leaf})
+
+
+@pytest.mark.parametrize("corrupt", [_root_to_itself, _root_to_parent, _drop_a_leaf])
+def test_decompose_fully_raises_on_a_corrupted_certificate(monkeypatch, sink_tree, source_tree_factory, corrupt):
+    certificate = structure.first_certificate
+
+    def corrupted(t):
+        cert = certificate(t)
+        return None if cert is None else (*cert[:3], corrupt(t, cert[3]))
+
+    monkeypatch.setattr(structure, "first_certificate", corrupted)
+    monkeypatch.setattr(oracle, "verify_iso", lambda h: pytest.fail("the composite was checked after a corrupted certificate"))
+    trees = [source_tree_factory("alpha", "alpha", "alpha", "alpha")]  # the certificate moves 2 and 4
+    if corrupt is not _drop_a_leaf:
+        trees.append(sink_tree)  # the certificate moves the leaf 4 alone
+    for t in trees:
+        with pytest.raises(AssertionError, match="sibling certificate failed its check"):
+            decompose_fully(t, 3)
 
 
 def test_dimension_conservation(sink_tree):
