@@ -53,10 +53,10 @@ class Quiver:
             self.arrow_target[name] = tgt
         self.arrows = tuple(self.arrow_source)
         self.vertex_set = frozenset(self.vertices)
-        self._arrows_from: dict[str, tuple[str, ...]] = {v: () for v in self.vertices}
+        arrows_from: dict[str, list[str]] = {v: [] for v in self.vertices}
         for name in sorted(self.arrows):
-            src = self.arrow_source[name]
-            self._arrows_from[src] = self._arrows_from[src] + (name,)
+            arrows_from[self.arrow_source[name]].append(name)
+        self._arrows_from = {v: tuple(names) for v, names in arrows_from.items()}
 
     def source(self, arrow: str) -> str:
         return self.arrow_source[arrow]

@@ -1,6 +1,6 @@
 """Plain-text document format for one labelled tree over one bound quiver.
 
-Three sections, each introduced by a header line::
+Three sections, each introduced by a header line that appears at most once::
 
     QUIVER
     vertex NAME
@@ -56,25 +56,31 @@ def parse_document(text: str) -> InputDocument:
     t_nodes: list[tuple[int, str]] = []
     t_arrows: list[tuple[str, int, int, str]] = []
     quiver_tokens: list[str] = []
+    headers_seen: set[str] = set()
 
     for lineno, tokens in _tokenize(text):
         head = tokens[0]
+        if head in headers_seen:
+            raise ParseError(lineno, f"repeated {head} header")
         if head == "QUIVER":
             if len(tokens) != 1:
                 raise ParseError(lineno, "QUIVER header takes no arguments")
             section = "quiver"
+            headers_seen.add(head)
             quiver_tokens += tokens
             continue
         if head == "RELATIONS":
             if len(tokens) != 1:
                 raise ParseError(lineno, "RELATIONS header takes no arguments")
             section = "relations"
+            headers_seen.add(head)
             quiver_tokens += tokens
             continue
         if head == "TREE":
             if len(tokens) != 2 or tokens[1] not in ("SINK", "SOURCE"):
                 raise ParseError(lineno, "expected TREE SINK or TREE SOURCE")
             section = "tree"
+            headers_seen.add(head)
             orientation = tokens[1].lower()
             continue
         if section == "quiver":

@@ -51,8 +51,14 @@ class RootedTree:
             raise StructureError("tree vertices must be integer labels")
         vertex_set = set(self.vertices)
 
+        # This is the one place where the orientation picks an end of an
+        # arrow: the child end of a sink arrow is its source, of a source
+        # arrow its target.  Each vertex is the child end of at most one arrow.
+        sink = orientation == SINK
         self.arrow_source: dict[str, int] = {}
         self.arrow_target: dict[str, int] = {}
+        self.child_arrow: dict[int, str] = {}
+        self.parent: dict[int, int] = {}
         for name, src, tgt in arrows:
             if name in self.arrow_source:
                 raise StructureError(f"duplicate tree arrow {name!r}")
@@ -62,60 +68,36 @@ class RootedTree:
                 raise StructureError(f"tree arrow {name!r} is a loop")
             self.arrow_source[name] = src
             self.arrow_target[name] = tgt
+            child, par = (src, tgt) if sink else (tgt, src)
+            if child in self.parent:
+                raise StructureError("some non-root vertex has more than one child arrow")
+            self.child_arrow[child] = name
+            self.parent[child] = par
         self.arrows = tuple(self.arrow_source)
         if len(self.arrows) != len(self.vertices) - 1:
             raise StructureError("a tree on n vertices needs exactly n-1 arrows")
-
-        adjacency: dict[int, set[int]] = {v: set() for v in self.vertices}
-        for a in self.arrows:
-            adjacency[self.arrow_source[a]].add(self.arrow_target[a])
-            adjacency[self.arrow_target[a]].add(self.arrow_source[a])
-        seen = {self.vertices[0]}
-        stack = [self.vertices[0]]
-        while stack:
-            v = stack.pop()
-            for w in adjacency[v]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        if seen != vertex_set:
-            raise StructureError("underlying graph is not connected")
-
-        # With n-1 arrows and a connected underlying graph this is a tree, so
-        # a unique sink (resp. source) forces every other vertex to be the
-        # source (resp. target) of exactly one arrow: its child arrow.  This is
-        # the one place where the orientation picks an end of an arrow.
-        child_end, parent_end = (
-            (self.arrow_source, self.arrow_target)
-            if orientation == SINK
-            else (self.arrow_target, self.arrow_source)
-        )
-        counts: dict[int, int] = {v: 0 for v in self.vertices}
-        for a in self.arrows:
-            counts[child_end[a]] += 1
-        roots = [v for v, c in counts.items() if c == 0]
+        roots = [v for v in self.vertices if v not in self.parent]
         if len(roots) != 1:
             raise StructureError(f"tree has {len(roots)} candidate {orientation} roots, needs exactly 1")
         self.root = roots[0]
-        if any(counts[v] != 1 for v in self.vertices if v != self.root):
-            raise StructureError("some non-root vertex has more than one child arrow")
 
-        self.child_arrow: dict[int, str] = {child_end[a]: a for a in self.arrows}
-        self.parent: dict[int, int] = {child_end[a]: parent_end[a] for a in self.arrows}
+        children: dict[int, list[int]] = {v: [] for v in self.vertices}
+        for v in self.vertices:  # ascending, so each child list is sorted
+            if v in self.parent:
+                children[self.parent[v]].append(v)
+        self._children: dict[int, tuple[int, ...]] = {v: tuple(cs) for v, cs in children.items()}
 
-        self._children: dict[int, tuple[int, ...]] = {v: () for v in self.vertices}
-        for child in sorted(self.parent):
-            par = self.parent[child]
-            self._children[par] = self._children[par] + (child,)
-
+        # Every non-root vertex has one parent, so the walk down from the root
+        # reaches exactly the vertices whose parent chain ends at the root; a
+        # vertex it misses lies on a cycle or below one.
         self.height: dict[int, int] = {self.root: 0}
         queue = [self.root]
         for v in queue:  # the queue grows while it is read
-            for c in self._children[v]:
+            for c in children[v]:
                 self.height[c] = self.height[v] + 1
                 queue.append(c)
         if len(self.height) != len(self.vertices):
-            raise StructureError("parent structure does not reach the root everywhere")
+            raise StructureError("underlying graph is not connected")
         self.tree_height = max(self.height.values())
 
     def children(self, vertex: int) -> tuple[int, ...]:
@@ -359,10 +341,9 @@ def push_down(t: TreeOverQ, prime: int = 3) -> ModuleRep:
         raise ValueError(f"need an odd prime, got {prime}")
     require_valid(t)
     q = t.codomain.quiver
-    basis: dict[str, tuple[int, ...]] = {qv: () for qv in q.vertices}
+    basis: dict[str, list[int]] = {qv: [] for qv in q.vertices}
     for n in t.tree.vertices:  # already ascending
-        qv = t.vertex_label[n]
-        basis[qv] = basis[qv] + (n,)
+        basis[t.vertex_label[n]].append(n)
     index = {qv: {n: i for i, n in enumerate(vs)} for qv, vs in basis.items()}
     matrices = {
         a: np.zeros((len(basis[q.target(a)]), len(basis[q.source(a)])), dtype=np.int64)

@@ -33,6 +33,25 @@ def test_short_relation_is_a_parse_error():
         parse_document(bad)
 
 
+@pytest.mark.parametrize(
+    "text, line",
+    [
+        ("QUIVER\nvertex 1\nTREE SINK\nnode 1 1\nQUIVER\nvertex 2\n", 5),
+        ("QUIVER\nvertex 1\nRELATIONS\nRELATIONS\nTREE SINK\nnode 1 1\n", 4),
+        ("QUIVER\nvertex 1\nTREE SINK\nnode 1 1\nTREE SOURCE\nnode 2 1\n", 5),
+    ],
+    ids=["QUIVER", "RELATIONS", "TREE"],
+)
+def test_repeated_section_header_is_a_parse_error(tmp_path, capsys, text, line):
+    header = text.splitlines()[line - 1].split()[0]
+    with pytest.raises(ParseError, match=f"^line {line}: repeated {header} header$"):
+        parse_document(text)
+    assert main(["validate", _write(tmp_path, "twice.rtm", text)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"parse error: line {line}: repeated {header} header\n"
+
+
 def test_unknown_name_is_a_parse_error():
     bad = "QUIVER\nvertex 1\nRELATIONS\nTREE SINK\nnode 1 2\n"
     with pytest.raises(ParseError):
@@ -393,6 +412,16 @@ def test_cmd_indec_on_a_large_star_reads_only_the_dimension(tmp_path, capsys, or
     captured = capsys.readouterr()
     assert "3**14401 candidates > cap 10000000" in captured.out
     assert captured.err == ""
+
+
+@pytest.mark.parametrize("orientation", ["SINK", "SOURCE"])
+def test_cmd_validate_on_a_wide_star(tmp_path, capsys, orientation):
+    # star 100,000 took about 20 s while each child tuple grew by concatenation
+    path = _write(tmp_path, "star.rtm", _star_document(100_000, orientation))
+    start = time.perf_counter()
+    assert main(["validate", path]) == 0
+    assert time.perf_counter() - start < 10.0
+    assert capsys.readouterr().out == "locally-bound check: ok\ntree validation: ok\n"
 
 
 @pytest.mark.parametrize("argv", [["hom"], ["indec", "--cap", "10"]], ids=" ".join)

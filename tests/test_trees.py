@@ -15,6 +15,7 @@ from rtmtools import (
     random_instance,
     validate_tree_over_q,
 )
+from rtmtools.cli import main
 
 
 def test_sink_tree_structure(sink_tree):
@@ -26,14 +27,56 @@ def test_sink_tree_structure(sink_tree):
     assert validate_tree_over_q(sink_tree).ok
 
 
-def test_two_roots_rejected():
-    with pytest.raises(StructureError):
-        RootedTree([1, 2, 3], [("a", 1, 2), ("b", 3, 2)], SOURCE)
+# (vertices, arrows written for a sink tree, message); a source tree
+# reverses every arrow, which keeps each case's shape and its message.
+STRUCTURE_ERRORS = {
+    "duplicate vertex": ([1, 1, 2], [("a", 2, 1)], "duplicate tree vertex labels"),
+    "empty tree": ([], [], "empty tree"),
+    "non-integer vertex": ([1, 2.5], [("a", 2.5, 1)], "tree vertices must be integer labels"),
+    "duplicate arrow": ([1, 2, 3], [("a", 2, 1), ("a", 3, 1)], "duplicate tree arrow 'a'"),
+    "undeclared endpoint": ([1, 2], [("a", 2, 9)], "tree arrow 'a' has undeclared endpoint"),
+    "loop": ([1, 2], [("a", 2, 2)], "tree arrow 'a' is a loop"),
+    "second child arrow": (
+        [1, 2, 3, 4],
+        [("a", 2, 1), ("b", 3, 1), ("c", 3, 1)],
+        "some non-root vertex has more than one child arrow",
+    ),
+    "too few arrows": ([1, 2, 3], [("a", 2, 1)], "a tree on n vertices needs exactly n-1 arrows"),
+    "too many arrows": (
+        [1, 2, 3],
+        [("a", 2, 1), ("b", 3, 2), ("c", 1, 3)],
+        "a tree on n vertices needs exactly n-1 arrows",
+    ),
+    "two roots": ([1, 2, 3], [("a", 2, 1), ("b", 2, 3)], "some non-root vertex has more than one child arrow"),
+    "cycle beside an isolated vertex": (
+        [1, 2, 3, 4],
+        [("a", 2, 1), ("b", 3, 2), ("c", 1, 3)],
+        "underlying graph is not connected",
+    ),
+}
 
 
-def test_disconnected_rejected():
-    with pytest.raises(StructureError):
-        RootedTree([1, 2, 3, 4], [("a", 2, 1), ("b", 3, 1), ("c", 3, 1)], SINK)
+@pytest.mark.parametrize("orientation", [SINK, SOURCE])
+@pytest.mark.parametrize("case", sorted(STRUCTURE_ERRORS))
+def test_structure_errors(tmp_path, capsys, case, orientation):
+    vertices, arrows, message = STRUCTURE_ERRORS[case]
+    if orientation == SOURCE:
+        arrows = [(name, tgt, src) for name, src, tgt in arrows]
+    with pytest.raises(StructureError) as err:
+        RootedTree(vertices, arrows, orientation)
+    assert str(err.value) == message
+    if case in ("empty tree", "non-integer vertex"):
+        return  # the parser refuses these before a tree is built
+    path = tmp_path / "bad.rtm"
+    path.write_text(
+        f"QUIVER\nvertex q\narrow alpha q q\nTREE {orientation.upper()}\n"
+        + "".join(f"node {v} q\n" for v in vertices)
+        + "".join(f"arrow {name} {src} {tgt} alpha\n" for name, src, tgt in arrows)
+    )
+    assert main(["validate", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"parse error: line 0: {message}\n"
 
 
 def test_bound_condition_failure_reports_offending_path(sink_tree):
