@@ -149,6 +149,20 @@ def first_relation(bq: BoundQuiver, word: tuple[str, ...]) -> Optional[tuple[int
     return None
 
 
+def relation_matcher(word: tuple[str, ...]) -> list[dict[str, int]]:
+    """The string-matching automaton of `word` (Knuth-Morris-Pratt).
+
+    State i means that the last i letters read are the first i of `word`; a
+    letter x leads from state i to `step[i].get(x, 0)`, and state len(word)
+    means that an occurrence of `word` ends at x.
+    """
+    step, back = [{word[0]: 1}], 0
+    for i in range(1, len(word)):
+        step.append({**step[back], word[i]: i + 1})
+        back = step[back].get(word[i], 0)
+    return step
+
+
 def _word_completes_relation(bq: BoundQuiver, word: tuple[str, ...]) -> bool:
     return any(word[len(word) - len(r) :] == r for r in bq.relations if len(r) <= len(word))
 

@@ -158,7 +158,7 @@ def cmd_decompose(args) -> int:
     for i, piece in enumerate(pieces, start=1):
         print(f"SUMMAND {i} (dim {len(piece.tree.vertices)})")
         print(format_tree_section(piece))
-    # decompose_fully checked one composed witness isomorphism from the direct sum of `pieces`, or raised
+    # decompose_fully checked one composed witness isomorphism between the direct sum of `pieces` and the module, or raised
     print("witness: OK")
     return OK
 

@@ -9,7 +9,8 @@ floating point is used anywhere.
 
 Every elimination is one sparse Gauss-Jordan, `_gauss_jordan`, on rows
 {column: nonzero residue} of Python ints: the Hom system, the rank of each
-block of a claimed isomorphism, and, through the dense wrappers `rref` and
+block of a claimed isomorphism (forward elimination only, since a rank
+needs no reduced form), and, through the dense wrappers `rref` and
 `nullspace`, the scan's coordinates.  `ggm.hom_span` reduces its rows with
 the same step, `_eliminate`.  Columns go in ascending order and the pivot is
 the sparsest eligible row (Markowitz's rule), so the intertwining systems of
@@ -72,14 +73,17 @@ def _eliminate(row: dict, pivot: dict, c: int, p: int) -> tuple[list[int], list[
     return filled, cancelled
 
 
-def _gauss_jordan(rows: list[dict], p: int) -> list[tuple[int, dict]]:
+def _gauss_jordan(rows: list[dict], p: int, reduced: bool = True) -> list[tuple[int, dict]]:
     """Reduced row-echelon form of sparse rows over GF(p): (pivot column, row) pairs, ascending.
 
     Columns are taken in ascending order.  The pivot is the row not yet
     used with the fewest nonzeros in that column (Markowitz's rule), and
     the column is cleared from every other row; an index column -> rows
     sends each step only to the rows with a nonzero there.  The RREF does
-    not depend on which pivot row is chosen.  `rows` is reduced in place.
+    not depend on which pivot row is chosen.  With `reduced` False the
+    column is cleared only from the rows not yet used, with no
+    back-substitution: the pivot rows are an echelon form, which gives the
+    rank and nothing more.  `rows` is reduced in place.
     """
     where: dict = {}  # column -> indices of the rows with a nonzero there
     for i, row in enumerate(rows):
@@ -98,7 +102,7 @@ def _gauss_jordan(rows: list[dict], p: int) -> list[tuple[int, dict]]:
             inverse = pow(pivot[c], -1, p)
             for k, v in pivot.items():
                 pivot[k] = v * inverse % p
-        for k in [k for k in hit if k != i]:
+        for k in [k for k in (hit if reduced else free) if k != i]:
             filled, cancelled = _eliminate(rows[k], pivot, c, p)
             for col in filled:
                 where[col].add(k)
@@ -109,15 +113,20 @@ def _gauss_jordan(rows: list[dict], p: int) -> list[tuple[int, dict]]:
     return pivots
 
 
+def _sparse_rows(nonzeros: list[tuple[int, int, int]], count: int) -> list[dict]:
+    """`count` sparse rows holding the (row, column, value) entries `nonzeros`."""
+    rows: list[dict] = [{} for _ in range(count)]
+    for i, j, x in nonzeros:
+        rows[i][j] = x
+    return rows
+
+
 def _dense_rows(mat: np.ndarray, p: int) -> list[dict]:
     """The rows of a 2-d matrix as sparse rows, from its `entries` (one `np.flatnonzero`)."""
     m = np.asarray(mat, dtype=np.int64) % p
     if m.ndim != 2:
         raise ValueError("need a 2-d matrix")
-    rows: list[dict] = [{} for _ in range(len(m))]
-    for i, j, x in entries(m):
-        rows[i][j] = x
-    return rows
+    return _sparse_rows(entries(m), len(m))
 
 
 def _null_rows(pivots: list[tuple[int, dict]], cols: int, p: int) -> np.ndarray:
@@ -385,15 +394,18 @@ def has_nontrivial_idempotent(end_basis: HomBasis, cap: int = 10**7) -> Idempote
 def verify_iso(h: ModuleHom) -> bool:
     """True iff every per-vertex block is square and invertible and h intertwines.
 
-    A block is invertible iff the sparse elimination of its nonzeros has
-    full rank; `ModuleHom.intertwines` also works from nonzeros.
+    A block is invertible iff the forward elimination of its nonzeros has
+    full rank: a rank needs no back-substitution.  `ModuleHom.intertwines`
+    works from the same nonzeros, read once per block.
     """
-    for blk in h.blocks.values():
+    nonzeros = {}
+    for qv, blk in h.blocks.items():
         if blk.shape[0] != blk.shape[1]:
             return False
-        if len(_gauss_jordan(_dense_rows(blk, h.prime), h.prime)) != blk.shape[0]:
+        nonzeros[qv] = entries(blk)
+        if len(_gauss_jordan(_sparse_rows(nonzeros[qv], len(blk)), h.prime, reduced=False)) != len(blk):
             return False
-    return h.intertwines()
+    return h.intertwines(nonzeros)
 
 
 def end_dimensions(t: TreeOverQ, primes: tuple[int, ...] = (3, 5)) -> dict[int, int]:

@@ -9,14 +9,14 @@ so the whole decision is polynomial; the exhaustive idempotent scan of the
 oracle module provides the independent cross-check.
 
 A split moves only the branch of the first sibling of a certificate, so
-`decompose_fully` checks and splits along the certificate's witness alone.
+`decompose_fully` splits the pieces of one view of the input tree along
+certificates alone.
 
 All of this reads only the tree's parent map, so it is the same for both
-orientations.  The one exception is the induced idempotent
-(`_idempotent_entries`): the module of a source tree is the transpose dual
-of the module of the opposite sink tree, so the induced idempotent of a
-source tree is the transpose of the sink formula.  Every split witness is
-built from that idempotent.
+orientations, except in two places.  The module of a source tree is the
+transpose dual of the module of the opposite sink tree, so the induced
+idempotent of a source tree (`module_idempotent`) is the transpose of the
+sink formula, and so is its split witness (`_verified_witness`).
 """
 
 from __future__ import annotations
@@ -32,9 +32,9 @@ from .trees import (
     ModuleHom,
     ModuleRep,
     TreeOverQ,
-    branch,
     push_down,
     restrict,
+    top_down,
 )
 from . import oracle
 
@@ -56,9 +56,6 @@ class IdempotentEndo:
             if self.vertex_map[img] != img:
                 raise ValueError(f"not idempotent at {n}")
 
-    def is_identity(self) -> bool:
-        return all(v == n for n, v in self.vertex_map.items())
-
     def fixed_vertices(self) -> tuple[int, ...]:
         return tuple(sorted(n for n, v in self.vertex_map.items() if v == n))
 
@@ -74,77 +71,75 @@ class IdempotentEndo:
         }
 
 
-def embeds(t: TreeOverQ, x: int, y: int, _memo: Optional[dict] = None) -> Optional[BranchMorphism]:
+def embeds(
+    t: TreeOverQ, x: int, y: int, _memo: Optional[dict] = None, _children: Optional[dict] = None
+) -> Optional[BranchMorphism]:
     """Label-compatible morphism from the branch of x into the branch of y.
 
     One exists iff x and y carry the same vertex label and every child of x
     has some child of y with the same arrow label whose branch accepts the
-    child's branch.  Memoized over vertex pairs; ties resolved to the least
-    admissible target child, so witnesses are deterministic.
+    child's branch.  Memoized over vertex pairs, each keeping only the child
+    pairs it chose; the mapping is assembled once, walking down from (x, y).
+    Ties resolved to the least admissible target child, so witnesses are
+    deterministic.  `_children` are the child lists of a view of t.
     """
+    children = t.tree.child_lists if _children is None else _children
     memo = {} if _memo is None else _memo
 
     def search(a: int, b: int):
-        """Yields each child pair it needs solved; returns the mapping or None."""
+        """Yields each child pair it needs solved; returns the child pairs chosen, or None."""
         if t.vertex_label[a] != t.vertex_label[b]:
             return None
-        mapping = {a: b}
-        for c in t.tree.children(a):
-            for d in t.tree.children(b):
-                if t.child_label(d) == t.child_label(c):
-                    sub = yield c, d
-                    if sub is not None:
-                        mapping.update(sub)
-                        break
+        chosen = []
+        for c in children[a]:
+            for d in children[b]:
+                if t.child_label(d) == t.child_label(c) and (yield c, d) is not None:
+                    chosen.append((c, d))
+                    break
             else:
                 return None
-        return mapping
+        return chosen
 
-    def solve(a: int, b: int) -> Optional[dict[int, int]]:
-        # An explicit stack of suspended searches: deep trees must not hit
-        # Python's recursion limit.
-        if (a, b) in memo:
-            return memo[(a, b)]
-        stack = [((a, b), search(a, b))]
-        result = None
-        while stack:
-            pair, frame = stack[-1]
-            try:
-                need = frame.send(result)
-            except StopIteration as done:
-                memo[pair] = result = done.value
-                stack.pop()
-                continue
-            if need in memo:
-                result = memo[need]
-            else:
-                stack.append((need, search(*need)))
-                result = None
-        return result
-
-    mapping = solve(x, y)
-    if mapping is None:
+    # An explicit stack of suspended searches: deep trees must not hit
+    # Python's recursion limit.
+    stack, result = ([] if (x, y) in memo else [((x, y), search(x, y))]), None
+    while stack:
+        pair, frame = stack[-1]
+        try:
+            need = frame.send(result)
+        except StopIteration as done:
+            memo[pair] = result = done.value
+            stack.pop()
+            continue
+        if need in memo:
+            result = memo[need]
+        else:
+            stack.append((need, search(*need)))
+            result = None
+    if memo[x, y] is None:
         return None
-    tree = t.tree
-    arrow_map = {
-        tree.child_arrow[c]: tree.child_arrow[mapping[c]]
-        for c in mapping
-        if c != x
-    }
-    return BranchMorphism(x, y, mapping, arrow_map)
+    mapping, stack = {}, [(x, y)]
+    while stack:  # preorder, children in order
+        a, b = stack.pop()
+        mapping[a] = b
+        stack += reversed(memo[a, b])
+    return BranchMorphism(x, y, mapping, {t.tree.child_arrow[c]: t.tree.child_arrow[m] for c, m in mapping.items() if c != x})
 
 
-def first_certificate(t: TreeOverQ) -> Optional[tuple[int, int, int, BranchMorphism]]:
-    """First (parent, n1, n2, witness) sibling certificate in breadth-first order."""
-    queue = [t.tree.root]
+def first_certificate(
+    t: TreeOverQ, root: Optional[int] = None, children: Optional[dict] = None
+) -> Optional[tuple[int, int, int, BranchMorphism]]:
+    """First (parent, n1, n2, witness) sibling certificate in breadth-first order, in t or in the piece at `root` of a view."""
+    children = t.tree.child_lists if children is None else children
+    queue = [t.tree.root if root is None else root]
     memo: dict = {}
     for parent in queue:  # the queue grows while it is read
-        kids = t.tree.children(parent)
+        kids = children[parent]
         for n1 in kids:
             for n2 in kids:
                 if n1 == n2 or t.child_label(n1) != t.child_label(n2):
                     continue
-                witness = embeds(t, n1, n2, memo)
+                witness = embeds(t, n1, n2, memo, children)
                 if witness is not None:
                     return parent, n1, n2, witness
         queue.extend(kids)
@@ -183,72 +178,67 @@ def module_idempotent(t: TreeOverQ, endo: IdempotentEndo, prime: int = 3) -> Mod
         IdempotentEndo(t, endo.vertex_map)  # revalidate against this tree
     rep = push_down(t, prime)
     blocks = {q: np.zeros((rep.dim(q), rep.dim(q)), dtype=np.int64) for q in rep.basis}
-    for i, j in _idempotent_entries(t, endo.vertex_map):
-        q = t.vertex_label[j]
+    for n, m in endo.vertex_map.items():
+        i, j = (n, m) if t.orientation == SOURCE else (m, n)
+        q = t.vertex_label[n]
         blocks[q][rep.basis_index(q, i), rep.basis_index(q, j)] = 1
     return ModuleHom(rep, rep, blocks)
 
 
-def _idempotent_entries(t: TreeOverQ, vertex_map: dict[int, int]) -> list[tuple[int, int]]:
-    """(row, column) of the 1 of the induced idempotent at each n of vertex_map: (image of n, n), transposed for a source tree."""
-    pairs = [(m, n) for n, m in vertex_map.items()]
-    return [(n, m) for m, n in pairs] if t.orientation == SOURCE else pairs
-
-
 @dataclass
 class Decomposition:
-    """Summands plus the explicit isomorphism from their direct sum (`witness.domain`,
-    in the basis of the split module `witness.codomain`)."""
+    """Summands plus the explicit isomorphism between their direct sum and the split module (`_verified_witness`)."""
 
     summands: list[TreeOverQ]
     witness: ModuleHom
 
 
-def _split_step(t: TreeOverQ, moved: dict[int, int]) -> tuple[list[TreeOverQ], list[str], dict[int, dict[int, int]]]:
-    """The summands of the split along an idempotent, the tree arrows it cuts, and its witness W minus 1.
+def _compose(columns: dict[int, dict[int, int]], moved: dict[int, int], p: int) -> dict[int, dict[int, int]]:
+    """W <- W (1 + S) in place, for the idempotent moving each n of `moved` to moved[n]; returns `columns`.
 
-    `moved` holds the image of each vertex the idempotent moves; it fixes
-    every other vertex.  The fixed subtree (equal to the image subtree)
-    carries the first summand.  It is closed under parents, so the moved
-    vertices are the branches at their tops, the moved vertices with a fixed
-    parent; each carries one more summand, in order of least vertex.  Their
-    direct sum is the module of t with the arrow above each top cut, in t's
-    basis.  W sends v_n to P v_n for a fixed vertex n and to (1 - P) v_n for
-    any other, P the induced idempotent, so W - 1 is the off-diagonal part of
-    P negated on the moved columns: sparse columns {vertex: {row vertex: +-1}}.
+    1 + S is the sink formula of the idempotent on fixed columns and 1 minus
+    it on moved ones: column n of S is -v_{moved[n]}, or 0 if n is fixed, so
+    S**2 = 0. `columns`: the columns of W that are not v_n, {row vertex:
+    nonzero residue}.
     """
-    if not moved:
-        raise ValueError("cannot split along the identity")
-    tree = t.tree
-    tops = [n for n in moved if tree.parent[n] not in moved]
-    fixed = tuple(n for n in tree.vertices if n not in moved)
-    summands = [restrict(t, part) for part in [fixed] + sorted(tree.branch_vertices(n) for n in tops)]
-    moves: dict = {}
-    for i, j in _idempotent_entries(t, moved):
-        moves.setdefault(j, {})[i] = -1 if j in moved else 1
-    return summands, [tree.child_arrow[n] for n in tops], moves
+    for n, m in moved.items():
+        column = dict(columns.get(n, {n: 1}))
+        for r, y in columns.get(m, {m: 1}).items():
+            column[r] = (column.get(r, 0) - y) % p
+        columns[n] = {r: y for r, y in column.items() if y}
+    return columns
 
 
-def _checked_moves(t: TreeOverQ, witness: BranchMorphism) -> dict[int, int]:
-    """The vertex map of a sibling certificate's witness, checked on the branch it moves.
+def _checked_moves(t: TreeOverQ, witness: BranchMorphism, children: dict, parent: dict) -> dict[int, int]:
+    """The vertex map of a sibling certificate's witness, checked on the branch it moves in a view of t.
 
-    With the identity elsewhere, it is an idempotent endomorphism of t
-    exactly when it is a label-compatible morphism from the branch of n1 and
-    n2 = witness(n1) is another sibling of n1 under the same arrow label.
-    Raises AssertionError otherwise.
+    With the identity elsewhere, it is an idempotent endomorphism of the
+    piece exactly when it is a label-compatible morphism from the branch of
+    n1 and n2 = witness(n1) is another sibling of n1 under the same arrow
+    label, in the view's `children` and `parent`.  Raises AssertionError
+    otherwise.
     """
-    tree, n1, n2 = t.tree, witness.domain_root, witness.codomain_root
-    siblings = n1 != n2 and tree.parent.get(n1) == tree.parent.get(n2)
-    if not (witness.check(t, t) and siblings and t.child_label(n1) == t.child_label(n2)):
+    n1, n2, vmap = witness.domain_root, witness.codomain_root, witness.vertex_map
+    ok = n1 != n2 and n1 in parent and parent.get(n2) == parent[n1] and vmap.get(n1) == n2
+    ok = ok and vmap.keys() == set(top_down(children, n1)) and all(
+        t.vertex_label[n] == t.vertex_label.get(m)
+        and (n == n1 or parent.get(m) == vmap[parent[n]])
+        and t.child_label(n) == t.child_label(m)
+        for n, m in vmap.items()
+    )
+    if not ok:
         raise AssertionError("sibling certificate failed its check")
-    return witness.vertex_map
+    return vmap
 
 
 def _verified_witness(t: TreeOverQ, rep: ModuleRep, cut: list[str], columns: dict[int, dict[int, int]]) -> ModuleHom:
-    """The map from `rep` with the `cut` tree arrows zeroed (the direct sum) to `rep`, the module of t.
+    """The isomorphism between `rep`, the module of t, and `rep` with the `cut` tree arrows zeroed (the direct sum).
 
-    It sends v_n to `columns[n]` ({row vertex: residue}), or to v_n if n has
-    no column; it raises AssertionError unless `oracle.verify_iso` accepts it.
+    W, the product of the (1 + S) of `_compose`, sends v_n to `columns[n]`,
+    or to v_n if n has no column, and maps the direct sum to `rep` for a
+    sink tree.  A source split does by 1 - S^T, whose inverse is 1 + S^T, so
+    for a source tree W^T, as sparse, maps `rep` to the direct sum.  Raises
+    AssertionError unless `oracle.verify_iso` accepts the witness.
     """
     tree, q = t.tree, t.codomain.quiver
     matrices = {a: m.copy() for a, m in rep.matrices.items()}
@@ -262,56 +252,65 @@ def _verified_witness(t: TreeOverQ, rep: ModuleRep, cut: list[str], columns: dic
         j = rep.basis_index(qv, n)
         blocks[qv][:, j] = 0
         blocks[qv][[rep.basis_index(qv, m) for m in column], j] = list(column.values())
-    witness = ModuleHom(ModuleRep(rep.prime, rep.codomain, rep.basis, matrices), rep, blocks)
+    summed = ModuleRep(rep.prime, rep.codomain, rep.basis, matrices)
+    if t.orientation == SOURCE:
+        witness = ModuleHom(rep, summed, {qv: b.T for qv, b in blocks.items()})
+    else:
+        witness = ModuleHom(summed, rep, blocks)
     if not oracle.verify_iso(witness):
         raise AssertionError("split witness failed verification")
     return witness
 
 
 def split(t: TreeOverQ, endo: IdempotentEndo, prime: int = 3) -> Decomposition:
-    """Split the module along a non-identity idempotent endomorphism (see `_split_step`).
+    """Split the module along a non-identity idempotent endomorphism, in the basis of t.
 
-    The witness realizes the isomorphism explicitly, and is verified before returning.
+    The fixed subtree (the image subtree) carries the first summand.  It is
+    closed under parents, so the moved vertices are the branches at their
+    tops, the moved vertices with a fixed parent; each carries one more
+    summand, in order of least vertex.  Their direct sum is the module of t
+    with the arrow above each top cut.  The witness is verified.
     """
-    summands, cut, moves = _split_step(t, {n: m for n, m in endo.vertex_map.items() if m != n})
-    witness = _verified_witness(t, push_down(t, prime), cut, {j: {j: 1, **col} for j, col in moves.items()})
+    moved = {n: m for n, m in endo.vertex_map.items() if m != n}
+    if not moved:
+        raise ValueError("cannot split along the identity")
+    tree = t.tree
+    tops = [n for n in moved if tree.parent[n] not in moved]
+    fixed = tuple(n for n in tree.vertices if n not in moved)
+    summands = [restrict(t, part) for part in [fixed] + sorted(tree.branch_vertices(n) for n in tops)]
+    witness = _verified_witness(t, push_down(t, prime), [tree.child_arrow[n] for n in tops], _compose({}, moved, prime))
     return Decomposition(summands, witness)
 
 
 def decompose_fully(t: TreeOverQ, prime: int = 3) -> list[TreeOverQ]:
     """Split until every piece is indecomposable; pieces in depth-first order.
 
-    Each piece splits along its first sibling certificate, checked on the
-    branch it moves (`_checked_moves`).  Every piece is a restriction of t
-    in t's basis, so the whole iteration is t's module with the arrows cut
-    by every split.  The split witnesses multiply into one W from the direct
-    sum of the pieces to the module of t, which `oracle.verify_iso` checks
-    once.  `push_down` validates t once.  An explicit stack, not recursion,
-    so a piece may split any number of times.
+    A piece is a root vertex of one view of t's tree: t's child lists less
+    the top of each branch split off.  A piece splits along its first sibling
+    certificate, checked on the branch it moves, by removing the top from
+    its parent's list, which no other piece holds.  So the split witnesses
+    multiply into one, on t's module with the arrows above the tops cut,
+    checked once.  Only final pieces become trees (`restrict`).
     """
     rep = push_down(t, prime)
-    pieces, cut, columns = [], [], {}  # columns: those of W that are not v_n
-    todo = [t]
+    tree = t.tree
+    children, parent = {v: list(kids) for v, kids in tree.child_lists.items()}, dict(tree.parent)
+    roots, cut, columns, todo = [], [], {}, [tree.root]
     while todo:
-        piece = todo.pop()
-        cert = first_certificate(piece)
+        root = todo.pop()
+        cert = first_certificate(t, root, children)
         if cert is None:
-            pieces.append(piece)
+            roots.append(root)
             continue
-        summands, arrows, moves = _split_step(piece, _checked_moves(piece, cert[-1]))
-        cut += arrows
-        # W <- W (1 + moves), column j gaining moves[j][i] W v_i.  No column read is
-        # written: a sink split reads fixed columns and writes others, a source split the reverse.
-        for j, move in moves.items():
-            column = dict(columns.get(j, {j: 1}))
-            for i, x in move.items():
-                for r, y in columns.get(i, {i: 1}).items():
-                    column[r] = (column.get(r, 0) + x * y) % prime
-            columns[j] = {r: y for r, y in column.items() if y}
-        todo.extend(reversed(summands))
-    if cut:
-        _verified_witness(t, rep, cut, columns)
-    return pieces
+        _compose(columns, _checked_moves(t, cert[-1], children, parent), prime)
+        top = cert[-1].domain_root
+        children[parent.pop(top)].remove(top)
+        cut.append(tree.child_arrow[top])
+        todo += [top, root]  # the rest of the piece comes out first
+    if not cut:
+        return [t]
+    _verified_witness(t, rep, cut, columns)
+    return [restrict(t, tuple(sorted(top_down(children, r)))) for r in roots]
 
 
 @dataclass
@@ -332,7 +331,7 @@ def cor2_report(t: TreeOverQ) -> Cor2Report:
     into the other.
     """
     for k in t.tree.children(t.tree.root):
-        if not is_indecomposable(branch(t, k)):
+        if first_certificate(t, k) is not None:
             raise ValueError(f"branch at root child {k} is decomposable")
     # With every root-child branch indecomposable, a certificate can only sit
     # at the root, and the breadth-first order checks the root first.

@@ -16,21 +16,30 @@ The oracle's unknowns and the graph maps' rows use the same layout.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Iterable, Optional
 
 import numpy as np
 
-from .algebra import BoundQuiver, StructureError, first_relation
+from .algebra import BoundQuiver, StructureError, first_relation, relation_matcher
 
 SINK = "sink"
 SOURCE = "source"
+
+
+def top_down(children: dict, vertex: int) -> list[int]:
+    """`vertex` and its descendants under the child lists `children`, parents before children."""
+    out = [vertex]
+    for v in out:  # the list grows while it is read
+        out.extend(children[v])
+    return out
 
 
 class RootedTree:
     """Tree quiver with labelled integer vertices and a unique sink or source.
 
     Exposes the root, the parent map, per-vertex child arrows (the unique
-    arrow joining a non-root vertex to its parent) and the height function.
+    arrow joining a non-root vertex to its parent), the ascending child
+    lists (`child_lists`, read through `children`) and the height function.
     """
 
     def __init__(
@@ -85,7 +94,7 @@ class RootedTree:
         for v in self.vertices:  # ascending, so each child list is sorted
             if v in self.parent:
                 children[self.parent[v]].append(v)
-        self._children: dict[int, tuple[int, ...]] = {v: tuple(cs) for v, cs in children.items()}
+        self.child_lists: dict[int, tuple[int, ...]] = {v: tuple(cs) for v, cs in children.items()}
 
         # Every non-root vertex has one parent, so the walk down from the root
         # reaches exactly the vertices whose parent chain ends at the root; a
@@ -101,21 +110,14 @@ class RootedTree:
         self.tree_height = max(self.height.values())
 
     def children(self, vertex: int) -> tuple[int, ...]:
-        return self._children[vertex]
+        return self.child_lists[vertex]
 
     def branch_vertices(self, vertex: int) -> tuple[int, ...]:
         """Vertices of the branch of `vertex` (itself and all descendants)."""
-        out = [vertex]
-        stack = [vertex]
-        while stack:
-            v = stack.pop()
-            for c in self._children[v]:
-                out.append(c)
-                stack.append(c)
-        return tuple(sorted(out))
+        return tuple(sorted(top_down(self.child_lists, vertex)))
 
     def leaves(self) -> tuple[int, ...]:
-        return tuple(v for v in self.vertices if not self._children[v])
+        return tuple(v for v in self.vertices if not self.child_lists[v])
 
 
 @dataclass(frozen=True)
@@ -184,8 +186,13 @@ def validate_tree_over_q(t: TreeOverQ) -> TreeValidationReport:
     """Check commuting squares and the bound condition, with a witness.
 
     The bound condition looks for each relation in the image of each
-    root-to-leaf path (`algebra.first_relation`); every tree path is
-    contained in one of these, so checking their images suffices.
+    root-to-leaf path; every tree path is contained in one of these, so
+    checking their images suffices.  One walk down from the root carries a
+    flag: a vertex fails if its parent fails or an occurrence of a relation
+    ends at it, which one step of the relation's string-matching automaton
+    tells (`algebra.relation_matcher`).  Only the first failing leaf, in
+    ascending order, has its whole image word searched by
+    `algebra.first_relation`, for the witness.
     """
     tree, q = t.tree, t.codomain.quiver
     for a in tree.arrows:
@@ -196,21 +203,37 @@ def validate_tree_over_q(t: TreeOverQ) -> TreeValidationReport:
                 f"labels do not commute at tree arrow {a!r}",
                 (a, lab),
             )
-    for leaf in tree.leaves():
-        chain = [leaf]
-        while chain[-1] != tree.root:
-            chain.append(tree.parent[chain[-1]])
-        if leaf != tree.root and tree.arrow_target[tree.child_arrow[leaf]] == leaf:
-            chain.reverse()  # the arrows run from the root to the leaf
-        hit = first_relation(t.codomain, t.image_word(chain))
-        if hit is not None:
-            i, rel = hit
-            return TreeValidationReport(
-                False,
-                "image of a tree path lies in the relation ideal",
-                (tuple(chain[i : i + len(rel) + 1]), rel),
-            )
-    return TreeValidationReport(True)
+    down = top_down(tree.child_lists, tree.root)
+    # Whether the arrows run from the root to the leaves, so that a root path
+    # read downward is read in traversal order.
+    leaving = len(down) > 1 and tree.arrow_target[tree.child_arrow[down[1]]] == down[1]
+    ends = set()
+    for rel in t.codomain.relations:
+        if len(rel) > tree.tree_height:
+            continue  # longer than every root path
+        step, state = relation_matcher(rel if leaving else rel[::-1]), {tree.root: 0}
+        for v in down[1:]:
+            state[v] = step[state[tree.parent[v]]].get(t.child_label(v), 0)
+            if state[v] == len(rel):
+                ends.add(v)
+                state[v] = 0  # every root path through v fails already
+    if not ends:
+        return TreeValidationReport(True)
+    failing = {tree.root: False}
+    for v in down[1:]:
+        failing[v] = v in ends or failing[tree.parent[v]]
+    leaf = next(leaf for leaf in tree.leaves() if failing[leaf])
+    chain = [leaf]
+    while chain[-1] != tree.root:
+        chain.append(tree.parent[chain[-1]])
+    if leaving:
+        chain.reverse()  # the arrows run from the root to the leaf
+    i, rel = first_relation(t.codomain, t.image_word(chain))
+    return TreeValidationReport(
+        False,
+        "image of a tree path lies in the relation ideal",
+        (tuple(chain[i : i + len(rel) + 1]), rel),
+    )
 
 
 def require_valid(t: TreeOverQ) -> None:
@@ -394,15 +417,18 @@ class ModuleHom:
                 raise ValueError(f"block at {qv!r} has shape {blk.shape}, expected {want}")
             self.blocks[qv] = blk
 
-    def intertwines(self) -> bool:
+    def intertwines(self, nonzeros: Optional[dict] = None) -> bool:
         """Whether the blocks commute with every quiver-arrow action.
 
         Both sides of X_tgt A1 = A2 X_src are compared as their nonzero
         entries, summed over the nonzeros of the factors on Python ints.
+        A caller that has read the `entries` of every block passes them as
+        `nonzeros` ({quiver vertex: entries}).
         """
         q = self.domain.codomain.quiver
         p = self.prime
-        nonzeros = {qv: entries(blk) for qv, blk in self.blocks.items()}
+        if nonzeros is None:
+            nonzeros = {qv: entries(blk) for qv, blk in self.blocks.items()}
         for a in q.arrows:
             lhs = _sparse_product(nonzeros[q.target(a)], entries(self.domain.matrices[a]), p)
             if lhs != _sparse_product(entries(self.codomain.matrices[a]), nonzeros[q.source(a)], p):

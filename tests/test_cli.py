@@ -10,7 +10,7 @@ from rtmtools import cli, oracle, push_down, structure, validate_tree_over_q
 from rtmtools.cli import main
 from rtmtools.network import PullbackNetwork
 from rtmtools.textio import ParseError, format_document, parse_document
-from rtmtools.trees import ModuleHom
+from rtmtools.trees import ModuleHom, RootedTree
 
 def test_parse_sink_document(sink_document):
     doc = parse_document(sink_document)
@@ -210,8 +210,9 @@ def _star_document(k, orientation, root=1):
 
 
 def _count_decompose_calls(monkeypatch):
-    """Count the split steps, the `oracle.verify_iso` calls, the `push_down`s and the `IdempotentEndo`s built, by argument."""
-    calls = {"step": [], "verify_iso": [], "push_down": [], "endo": []}
+    """Count, by argument, the checked certificates (one per split), the `oracle.verify_iso` calls, the
+    `push_down`s, the `IdempotentEndo`s, the `RootedTree`s built and the `restrict` calls."""
+    calls = {"split": [], "verify_iso": [], "push_down": [], "endo": [], "tree": [], "restrict": []}
 
     def counting(name, fn):
         def wrapper(*args, **kwargs):
@@ -220,9 +221,11 @@ def _count_decompose_calls(monkeypatch):
 
         return wrapper
 
-    monkeypatch.setattr(structure, "_split_step", counting("step", structure._split_step))
+    monkeypatch.setattr(structure, "_checked_moves", counting("split", structure._checked_moves))
+    monkeypatch.setattr(structure, "restrict", counting("restrict", structure.restrict))
     monkeypatch.setattr(oracle, "verify_iso", counting("verify_iso", oracle.verify_iso))
     monkeypatch.setattr(structure.IdempotentEndo, "__init__", counting("endo", structure.IdempotentEndo.__init__))
+    monkeypatch.setattr(RootedTree, "__init__", counting("tree", RootedTree.__init__))
     for name, module in list(sys.modules.items()):
         if name.startswith("rtmtools"):
             for key, value in list(vars(module).items()):
@@ -239,11 +242,16 @@ def test_cmd_decompose_splits_once_per_extra_summand(tmp_path, capsys, monkeypat
     assert main(["decompose", path]) == 0
     out = capsys.readouterr().out
     assert f"{k} indecomposable summands" in out
-    assert len(calls["step"]) == k - 1  # summands - 1: every split adds exactly one summand here
+    assert len(calls["split"]) == k - 1  # summands - 1: every split adds exactly one summand here
     # one check of the composed witness, and only the input tree's module is built
     assert len(calls["verify_iso"]) == 1
     assert [args[0].tree.vertices for args in calls["push_down"]] == [tuple(range(1, k + 2))]
     assert calls["endo"] == []  # each split goes along its sibling certificate, not a whole-piece idempotent
+    # each split cuts a branch from a view of the parsed tree, so only the final pieces become trees:
+    # the root keeps the last leaf, and the other leaves come off in the order of the stack
+    pieces = [(1, k + 1)] + [(n,) for n in range(k, 1, -1)]
+    assert [args[1] for args in calls["restrict"]] == pieces
+    assert len(calls["tree"]) == 1 + len(pieces)  # the parsed tree, then one per final piece
     assert out.endswith("witness: OK\n")
 
 
@@ -254,7 +262,7 @@ def test_cmd_decompose_star_400_checks_one_composed_witness(tmp_path, capsys, mo
     assert main(["decompose", path]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert lines[0] == "400 indecomposable summands" and lines[-1] == "witness: OK"
-    assert (len(calls["step"]), len(calls["verify_iso"]), len(calls["push_down"]), len(calls["endo"])) == (399, 1, 1, 0)
+    assert (len(calls["split"]), len(calls["verify_iso"]), len(calls["push_down"]), len(calls["endo"])) == (399, 1, 1, 0)
 
 
 @pytest.mark.parametrize("orientation", ["SINK", "SOURCE"])

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from rtmtools import (
@@ -27,6 +27,7 @@ from rtmtools import (
     split,
     verify_iso,
 )
+from rtmtools import oracle
 from rtmtools.cli import main
 from rtmtools.oracle import _sample_attempt
 from rtmtools.textio import parse_document
@@ -178,12 +179,14 @@ def test_verify_iso_rejects_a_witness_with_one_entry_changed(random_splits):
 
 
 def test_verify_iso_rejects_a_singular_block_that_intertwines(random_splits):
-    for _, dec in random_splits:
-        # the projection of the direct sum onto its first summand intertwines and is idempotent
+    for t, dec in random_splits:
+        # the projection of the direct sum onto its first summand intertwines and is idempotent;
+        # the witness maps from the direct sum for a sink tree and to it for a source tree
         first = set(dec.summands[0].tree.vertices)
-        summed = dec.witness.domain
+        summed = dec.witness.domain if t.orientation == SINK else dec.witness.codomain
         blocks = {q: np.diag([int(n in first) for n in vs]).reshape(len(vs), len(vs)) for q, vs in summed.basis.items()}
-        h = dec.witness.compose(ModuleHom(summed, summed, blocks))
+        projection = ModuleHom(summed, summed, blocks)
+        h = dec.witness.compose(projection) if t.orientation == SINK else projection.compose(dec.witness)
         assert _dense_intertwines(h) and not _dense_is_iso(h)
         assert not verify_iso(h)
 
@@ -562,3 +565,50 @@ def test_indec_on_uniserial_chain_ten(tmp_path, capsys, orientation):
     assert main(["indec", str(path)]) == 0
     out = capsys.readouterr().out
     assert out == "theorem: INDECOMPOSABLE\noracle (p=3): INDECOMPOSABLE\nverdict: AGREE\n"
+
+
+@st.composite
+def sparse_matrices_mod_small_p(draw):
+    """(matrix, p), p in 3, 5, 7: up to 30x30, mostly zeros; a row is often a combination of two others."""
+    p = draw(st.sampled_from((3, 5, 7)))
+    rows, cols = draw(st.integers(0, 30)), draw(st.integers(0, 30))
+    mat = np.zeros((rows, cols), dtype=np.int64)
+    if rows and cols:
+        cell = st.tuples(st.integers(0, rows - 1), st.integers(0, cols - 1))
+        for (i, j), x in draw(st.dictionaries(cell, st.integers(1, p - 1), max_size=2 * (rows + cols))).items():
+            mat[i, j] = x
+        if rows >= 3 and draw(st.booleans()):
+            i, j, k = draw(st.permutations(range(rows)))[:3]
+            mat[i] = (mat[j] + draw(st.integers(0, p - 1)) * mat[k]) % p
+    return mat, p
+
+
+@settings(max_examples=150, deadline=None)
+@given(sparse_matrices_mod_small_p())
+@example((np.array([[1, 1, 0], [1, 1, 0], [0, 1, 1]]), 3))  # a repeated row
+@example((np.array([[1, 2, 0, 0], [0, 1, 3, 0], [1, 3, 3, 0], [0, 0, 1, 4]]), 5))  # row 2 = row 0 + row 1
+def test_forward_elimination_rank_is_the_rref_rank(case):
+    mat, p = case
+    echelon = oracle._gauss_jordan(oracle._dense_rows(mat, p), p, reduced=False)
+    assert len(echelon) == rref(mat, p)[1] == _reference_rref(mat, p)[1]
+
+
+def test_verify_iso_eliminates_forward_only(monkeypatch):
+    # Clearing each pivot column from the rows already used as well (back-substitution) costs about
+    # n**2 / 2 elimination steps on an upper-bidiagonal block, the inverse of a star's composite witness.
+    n = 2000
+    rep = ModuleRep(3, BoundQuiver(Quiver(["1"], []), []), {"1": tuple(range(n))}, {})
+    upper = np.eye(n, dtype=np.int64) + 2 * np.eye(n, k=1, dtype=np.int64)
+    calls = []
+    eliminate = oracle._eliminate
+    monkeypatch.setattr(oracle, "_eliminate", lambda *args: calls.append(args[2]) or eliminate(*args))
+    for block in (upper, upper.T):
+        calls.clear()
+        assert verify_iso(ModuleHom(rep, rep, {"1": block}))
+        assert len(calls) <= n
+    zero_column = upper.copy()
+    zero_column[n // 2 - 1 : n // 2 + 1, n // 2] = 0
+    repeated_row = upper.copy()
+    repeated_row[n // 2] = upper[n // 2 - 1]  # a nonzero in every row and column, yet singular
+    for singular in (zero_column, repeated_row):
+        assert not verify_iso(ModuleHom(rep, rep, {"1": singular}))

@@ -3,6 +3,7 @@
 import inspect
 import random
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,8 +11,10 @@ import pytest
 from rtmtools import (
     SINK,
     SOURCE,
+    BoundQuiver,
     BranchMorphism,
     IdempotentEndo,
+    Quiver,
     RootedTree,
     TreeOverQ,
     branch,
@@ -153,7 +156,9 @@ def test_split_of_sink_example(sink_tree):
 
 def test_split_is_the_direct_sum_of_the_summands_in_the_basis_of_the_tree(random_splits):
     for t, dec in random_splits:
-        summed, rep = dec.witness.domain, dec.witness.codomain
+        # the witness maps the direct sum to the module of t for a sink tree, and back for a source tree
+        w = dec.witness
+        summed, rep = (w.domain, w.codomain) if t.orientation == SINK else (w.codomain, w.domain)
         assert summed.basis == rep.basis
         parts = [s.tree.vertices for s in dec.summands]
         assert sorted(n for part in parts for n in part) == list(t.tree.vertices)
@@ -303,10 +308,12 @@ def test_decompose_fully_matches_chained_splits_under_one_composed_witness(monke
                     assert composite == []
                     continue
                 decomposable += 1
-                # one witness, from the direct sum of the pieces in t's basis to the module of t
+                # one witness, between the direct sum of the pieces in t's basis and the module of t:
+                # from the direct sum for a sink tree, to it for a source tree
                 [w] = composite
                 assert verify(w)
                 rep, q = push_down(t, prime), t.codomain.quiver
+                summand_side, module_side = (w.domain, w.codomain) if orientation == SINK else (w.codomain, w.domain)
                 summed = {a: np.zeros_like(m) for a, m in rep.matrices.items()}
                 for x in pieces:
                     for e in x.tree.arrows:
@@ -315,8 +322,8 @@ def test_decompose_fully_matches_chained_splits_under_one_composed_witness(monke
                         summed[a][row, rep.basis_index(q.source(a), x.tree.arrow_source[e])] = 1
                 assert w.domain.basis == w.codomain.basis == rep.basis
                 for a, m in rep.matrices.items():
-                    np.testing.assert_array_equal(w.domain.matrices[a], summed[a])
-                    np.testing.assert_array_equal(w.codomain.matrices[a], m)
+                    np.testing.assert_array_equal(summand_side.matrices[a], summed[a])
+                    np.testing.assert_array_equal(module_side.matrices[a], m)
     assert decomposable >= 150
 
 
@@ -392,13 +399,13 @@ def test_certificate_check_agrees_with_the_whole_piece_idempotent(orientation, s
                 continue
             for witness in [cert[-1]] + _corrupted_witnesses(t, cert[-1], rng):
                 try:
-                    moved = structure._checked_moves(t, witness)
+                    moved = structure._checked_moves(t, witness, t.tree.child_lists, t.tree.parent)
                 except AssertionError:
                     moved = None
                     rejected += 1
                 assert (moved is not None) == _induces_a_moving_idempotent(t, witness), (seed, witness)
                 checked += 1
-            todo += structure._split_step(t, cert[-1].vertex_map)[0]
+            todo += split(t, find_nonidentity_idempotent(t), 3).summands
     assert checked >= 150 and 0.2 * checked <= rejected <= 0.8 * checked
 
 
@@ -422,8 +429,8 @@ def _drop_a_leaf(t, witness):
 def test_decompose_fully_raises_on_a_corrupted_certificate(monkeypatch, sink_tree, source_tree_factory, corrupt):
     certificate = structure.first_certificate
 
-    def corrupted(t):
-        cert = certificate(t)
+    def corrupted(t, *view):
+        cert = certificate(t, *view)
         return None if cert is None else (*cert[:3], corrupt(t, cert[3]))
 
     monkeypatch.setattr(structure, "first_certificate", corrupted)
@@ -434,6 +441,25 @@ def test_decompose_fully_raises_on_a_corrupted_certificate(monkeypatch, sink_tre
     for t in trees:
         with pytest.raises(AssertionError, match="sibling certificate failed its check"):
             decompose_fully(t, 3)
+
+
+@pytest.mark.parametrize("orientation", [SINK, SOURCE])
+def test_decompose_fully_refuses_a_certificate_into_a_split_off_branch(monkeypatch, loop_tail_quiver, orientation):
+    # After the first split of a star, the root keeps two of its three leaves in its view; the leaf
+    # split off is still a sibling in t, but not in the piece, so mapping onto it is no idempotent of the piece.
+    edges = [(f"a{n}", *((n, 1) if orientation == SINK else (1, n))) for n in (2, 3, 4)]
+    t = TreeOverQ(RootedTree(range(1, 5), edges, orientation), loop_tail_quiver, {n: "2" for n in range(1, 5)}, {f"a{n}": "alpha" for n in (2, 3, 4)})
+    certificate = structure.first_certificate
+
+    def onto_a_split_off_leaf(t, root=None, children=None):
+        cert = certificate(t, root, children)
+        gone = [] if cert is None or children is None else [n for n in t.tree.children(cert[0]) if n not in children[cert[0]]]
+        return (cert[0], cert[1], gone[0], BranchMorphism(cert[1], gone[0], {cert[1]: gone[0]})) if gone else cert
+
+    monkeypatch.setattr(structure, "first_certificate", onto_a_split_off_leaf)
+    monkeypatch.setattr(oracle, "verify_iso", lambda h: pytest.fail("the composite was checked after a corrupted certificate"))
+    with pytest.raises(AssertionError, match="sibling certificate failed its check"):
+        decompose_fully(t, 3)
 
 
 def test_dimension_conservation(sink_tree):
@@ -527,3 +553,31 @@ def test_embeds_witnesses_respect_heights():
                     if witness is not None:
                         assert witness.check(t, t)
                         assert branch_height(x) <= branch_height(y)
+
+
+def _twin_chain(n):
+    """Two same-labelled sink chains of length n under the root 1, over the linear quiver A_(n+1)."""
+    q = BoundQuiver(Quiver([f"q{i}" for i in range(n + 1)], [(f"b{i}", f"q{i}", f"q{i - 1}") for i in range(1, n + 1)]), [])
+    arrows, vertex_label, arrow_label = [], {1: "q0"}, {}
+    for first in (2, n + 2):
+        for depth in range(1, n + 1):
+            v = first + depth - 1
+            arrows.append((f"a{v}", v, 1 if depth == 1 else v - 1))
+            vertex_label[v], arrow_label[f"a{v}"] = f"q{depth}", f"b{depth}"
+    return TreeOverQ(RootedTree(range(1, 2 * n + 2), arrows, SINK), q, vertex_label, arrow_label)
+
+
+def test_first_certificate_on_a_long_twin_chain_keeps_linear_memory():
+    # Each memoized pair keeps its chosen child pairs.  Copying every child's whole mapping into its
+    # parent held about 4.5 M mapping entries here: n**2 / 2.
+    n = 3000
+    t = _twin_chain(n)
+    tracemalloc.start()
+    try:
+        parent, n1, n2, witness = first_certificate(t)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (parent, n1, n2) == (1, 2, n + 2)
+    assert witness.vertex_map == {v: v + n for v in range(2, n + 2)}
+    assert peak < 8 * 2**20

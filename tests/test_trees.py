@@ -1,11 +1,16 @@
 """Rooted trees, labellings, and module materialization."""
 
+import random
+import time
+
 import numpy as np
 import pytest
 
 from rtmtools import (
     SINK,
     SOURCE,
+    BoundQuiver,
+    Quiver,
     RootedTree,
     StructureError,
     TreeOverQ,
@@ -15,7 +20,9 @@ from rtmtools import (
     random_instance,
     validate_tree_over_q,
 )
+from rtmtools.algebra import first_relation
 from rtmtools.cli import main
+from rtmtools.trees import TreeValidationReport
 
 
 def test_sink_tree_structure(sink_tree):
@@ -164,3 +171,97 @@ def test_relation_vanishing_on_random_instances():
         for orientation in (SINK, SOURCE):
             t = random_instance(seed, orientation, max_vertices=8, end_dim_cap=None)
             assert push_down(t, 3).relations_vanish()
+
+
+def _per_leaf_report(t):
+    """Reference validation: every whole root-to-leaf image word searched by `first_relation`, leaf by leaf."""
+    tree, q = t.tree, t.codomain.quiver
+    for a in tree.arrows:
+        lab = t.arrow_label[a]
+        if q.source(lab) != t.vertex_label[tree.arrow_source[a]] or q.target(lab) != t.vertex_label[tree.arrow_target[a]]:
+            return TreeValidationReport(False, f"labels do not commute at tree arrow {a!r}", (a, lab))
+    for leaf in tree.leaves():
+        chain = [leaf]
+        while chain[-1] != tree.root:
+            chain.append(tree.parent[chain[-1]])
+        if leaf != tree.root and tree.arrow_target[tree.child_arrow[leaf]] == leaf:
+            chain.reverse()
+        hit = first_relation(t.codomain, t.image_word(chain))
+        if hit is not None:
+            i, rel = hit
+            return TreeValidationReport(False, "image of a tree path lies in the relation ideal", (tuple(chain[i : i + len(rel) + 1]), rel))
+    return TreeValidationReport(True)
+
+
+def _random_shape(rng, orientation):
+    """A random tree on up to 24 vertices, each parent drawn among the three vertices before it, so often deep."""
+    n = rng.randint(1, 24)
+    arrows = [(f"a{v}", *((v, p) if orientation == SINK else (p, v))) for v in range(1, n) for p in [rng.randrange(max(0, v - 3), v)]]
+    return RootedTree(range(n), arrows, orientation)
+
+
+def _relabelled(tree, codomain, rng):
+    """The tree with random labels over `codomain`: each arrow label leaves (or enters) its parent's
+    label when the quiver has such an arrow, and one vertex label in ten trees is redrawn."""
+    q = codomain.quiver
+    vertex_label, arrow_label = {tree.root: rng.choice(sorted(q.vertices))}, {}
+    down = [tree.root]
+    for v in down:
+        down.extend(tree.children(v))
+    for v in down[1:]:
+        a, up = tree.child_arrow[v], tree.parent[v]
+        leaving = tree.arrow_source[a] == up
+        options = sorted(x for x in q.arrows if (q.source(x) if leaving else q.target(x)) == vertex_label[up])
+        arrow_label[a] = lab = rng.choice(options or sorted(q.arrows))
+        vertex_label[v] = q.target(lab) if leaving else q.source(lab)
+    if rng.random() < 0.1:
+        vertex_label[rng.choice(down)] = rng.choice(sorted(q.vertices))
+    return TreeOverQ(tree, codomain, vertex_label, arrow_label)
+
+
+def test_validation_reports_what_the_per_leaf_check_reports(sink_tree, two_loop_quiver):
+    loops = Quiver(["1"], [("alpha", "1", "1"), ("beta", "1", "1")])
+    codomains = [
+        two_loop_quiver,  # every length-3 word
+        BoundQuiver(loops, [("alpha", "beta", "alpha"), ("beta", "beta"), ("alpha",) * 5]),
+        BoundQuiver(loops, [("alpha", "alpha", "beta", "alpha", "alpha", "beta")]),  # an overlapping prefix
+    ]
+    bad = TreeOverQ(sink_tree.tree, sink_tree.codomain, {**sink_tree.vertex_label, 5: "2"}, {**sink_tree.arrow_label, "a5": "alpha"})
+    cases = [sink_tree, bad]
+    for seed in range(200):
+        for orientation in (SINK, SOURCE):
+            t = random_instance(seed, orientation)
+            rng = random.Random(seed)
+            cases += [t, _relabelled(t.tree, t.codomain, rng)]
+            cases += [_relabelled(_random_shape(rng, orientation), bq, rng) for bq in [t.codomain, *codomains]]
+    messages = []
+    for t in cases:
+        report = validate_tree_over_q(t)
+        assert report == _per_leaf_report(t)
+        messages.append(report.message)
+    assert messages.count("image of a tree path lies in the relation ideal") >= 300
+    assert sum(m.startswith("labels do not commute") for m in messages) >= 50
+
+
+def _comb(spine, orientation, codomain):
+    """A spine of `spine` alpha arrows down from the root, with one beta leaf off each spine vertex."""
+    edges = [(v, v - 1, "alpha") for v in range(1, spine + 1)] + [(spine + v, v, "beta") for v in range(1, spine + 1)]
+    arrows = [(f"a{c}", *((c, p) if orientation == SINK else (p, c))) for c, p, _ in edges]
+    tree = RootedTree(range(2 * spine + 1), arrows, orientation)
+    return TreeOverQ(tree, codomain, {v: "1" for v in tree.vertices}, {f"a{c}": lab for c, _, lab in edges})
+
+
+@pytest.mark.parametrize("orientation", [SINK, SOURCE])
+def test_validation_is_linear_on_a_comb(orientation):
+    # Checking each whole root-to-leaf word took 3.3-3.7 s on this comb: O(sum of the leaf depths).
+    loops = Quiver(["1"], [("alpha", "1", "1"), ("beta", "1", "1")])
+    t = _comb(4000, orientation, BoundQuiver(loops, [("beta", "beta"), ("beta", "alpha", "beta")]))
+    start = time.perf_counter()
+    report = validate_tree_over_q(t)
+    assert time.perf_counter() - start < 0.5
+    assert report.ok
+    # the same comb with alpha^3 = 0 fails at its first leaf in ascending order that lies at depth >= 3
+    t = _comb(4000, orientation, BoundQuiver(loops, [("alpha",) * 3]))
+    report = validate_tree_over_q(t)
+    assert report == _per_leaf_report(t)
+    assert report.witness == ((0, 1, 2, 3) if orientation == SOURCE else (3, 2, 1, 0), ("alpha",) * 3)
