@@ -3,8 +3,8 @@
 Exit codes: 0 ok, 1 validation failure or an output that cannot be
 written, 2 parse error or an input that cannot be read, 3 oracle
 unavailable, 4 disagreement between the combinatorial decision and the
-oracle (treated as a defect).  Every output file or directory is prepared
-before the first line of stdout.
+oracle, or a decomposition that fails its own check (treated as a defect).
+Every output file or directory is prepared before the first line of stdout.
 """
 
 from __future__ import annotations
@@ -59,16 +59,19 @@ def cmd_validate(args) -> int:
     return OK
 
 
-def _network_report(net, label: str) -> None:
+def _network_report(net: PullbackNetwork, shown) -> None:
+    """The report on `shown`, the network or its double cover."""
     census = maximal_r_free_traversals(net)
-    print(f"vertices: {len(net.vertices)}")
-    print(f"arrows: {len(net.arrows)}")
-    print(f"edges: {len(net.edges)}")
-    if isinstance(net, PullbackNetwork):
+    print(f"vertices: {len(shown.vertices)}")
+    print(f"arrows: {len(shown.arrows)}")
+    print(f"edges: {len(shown.edges)}")
+    if shown is net:
         roots = " ".join(f"({n},{m})" for n, m in sorted(net.forest_roots))
         print(f"roots: {roots}")
-        print(f"triangles: {len(net.triangle_set)}")
-    print(f"maximal {label}-free traversals: {census}")
+        print(f"triangles: {net.triangle_count}")
+        print(f"maximal R[1]-free traversals: {census}")
+    else:  # every traversal lifts to exactly two of the cover (see maximal_r_free_traversals)
+        print(f"maximal R[2]-free traversals: {2 * census}")
 
 
 def cmd_network(args) -> int:
@@ -86,7 +89,7 @@ def cmd_network(args) -> int:
     shown = two_cover(net) if args.cover else net
     if args.dot:
         Path(args.dot).write_text(to_dot(shown), encoding="utf-8")
-    _network_report(shown, "R[2]" if args.cover else "R[1]")
+    _network_report(net, shown)
     if args.dot:
         print(f"dot written to {args.dot}")
     return OK
@@ -149,7 +152,11 @@ def cmd_indec(args) -> int:
 
 def cmd_decompose(args) -> int:
     doc = _load(args.file)
-    pieces = structure.decompose_fully(doc.tree, args.prime)  # validates before any output
+    try:
+        pieces = structure.decompose_fully(doc.tree, args.prime)  # validates before any output
+    except AssertionError as exc:  # a split certificate or the composed witness failed its own check
+        print(f"decomposition check failed: {exc}", file=sys.stderr)
+        return DISAGREEMENT
     if len(pieces) == 1:
         print("INDECOMPOSABLE: nothing to split")
         print(format_tree_section(doc.tree))

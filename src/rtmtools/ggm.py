@@ -40,7 +40,7 @@ from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
-from .network import Edge, NetArrow, PullbackNetwork, TwoCover, _edge, _lift, _window_blocked, two_cover
+from .network import Edge, NetArrow, PullbackNetwork, TwoCover, _edge, _lift, two_cover
 from .oracle import _eliminate
 from .trees import BranchMorphism, ModuleHom, ModuleRep, TreeOverQ, hom_layout
 
@@ -107,10 +107,11 @@ class Subnetwork:
         return seen == set(self.vertices)
 
     def is_r_free(self) -> bool:
-        """No two incident links of the subnetwork project through a triangle."""
-        for v, ends in self._far_ends().items():
+        """No two incident links of the subnetwork project through a triangle: their far ends are not linked."""
+        linked = self.cover.base.linked
+        for ends in self._far_ends().values():
             for i, u in enumerate(ends):
-                if any(_window_blocked(self.cover, u, v, w) for w in ends[i + 1 :]):
+                if any((u[:2], w[:2]) in linked for w in ends[i + 1 :]):
                     return False
         return True
 
@@ -200,7 +201,7 @@ def _closures(
     """
     if position is None:
         position = {pair: i for i, pair in enumerate(cover.base.vertices)}
-    floor, triangle_set = position[seed[:2]], cover.triangle_set
+    floor, linked = position[seed[:2]], cover.base.linked
     signs = {seed[:2]: seed[2]}
     vertices = [seed]  # in order of addition
     links: dict = {}  # link -> (vertex, witness), in order of addition
@@ -213,7 +214,7 @@ def _closures(
             return False  # a pair below the seed's, or the sign flip of a vertex held
         for shared, far in ((vertex, witness), (witness, vertex)):
             for other in neighbours.get(shared, ()):
-                if frozenset((other[:2], shared[:2], far[:2])) in triangle_set:
+                if (other[:2], far[:2]) in linked:  # the new link and one held at `shared` close a triangle
                     return False
         return True
 

@@ -15,18 +15,22 @@ fields of odd characteristic.
 Traversals are non-backtracking walks along links (arrows, reversed arrows,
 edges).  A traversal is blocked as soon as two consecutive links visit three
 vertices that induce a triangle; the census of maximal unblocked traversals
-is the combinatorial skeleton behind Hom-space computations.  The census is
-counted, never listed: a dynamic programme on the acyclic graph of directed
-steps counts the maximal walks in both directions, and halving that count
-is exact because no walk is its own reverse (see
-`maximal_r_free_traversals`).
+is the combinatorial skeleton behind Hom-space computations.  Both are read
+off the shape of the network, never listed: two links u-v-w pass through a
+triangle exactly when u and w are linked (`PullbackNetwork.linked`), the
+triangles are counted per edge class (`PullbackNetwork.triangle_count`), and
+the census from the number of pullback-forest leaves under each vertex
+(`maximal_r_free_traversals`).  `triangles` lists the triangles, as a
+reference for the tests.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
-from typing import NamedTuple, Optional, Union
+from math import comb
+from typing import NamedTuple, Optional
 
 from .trees import SINK, TreeOverQ
 
@@ -51,38 +55,7 @@ def _lift(arrow: NetArrow, sign: int) -> NetArrow:
     return NetArrow(arrow.source + (sign,), arrow.target + (sign,), arrow.label + (sign,))
 
 
-class _LinkedNetwork:
-    """Shared adjacency plumbing for the base network and its double cover."""
-
-    vertices: tuple
-    arrows: tuple
-    edges: tuple
-
-    def _build_indexes(self) -> None:
-        self.vertex_set = frozenset(self.vertices)
-        self.arrow_set = frozenset(self.arrows)
-        self.edge_set = frozenset(self.edges)
-        self._arrows_from: dict = {v: [] for v in self.vertices}
-        self._arrows_into: dict = {v: [] for v in self.vertices}
-        self._edges_at: dict = {v: [] for v in self.vertices}
-        for a in self.arrows:
-            self._arrows_from[a.source].append(a)
-            self._arrows_into[a.target].append(a)
-        for e in self.edges:
-            self._edges_at[e[0]].append(e)
-            self._edges_at[e[1]].append(e)
-
-    def arrows_from(self, v) -> list:
-        return self._arrows_from[v]
-
-    def arrows_into(self, v) -> list:
-        return self._arrows_into[v]
-
-    def edges_at(self, v) -> list:
-        return self._edges_at[v]
-
-
-class PullbackNetwork(_LinkedNetwork):
+class PullbackNetwork:
     """The pairing network of two same-orientation trees over one bound quiver.
 
     Coordinate `parent_side` of a vertex pair is the one whose same-labelled
@@ -90,6 +63,12 @@ class PullbackNetwork(_LinkedNetwork):
     map must witness every tree child on the child side and the tree parent
     on the parent side.  `pullback_parent` maps each non-root vertex of the
     pullback forest to its parent.
+
+    The edges join every two pairs of one edge class: the pairs that share
+    their child-side coordinate and whose parent-side coordinates are
+    same-labelled siblings.  The pairs of a class share their pullback
+    parent, if they have one.  `edge_classes` lists the classes of two or
+    more pairs, and `edge_class` maps each of their pairs to its class.
     """
 
     def __init__(self, t1: TreeOverQ, t2: TreeOverQ):
@@ -113,7 +92,7 @@ class PullbackNetwork(_LinkedNetwork):
         self.vertices = tuple(
             sorted((n, m) for n in t1.tree.vertices for m in by_label.get(t1.vertex_label[n], ()))
         )
-        self.vertex_set = frozenset(self.vertices)
+        vertex_set = frozenset(self.vertices)
         self.pullback_parent: dict = {}
         arrows = []
         for v in self.vertices:
@@ -122,14 +101,22 @@ class PullbackNetwork(_LinkedNetwork):
                 self.pullback_parent[v] = up[0]
                 arrows.append(up[1])
         for v, w in self.pullback_parent.items():
-            if w not in self.vertex_set:
+            if w not in vertex_set:
                 raise ValueError(
                     f"pullback parent {w} of pair {v} is not a network vertex: "
                     "its coordinates carry different vertex labels"
                 )
         self.arrows = tuple(sorted(arrows))
-        self.edges = tuple(sorted({_edge(v, w) for v in self.vertices for w in self.partners(v)}))
-        self._build_indexes()
+
+        side, tp = self.parent_side, self.trees[self.parent_side]
+        classes: dict = {}
+        for v in self.vertices:  # ascending, so each class is sorted
+            x = v[side]
+            if x != tp.tree.root:
+                classes.setdefault((v[self.child_side], tp.tree.parent[x], tp.child_label(x)), []).append(v)
+        self.edge_classes = tuple(tuple(c) for c in classes.values() if len(c) > 1)
+        self.edge_class = {v: c for c in self.edge_classes for v in c}
+        self.edges = tuple(sorted((u, w) for c in self.edge_classes for i, u in enumerate(c) for w in c[i + 1 :]))
 
     def up(self, pair) -> Optional[tuple]:
         """The parent pair of `pair` and the arrow joining the two, or None.
@@ -150,44 +137,38 @@ class PullbackNetwork(_LinkedNetwork):
         return (tree1.parent[n], tree2.parent[m]), arrow
 
     def partners(self, pair) -> list:
-        """Network vertices joined to `pair` by an edge: same-labelled siblings on the parent side."""
-        side, tp = self.parent_side, self.trees[self.parent_side]
-        x = pair[side]
-        if x == tp.tree.root:
-            return []
-        out = []
-        for x2 in tp.tree.children(tp.tree.parent[x]):
-            w = pair[:side] + (x2,) + pair[side + 1 :]
-            if x2 != x and tp.child_label(x2) == tp.child_label(x) and w in self.vertex_set:
-                out.append(w)
-        return out
+        """Network vertices joined to `pair` by an edge: the rest of its edge class."""
+        return [w for w in self.edge_class.get(pair, ()) if w != pair]
 
-    def project(self, vertex):
-        return vertex
+    @cached_property
+    def linked(self) -> frozenset:
+        """The pairs of vertices joined by an arrow or an edge, in both orders.
+
+        Two links u-v and v-w, u != w, pass through a triangle exactly when
+        (u, w) is linked: no two links join the same two vertices, so three
+        vertices carry three links exactly when each two of them are linked.
+        This is the blocking test of graph maps and traversals.
+        """
+        pairs = [(a.source, a.target) for a in self.arrows] + list(self.edges)
+        return frozenset(pairs + [(w, u) for u, w in pairs])
+
+    @property
+    def triangle_count(self) -> int:
+        """The number of triangles, counted per edge class.
+
+        Every triangle has an edge: the arrows form a forest.  Three pairs
+        carrying three edges are three pairs of one class.  An edge and two
+        arrows form a triangle exactly when the ends of the edge share their
+        pullback parent, as every pair of their class then does.  So a class
+        of s pairs holds C(s, 3) triangles of the first kind, and C(s, 2) of
+        the second when it has a pullback parent.
+        """
+        return sum(comb(len(c), 3) + comb(len(c), 2) * (c[0] in self.pullback_parent) for c in self.edge_classes)
 
     @cached_property
     def forest_roots(self) -> tuple:
         """Roots of the pullback quiver: vertices with no pullback parent."""
         return tuple(v for v in self.vertices if v not in self.pullback_parent)
-
-    @cached_property
-    def pullback_height(self) -> dict:
-        """Height of each vertex inside its rooted tree of the pullback forest."""
-        heights: dict = {}
-        for v in self.vertices:
-            climbed = []
-            while v not in heights and v in self.pullback_parent:
-                climbed.append(v)
-                v = self.pullback_parent[v]
-            h = heights.setdefault(v, 0)
-            for u in reversed(climbed):
-                h += 1
-                heights[u] = h
-        return heights
-
-    @cached_property
-    def triangle_set(self) -> frozenset:
-        return frozenset(t.vertices for t in triangles(self))
 
 
 @dataclass(frozen=True)
@@ -199,7 +180,7 @@ class Triangle:
 
 
 def triangles(net: PullbackNetwork) -> tuple[Triangle, ...]:
-    """All triangles of the network.
+    """All triangles of the network, listed: a reference for the counts.
 
     Every triangle contains at least one edge (directed cycles are absent and
     each vertex has at most one pullback parent), so the search walks the
@@ -207,6 +188,10 @@ def triangles(net: PullbackNetwork) -> tuple[Triangle, ...]:
     one-edge type, and two incident edges whose far endpoints are also
     joined give the three-edge type.
     """
+    edge_set, ends = frozenset(net.edges), defaultdict(list)
+    for u, v in net.edges:
+        ends[u].append(v)
+        ends[v].append(u)
     found: dict[frozenset, Triangle] = {}
     for u, v in net.edges:
         parent = net.pullback_parent.get(u)
@@ -214,45 +199,40 @@ def triangles(net: PullbackNetwork) -> tuple[Triangle, ...]:
             key = frozenset((u, v, parent))
             found.setdefault(key, Triangle(key, "1-edge"))
         for mid, far in ((u, v), (v, u)):
-            for e2 in net.edges_at(mid):
-                w = e2[0] if e2[1] == mid else e2[1]
-                if w == far:
-                    continue
-                if _edge(w, far) in net.edge_set:
+            for w in ends[mid]:
+                if w != far and _edge(w, far) in edge_set:
                     key = frozenset((u, v, w))
                     found.setdefault(key, Triangle(key, "3-edge"))
     return tuple(sorted(found.values(), key=lambda t: sorted(t.vertices)))
 
 
-class TwoCover(_LinkedNetwork):
+class TwoCover:
     """The signed double of a pullback network.
 
     Vertices and arrows are doubled with a sign; each undirected edge lifts
-    to the two sign-crossing edges.  The projection drops the sign.
+    to the two sign-crossing edges.  Dropping the sign projects the cover
+    onto `base`, where its blocking is decided.
     """
 
     def __init__(self, base: PullbackNetwork):
         self.base = base
-        self.vertices = tuple(sorted((n, m, s) for (n, m) in base.vertices for s in (-1, 1)))
+        lifts = {v: (v + (-1,), v + (1,)) for v in base.vertices}
+        self.vertices = tuple(x for v in base.vertices for x in lifts[v])  # sorted, as base.vertices is
         self.arrows = tuple(sorted(_lift(a, s) for a in base.arrows for s in (-1, 1)))
-        self.edges = tuple(
-            sorted(
-                _edge(e[0] + (s,), e[1] + (-s,))
-                for e in base.edges
-                for s in (-1, 1)
-            )
-        )
-        self._build_indexes()
+        # u < w, so each lift of the edge (u, w) starts at its end over u
+        self.edges = tuple(sorted((lifts[u][i], lifts[w][1 - i]) for u, w in base.edges for i in (0, 1)))
 
-    def project(self, vertex):
-        return vertex[:2]
+    @cached_property
+    def vertex_set(self) -> frozenset:
+        return frozenset(self.vertices)
 
-    @property
-    def triangle_set(self) -> frozenset:
-        return self.base.triangle_set
+    @cached_property
+    def arrow_set(self) -> frozenset:
+        return frozenset(self.arrows)
 
-
-Network = Union[PullbackNetwork, TwoCover]
+    @cached_property
+    def edge_set(self) -> frozenset:
+        return frozenset(self.edges)
 
 
 def pullback_network(t1: TreeOverQ, t2: TreeOverQ) -> PullbackNetwork:
@@ -263,22 +243,7 @@ def two_cover(net: PullbackNetwork) -> TwoCover:
     return TwoCover(net)
 
 
-def _window_blocked(net: Network, u, v, w) -> bool:
-    """Whether the visited triple (u, v, w) induces a triangle downstairs."""
-    triple = frozenset((net.project(u), net.project(v), net.project(w)))
-    return triple in net.triangle_set
-
-
-def _neighbours(net: Network, v) -> list:
-    """The far ends of the links at `v`: arrow heads, arrow tails, edge partners."""
-    return (
-        [a.target for a in net.arrows_from(v)]
-        + [a.source for a in net.arrows_into(v)]
-        + [e[1] if e[0] == v else e[0] for e in net.edges_at(v)]
-    )
-
-
-def maximal_r_free_traversals(net: Network) -> int:
+def maximal_r_free_traversals(net: PullbackNetwork) -> int:
     """The number of maximal unblocked traversals, counted up to inversion.
 
     A traversal is maximal when no single link can extend it at either end
@@ -286,43 +251,59 @@ def maximal_r_free_traversals(net: Network) -> int:
     traversals are admitted only at isolated vertices, so each connected
     component contributes at least one traversal.
 
-    The census is counted, never listed, on the graph of directed steps.  A
-    step (u, v) runs along one link; (v, w) may follow it when w != u and
-    {u, v, w} does not project to a triangle.  Each step begins one maximal
-    walk if nothing may follow it, and otherwise as many as its successors
-    together.  A step has no legal predecessor exactly when its reverse has
-    no successor; the maximal walks are counted from those steps.
+    The census is counted from the pullback forest, never listed.  A legal
+    walk climbs the forest, crosses at most one edge, then descends: f*e?b*
+    for sink trees, b*e?f* for source trees.  A step down cannot be followed
+    by a step up, as each vertex has at most one pullback parent.  The ends
+    of an edge share their pullback parent, if any, so a step up after an
+    edge, or an edge after a step down, closes a 1-edge triangle; two edges
+    at one vertex close a 3-edge triangle.  So a maximal walk climbs from a
+    forest leaf to a vertex v, then crosses an edge v-w and descends from w
+    to a leaf, or turns down at v into a child outside the class of the one
+    it came from, or stops at v if v is a root with no edge whose children
+    lie in one class (read backwards, it descends from v).
 
-    The step graph is acyclic, in the cover too, because blocking is decided
-    on the projection.  A legal walk climbs the pullback forest, crosses at
-    most one edge, then descends: f*e?b* for sink trees, b*e?f* for source
-    trees.  A step down cannot be followed by a step up, as each vertex has
-    at most one pullback parent.  The two ends of an edge share their
-    pullback parent, so a step up after an edge, or an edge after a step
-    down, closes a blocked 1-edge triangle; two edges at one vertex close a
-    3-edge triangle.  So no walk is longer than twice the forest height + 1.
+    With L(v) the number of leaves under v (1 at a leaf), the directed walks
+    across the edges of a class C number (sum L)**2 - sum L**2 over C, the
+    ordered pairs of distinct ends.  Those that turn at v number the same
+    over the children of v, less the same over each class among them; but
+    when C has a pullback parent p, its edge walks are as many as the turns
+    at p that it blocks, so only the classes of roots count on their own.
+    Each root r where walks stop adds 2 L(r).
 
     Halving the directed count is exact: no two links join the same two
     vertices, so a walk is its vertex sequence, and a non-backtracking walk
     without loops is never its own reverse.
+
+    The signed double (`two_cover`) has exactly twice as many maximal
+    traversals.  Its projection is a 2-sheeted covering of graphs: the links
+    at (v, s) biject with those at v (arrows stay on sheet s, edges cross to
+    sheet -s), and blocking is decided on the projection.  So a walk of the
+    cover extends, legally, exactly as its projection does, and each maximal
+    traversal of the network, and each isolated vertex, lifts to exactly
+    two: one from each lift of its first vertex.
     """
-    succ: dict = {}
-    isolated = 0
-    for v in net.vertices:
-        around = _neighbours(net, v)
-        isolated += not around
-        for u in around:
-            succ[u, v] = [(v, w) for w in around if w != u and not _window_blocked(net, u, v, w)]
-    walks: dict = {}  # step -> number of maximal walks it begins
-    stack = list(succ)
-    while stack:
-        todo = [s for s in succ[stack[-1]] if s not in walks]
-        if todo:
-            stack += todo
-        else:
-            step = stack.pop()
-            walks[step] = sum(walks[s] for s in succ[step]) or 1
-    directed = sum(walks[u, v] for u, v in succ if not succ[v, u])
+    children: dict = {v: [] for v in net.vertices}
+    for v, w in net.pullback_parent.items():
+        children[w].append(v)
+    order = list(net.forest_roots)
+    for v in order:  # the list grows while it is read: parents before children
+        order += children[v]
+    leaves: dict = {}
+    for v in reversed(order):
+        leaves[v] = sum(leaves[c] for c in children[v]) or 1
+    directed = isolated = 0
+    for group in list(children.values()) + [c for c in net.edge_classes if c[0] not in net.pullback_parent]:
+        total = sum(leaves[v] for v in group)
+        directed += total * total - sum(leaves[v] ** 2 for v in group)
+    for r in net.forest_roots:
+        kids = children[r]
+        if r in net.edge_class:
+            continue
+        if not kids:
+            isolated += 1
+        elif len(net.edge_class.get(kids[0], kids[:1])) == len(kids):  # the children lie in one class
+            directed += 2 * leaves[r]
     return directed // 2 + isolated
 
 

@@ -34,7 +34,7 @@ from rtmtools import (
 )
 from rtmtools.cli import main
 from rtmtools.network import _edge
-from test_network import reference_walks
+from test_network import links_at, reference_walks
 
 
 def _report(num: int, ok: bool, text: str) -> None:
@@ -165,7 +165,11 @@ SHAPES = {SINK: re.compile(r"f*e?b*"), SOURCE: re.compile(r"b*e?f*")}
 
 
 def _forest_ok(net):
-    up = net.arrows_from if net.orientation == SINK else net.arrows_into
+    moves = links_at(net)
+
+    def up(v):
+        return [a for kind, a, _ in moves[v] if kind == ("f" if net.orientation == SINK else "b")]
+
     roots = 0
     for v in net.vertices:
         ups = up(v)
@@ -191,12 +195,11 @@ def test_criterion_6_structural_property_suites(instances):
         orientation = t.orientation
         net = pullback_network(t, t)
         assert _forest_ok(net)
-        edge_set = set(net.edges)
+        edge_set, moves = set(net.edges), links_at(net)
         for e1 in net.edges:
             for shared, far in ((e1[0], e1[1]), (e1[1], e1[0])):
-                for e2 in net.edges_at(shared):
-                    other = e2[0] if e2[1] == shared else e2[1]
-                    if other != far:
+                for kind, _, other in moves[shared]:
+                    if kind == "e" and other != far:
                         assert _edge(far, other) in edge_set
         walks = reference_walks(net)
         assert maximal_r_free_traversals(net) == len(walks)

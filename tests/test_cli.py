@@ -1,8 +1,10 @@
 """Document parsing, round-trips, and the command surface."""
 
+import dataclasses
 import functools
 import sys
 import time
+from math import comb
 
 import pytest
 
@@ -265,6 +267,37 @@ def test_cmd_decompose_star_400_checks_one_composed_witness(tmp_path, capsys, mo
     assert (len(calls["split"]), len(calls["verify_iso"]), len(calls["push_down"]), len(calls["endo"])) == (399, 1, 1, 0)
 
 
+def _corrupt_certificates(monkeypatch):
+    """Make every sibling certificate's witness send its top vertex to itself."""
+    first = structure.first_certificate
+
+    def corrupted(*args):
+        cert = first(*args)
+        if cert is None:
+            return None
+        w = cert[-1]
+        return cert[:-1] + (dataclasses.replace(w, vertex_map={**w.vertex_map, w.domain_root: w.domain_root}),)
+
+    monkeypatch.setattr(structure, "first_certificate", corrupted)
+
+
+@pytest.mark.parametrize("fault", ["verify_iso", "certificate"])
+@pytest.mark.parametrize("orientation", ["SINK", "SOURCE"])
+def test_cmd_decompose_exits_4_when_its_own_check_fails(tmp_path, capsys, monkeypatch, orientation, fault):
+    if fault == "verify_iso":
+        monkeypatch.setattr(oracle, "verify_iso", lambda witness: False)
+    else:
+        _corrupt_certificates(monkeypatch)
+    path = _write(tmp_path, "star5.rtm", _star_document(5, orientation))
+    assert main(["decompose", path]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    reason = "split witness failed verification" if fault == "verify_iso" else "sibling certificate failed its check"
+    assert captured.err == f"decomposition check failed: {reason}\n"
+    with pytest.raises(AssertionError, match=reason):  # the library keeps raising
+        structure.decompose_fully(parse_document(_star_document(5, orientation)).tree)
+
+
 @pytest.mark.parametrize("orientation", ["SINK", "SOURCE"])
 @pytest.mark.parametrize("prime", ["4294967311", "1000000000000000003"])
 def test_cmd_hom_rejects_primes_beyond_the_int64_bound(tmp_path, capsys, orientation, prime):
@@ -381,6 +414,22 @@ def test_cmd_hom_deep_twin_chain(tmp_path, capsys, orientation):
     captured = capsys.readouterr()
     assert captured.out == "GGM span rank: 3; oracle dim: 3; AGREE\n"
     assert captured.err == ""
+
+
+@pytest.mark.parametrize("k", [2, 3, 5, 10, 20, 30])
+@pytest.mark.parametrize("orientation", ["SINK", "SOURCE"])
+def test_cmd_network_counts_stars_from_the_forest(tmp_path, capsys, orientation, k):
+    # star 30 used to list its 138,910 triangles and walk a step graph: 5 s and 200 MB, with --cover
+    path = _write(tmp_path, "star.rtm", _star_document(k, orientation))
+    census = comb(k * k, 2) + comb(k + 1, 2)
+    start = time.perf_counter()
+    assert main(["network", path, path]) == 0
+    base = capsys.readouterr().out.splitlines()
+    assert main(["network", path, path, "--cover"]) == 0
+    cover = capsys.readouterr().out.splitlines()
+    assert time.perf_counter() - start < 2.0
+    assert base[-2:] == [f"triangles: {(k + 1) * comb(k, 3) + k * comb(k, 2)}", f"maximal R[1]-free traversals: {census}"]
+    assert cover[-1] == f"maximal R[2]-free traversals: {2 * census}"
 
 
 @pytest.mark.parametrize("n", [600, 2000])

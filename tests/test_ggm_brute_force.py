@@ -28,6 +28,7 @@ from rtmtools import (
     pullback_network,
     push_down,
     random_instance,
+    triangles,
     two_cover,
 )
 from rtmtools.ggm import _met, _Obligations
@@ -77,8 +78,17 @@ def test_enumeration_matches_brute_force_on_tiny_instances():
             expected = set()
             ghosts = []
             rep = push_down(t, 3)
+            blocked = {tri.vertices for tri in triangles(cover.base)}
             for sub in brute_force_subnetworks(cover):
-                if not (is_complete(sub).ok and sub.is_r_free()):
+                ends = sub._far_ends()
+                r_free = not any(
+                    frozenset((u[:2], v[:2], w[:2])) in blocked
+                    for v, far in ends.items()
+                    for i, u in enumerate(far)
+                    for w in far[i + 1 :]
+                )
+                assert sub.is_r_free() == r_free  # blocking read off adjacency agrees with the listed triangles
+                if not (is_complete(sub).ok and r_free):
                     continue
                 induced = ggm_matrix(sub, rep, rep)
                 if induced.is_zero():
@@ -97,11 +107,12 @@ def test_enumeration_matches_brute_force_on_tiny_instances():
 class _CopyingState:
     """Closure state of the enumeration before reverse-search pruning."""
 
-    def __init__(self, cover):
+    def __init__(self, cover, blocked):
         self.cover, self.signs, self.links, self.neighbours, self.pending = cover, {}, set(), {}, []
+        self.blocked = blocked  # vertex sets of the listed triangles downstairs
 
     def copy(self):
-        st = _CopyingState(self.cover)
+        st = _CopyingState(self.cover, self.blocked)
         st.signs, st.links = dict(self.signs), set(self.links)
         st.neighbours, st.pending = dict(self.neighbours), list(self.pending)
         return st
@@ -120,7 +131,7 @@ class _CopyingState:
         u, v = (link.source, link.target) if isinstance(link, NetArrow) else link
         for shared, far in ((u, v), (v, u)):
             for other_far in self.neighbours.get(shared, ()):
-                if frozenset((other_far[:2], shared[:2], far[:2])) in self.cover.triangle_set:
+                if frozenset((other_far[:2], shared[:2], far[:2])) in self.blocked:
                     return False
         self.links.add(link)
         self.neighbours[u] = self.neighbours.get(u, ()) + (v,)
@@ -133,6 +144,7 @@ def _seed_every_vertex_and_deduplicate(t1, t2):
     sign, duplicates dropped: a reference for the pruned enumeration."""
     cover = two_cover(pullback_network(t1, t2))
     table = _Obligations(cover.base)
+    blocked = {t.vertices for t in triangles(cover.base)}
 
     def search(state):
         while state.pending:
@@ -154,7 +166,7 @@ def _seed_every_vertex_and_deduplicate(t1, t2):
 
     found = {}
     for pair in cover.base.vertices:
-        seed = _CopyingState(cover)
+        seed = _CopyingState(cover, blocked)
         seed.add_vertex(pair + (1,))
         for sub in search(seed):
             canon = _canonical(sub)

@@ -1,8 +1,11 @@
 """Pullback networks, double covers, triangles, and the traversal census."""
 
 import re
+from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rtmtools import (
     SINK,
@@ -21,13 +24,22 @@ from rtmtools import (
 from rtmtools.network import _edge
 
 
-def _moves(net, v):
-    """(kind, link, far end) for every link at `v`; kind is f, b or e."""
-    return (
-        [("f", a, a.target) for a in net.arrows_from(v)]
-        + [("b", a, a.source) for a in net.arrows_into(v)]
-        + [("e", e, e[1] if e[0] == v else e[0]) for e in net.edges_at(v)]
-    )
+def links_at(net):
+    """(kind, link, far end) for every link at each vertex of a network or a
+    double cover; kind is f (along an arrow), b (against one) or e."""
+    moves = {v: [] for v in net.vertices}
+    for a in net.arrows:
+        moves[a.source].append(("f", a, a.target))
+        moves[a.target].append(("b", a, a.source))
+    for u, w in net.edges:
+        moves[u].append(("e", (u, w), w))
+        moves[w].append(("e", (u, w), u))
+    return moves
+
+
+def blocked_triples(net):
+    """The vertex sets of the listed triangles of a network, or of a double cover's base."""
+    return {t.vertices for t in triangles(getattr(net, "base", net))}
 
 
 def reference_walks(net):
@@ -35,15 +47,14 @@ def reference_walks(net):
 
     Lists every maximal unblocked walk from every vertex and identifies a
     walk with its inverse by vertex sequence.  Maps the lesser of the two
-    vertex sequences to the word of step kinds read along it.
+    vertex sequences to the word of step kinds read along it.  A window is
+    blocked when its projection (the first two coordinates) is a listed
+    triangle.
     """
+    moves, blocked = links_at(net), blocked_triples(net)
 
     def legal(prev, link, at):
-        return [
-            m
-            for m in _moves(net, at)
-            if m[1] != link and frozenset(map(net.project, (prev, at, m[2]))) not in net.triangle_set
-        ]
+        return [m for m in moves[at] if m[1] != link and frozenset(v[:2] for v in (prev, at, m[2])) not in blocked]
 
     walks = {}
 
@@ -58,9 +69,9 @@ def reference_walks(net):
             walks[vseq] = word
 
     for v in net.vertices:
-        if not _moves(net, v):
+        if not moves[v]:
             walks[(v,)] = ""
-        for kind, link, to in _moves(net, v):
+        for kind, link, to in moves[v]:
             extend((v, to), ((kind, link),))
     return walks
 
@@ -115,7 +126,7 @@ def test_two_cover_doubles_everything(sink_tree):
     # the projection is two-to-one on vertices
     fibers = {}
     for v in cover.vertices:
-        fibers.setdefault(cover.project(v), []).append(v)
+        fibers.setdefault(v[:2], []).append(v)
     assert all(len(f) == 2 for f in fibers.values())
 
 
@@ -172,12 +183,11 @@ def test_census_of_sink_example(sink_tree):
 
 def test_census_counts_up_to_inversion(sink_tree):
     net = pullback_network(sink_tree, sink_tree)
-    for shown in (net, two_cover(net)):
-        walks = reference_walks(shown)
-        assert maximal_r_free_traversals(shown) == len(walks)
-        # halving the directed count is exact: no walk is its own reverse
-        assert all(len(k) == 1 or k != k[::-1] for k in walks)
-    assert maximal_r_free_traversals(two_cover(net)) == 2 * 13
+    walks, cover_walks = reference_walks(net), reference_walks(two_cover(net))
+    assert maximal_r_free_traversals(net) == len(walks) == 13
+    assert len(cover_walks) == 2 * 13
+    # halving the directed count is exact: no walk is its own reverse
+    assert all(len(k) == 1 or k != k[::-1] for k in list(walks) + list(cover_walks))
 
 
 def test_projection_preserves_r_freeness(sink_tree):
@@ -185,11 +195,12 @@ def test_projection_preserves_r_freeness(sink_tree):
     cover = two_cover(net)
     links = {(a.source, a.target) for a in net.arrows} | {(a.target, a.source) for a in net.arrows}
     links |= set(net.edges) | {(v, u) for u, v in net.edges}
+    blocked = blocked_triples(net)
     for vseq in reference_walks(cover):
-        down = tuple(cover.project(v) for v in vseq)
+        down = tuple(v[:2] for v in vseq)
         assert all(step in links for step in zip(down, down[1:]))
         for u, v, w in zip(down, down[1:], down[2:]):
-            assert u != w and frozenset((u, v, w)) not in net.triangle_set
+            assert u != w and frozenset((u, v, w)) not in blocked
 
 
 SHAPES = {SINK: re.compile(r"f*e?b*"), SOURCE: re.compile(r"b*e?f*")}
@@ -203,24 +214,26 @@ def test_structural_invariants_on_random_instances():
                 seed + 500, orientation, max_vertices=8, end_dim_cap=None, codomain=t1.codomain
             )
             net = pullback_network(t1, t2)
-            edge_set = set(net.edges)
+            edge_set, moves = set(net.edges), links_at(net)
             for v in net.vertices:
-                ups = net.arrows_from(v) if orientation == SINK else net.arrows_into(v)
+                ups = [m for m in moves[v] if m[0] == ("f" if orientation == SINK else "b")]
                 assert len(ups) <= 1
-                assert (len(ups) == 0) == (net.pullback_height[v] == 0)
+                assert (len(ups) == 0) == (v in net.forest_roots)
             # at most one link between two vertices, and the arrow part is acyclic
             seen_pairs = set()
             for a in net.arrows:
                 pair = _edge(a.source, a.target)
                 assert pair not in seen_pairs and pair not in edge_set
                 seen_pairs.add(pair)
-            assert all(net.pullback_height[v] <= len(net.vertices) for v in net.vertices)
+            for v in net.vertices:  # following pullback parents ends at a root
+                for _ in net.vertices:
+                    v = net.pullback_parent.get(v, v)
+                assert v in net.forest_roots
             # edge transitivity
             for e1 in net.edges:
                 for shared, far in ((e1[0], e1[1]), (e1[1], e1[0])):
-                    for e2 in net.edges_at(shared):
-                        other = e2[0] if e2[1] == shared else e2[1]
-                        if other != far:
+                    for kind, _, other in moves[shared]:
+                        if kind == "e" and other != far:
                             assert _edge(far, other) in edge_set
             # census shape law: at most one edge, arrows never flip back
             for word in reference_walks(net).values():
@@ -247,6 +260,61 @@ def test_census_count_matches_the_search_on_random_instances(orientation, shape)
         t = random_instance(seed, orientation, end_dim_cap=None, **shape)
         u = random_instance(seed + 1000, orientation, end_dim_cap=None, codomain=t.codomain, **shape)
         for t1, t2 in ((t, t), (t, u), (u, t)):
-            net = pullback_network(t1, t2)
-            for shown in (net, two_cover(net)):
-                assert maximal_r_free_traversals(shown) == len(reference_walks(shown)), seed
+            assert_counts_match_the_references(pullback_network(t1, t2))
+
+
+def assert_counts_match_the_references(net):
+    """Triangle count, census and cover doubling against the listed triangles and the exhaustive search."""
+    listed = triangles(net)
+    assert net.triangle_count == len(listed)
+    census = maximal_r_free_traversals(net)
+    assert census == len(reference_walks(net))
+    assert len(reference_walks(two_cover(net))) == 2 * census
+    # blocking is adjacency: two links u-v-w close a listed triangle exactly when u and w are linked
+    blocked = {t.vertices for t in listed}
+    for v, moves in links_at(net).items():
+        for _, _, u in moves:
+            for _, _, w in moves:
+                if u < w:
+                    assert ((u, w) in net.linked) == (frozenset((u, v, w)) in blocked)
+
+
+def _tree_from_parents(parents, labels, orientation, bq):
+    """A tree whose vertex i + 2 hangs below vertex parents[i] (at most i + 1), vertex 1 the root."""
+    n = len(parents) + 1
+    arrows = [
+        (f"a{c}", c, p) if orientation == SINK else (f"a{c}", p, c)
+        for c, p in zip(range(2, n + 1), parents)
+    ]
+    tree = RootedTree(list(range(1, n + 1)), arrows, orientation)
+    return TreeOverQ(tree, bq, {v: "1" for v in range(1, n + 1)}, {a[0]: label for a, label in zip(arrows, labels)})
+
+
+def _parent_arrays(draw, size):
+    parents = [draw(st.integers(1, i + 1)) for i in range(size)]
+    labels = [draw(st.sampled_from(("alpha", "beta"))) for _ in range(size)]
+    return parents, labels
+
+
+@st.composite
+def _tree_pairs(draw):
+    orientation = draw(st.sampled_from((SINK, SOURCE)))
+    shapes = [_parent_arrays(draw, draw(st.integers(0, 8))) for _ in range(2)]
+    height = 0
+    for parents, _ in shapes:
+        depth = {1: 0}
+        for c, p in enumerate(parents, start=2):
+            depth[c] = depth[p] + 1
+        height = max(height, *depth.values())
+    q = Quiver(["1"], [("alpha", "1", "1"), ("beta", "1", "1")])
+    bq = BoundQuiver(q, list(product(("alpha", "beta"), repeat=max(height, 1) + 1)))  # relations have length >= 2
+    return [_tree_from_parents(parents, labels, orientation, bq) for parents, labels in shapes]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_tree_pairs())
+def test_counts_match_the_references_on_arbitrary_trees(trees):
+    # any parent array, with unbounded fan-out (random_instance gives at most 3 children)
+    t1, t2 = trees
+    for a, b in ((t1, t2), (t1, t1)):
+        assert_counts_match_the_references(pullback_network(a, b))
