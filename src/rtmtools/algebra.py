@@ -4,8 +4,11 @@ A bound quiver is a finite quiver together with a set of relations, each a
 composable path of length >= 2.  The quotient of the path algebra by the
 ideal these relations generate is a zero-relation algebra.  Because the
 ideal is generated by paths, membership of a path in the ideal is exactly a
-contiguous-subword test on arrow sequences, and "only finitely many
-relation-free paths exist" can be decided by a forbidden-subword automaton.
+contiguous-subword test on arrow sequences.  One multi-pattern
+string-matching automaton of the relations (`relation_automaton`) answers
+every such question: ideal membership, relation-free path enumeration, the
+locally-bound check ("only finitely many relation-free paths exist") and,
+in `trees`, the validation of a labelled tree.
 
 Conventions: arrow sequences are stored in traversal order, i.e. the first
 arrow walked comes first.  Algebraic composition (right-to-left) is never
@@ -15,6 +18,7 @@ exposed; callers compose by concatenating traversal words.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Iterable, Optional, Sequence
 
 
@@ -126,6 +130,40 @@ class LocallyBoundReport:
     cycle: Optional[tuple[str, ...]] = None
 
 
+def relation_automaton(words: Iterable[Sequence[str]]) -> tuple[list[dict[str, int]], list[bool]]:
+    """The multi-pattern string-matching automaton of `words` (Aho-Corasick).
+
+    State 0 is the empty word; the others are the nonempty prefixes of the
+    words, numbered breadth-first, and the state after reading a word is its
+    longest suffix among them.  A letter x leads from state i to
+    `step[i].get(x, 0)`, and `dead[i]` tells whether some word ends at the
+    last letter read.  A state that is not dead is the longest suffix of the
+    letters read that is a proper prefix of a word.
+    """
+    step: list[dict[str, int]] = [{}]
+    dead = [False]
+    for word in words:
+        state = 0
+        for x in word:
+            if x not in step[state]:
+                step[state][x] = len(step)
+                step.append({})
+                dead.append(False)
+            state = step[state][x]
+        dead[state] = True
+    # Breadth-first from the root's children, whose fail state is the root, so
+    # the fail state of each state (its longest proper suffix among the
+    # states, always shorter) is complete before it is read.
+    fail, queue = [0] * len(step), list(step[0].values())
+    for i in queue:  # the queue grows while it is read
+        for x, child in step[i].items():
+            fail[child] = step[fail[i]].get(x, 0)
+            queue.append(child)
+        step[i] = {**step[fail[i]], **step[i]}
+        dead[i] = dead[i] or dead[fail[i]]
+    return step, dead
+
+
 def path_in_ideal(bq: BoundQuiver, path: Path) -> bool:
     """Whether the path lies in the ideal generated by the relations.
 
@@ -133,7 +171,8 @@ def path_in_ideal(bq: BoundQuiver, path: Path) -> bool:
     relation occurs in it as a contiguous subword.
     """
     bq.quiver.path(path.source, path.arrows)  # structural re-check
-    return first_relation(bq, path.arrows) is not None
+    step, dead = relation_automaton(bq.relations)
+    return any(dead[s] for s in accumulate(path.arrows, lambda s, x: step[s].get(x, 0), initial=0))
 
 
 def first_relation(bq: BoundQuiver, word: tuple[str, ...]) -> Optional[tuple[int, tuple[str, ...]]]:
@@ -149,61 +188,16 @@ def first_relation(bq: BoundQuiver, word: tuple[str, ...]) -> Optional[tuple[int
     return None
 
 
-def relation_matcher(word: tuple[str, ...]) -> list[dict[str, int]]:
-    """The string-matching automaton of `word` (Knuth-Morris-Pratt).
-
-    State i means that the last i letters read are the first i of `word`; a
-    letter x leads from state i to `step[i].get(x, 0)`, and state len(word)
-    means that an occurrence of `word` ends at x.
-    """
-    step, back = [{word[0]: 1}], 0
-    for i in range(1, len(word)):
-        step.append({**step[back], word[i]: i + 1})
-        back = step[back].get(word[i], 0)
-    return step
-
-
-def _word_completes_relation(bq: BoundQuiver, word: tuple[str, ...]) -> bool:
-    return any(word[len(word) - len(r) :] == r for r in bq.relations if len(r) <= len(word))
-
-
-def _proper_prefix_set(bq: BoundQuiver) -> frozenset[tuple[str, ...]]:
-    out = {()}
-    for rel in bq.relations:
-        for k in range(1, len(rel)):
-            out.add(rel[:k])
-    return frozenset(out)
-
-
-def _automaton_step(
-    bq: BoundQuiver, prefixes: frozenset, memory: tuple[str, ...], arrow: str
-) -> Optional[tuple[str, ...]]:
-    """Advance the forbidden-subword automaton; None if a relation completes.
-
-    The memory is the longest suffix of the walked arrow word that is a
-    proper prefix of some relation, which is all the state needed to detect
-    contiguous occurrences of relations.
-    """
-    word = memory + (arrow,)
-    if _word_completes_relation(bq, word):
-        return None
-    for start in range(len(word) + 1):
-        suffix = word[start:]
-        if suffix in prefixes:
-            return suffix
-    return ()
-
-
-def _reachable_states(bq: BoundQuiver) -> dict[tuple[str, tuple[str, ...]], list[tuple[str, tuple[str, tuple[str, ...]]]]]:
-    """Reachable part of the product automaton (vertex, suffix memory).
+def _reachable_states(bq: BoundQuiver) -> dict[tuple[str, int], list[tuple[str, tuple[str, int]]]]:
+    """Reachable part of the product automaton: (quiver vertex, `relation_automaton` state).
 
     Edges are labelled by the arrow taken; a transition exists only when the
     arrow does not complete a relation.
     """
-    prefixes = _proper_prefix_set(bq)
+    step, dead = relation_automaton(bq.relations)
     quiver = bq.quiver
     graph: dict = {}
-    stack = [(v, ()) for v in quiver.vertices]
+    stack = [(v, 0) for v in quiver.vertices]
     while stack:
         state = stack.pop()
         if state in graph:
@@ -211,8 +205,8 @@ def _reachable_states(bq: BoundQuiver) -> dict[tuple[str, tuple[str, ...]], list
         vertex, memory = state
         edges = []
         for arrow in quiver.arrows_from(vertex):
-            new_memory = _automaton_step(bq, prefixes, memory, arrow)
-            if new_memory is None:
+            new_memory = step[memory].get(arrow, 0)
+            if dead[new_memory]:
                 continue
             nxt = (quiver.target(arrow), new_memory)
             edges.append((arrow, nxt))
@@ -230,44 +224,32 @@ def check_locally_bound(bq: BoundQuiver) -> LocallyBoundReport:
     transitions on arrows that do not complete a relation.  The relation-free
     paths of the quiver are exactly the walks of this automaton, so the check
     reduces to acyclicity of its reachable part.  A reachable cycle is
-    returned as a witness: its arrow word can be repeated forever without
-    ever containing a relation.
+    returned as a witness: a closed walk whose arrow word can be repeated
+    forever without ever containing a relation.
     """
     graph = _reachable_states(bq)
     WHITE, GRAY, BLACK = 0, 1, 2
-    color = {s: WHITE for s in graph}
+    color = dict.fromkeys(graph, WHITE)
     for root in graph:
         if color[root] != WHITE:
             continue
-        # Iterative DFS; the path stack lets us read the cycle's arrows back.
-        path: list[tuple] = []  # (state, arrow taken to reach the next entry)
-        stack = [(root, iter(graph[root]))]
+        # Iterative DFS; each entry keeps the arrow into its state, so a cycle
+        # is read off the stack.
         color[root] = GRAY
-        path.append([root, None])
+        stack = [(root, None, iter(graph[root]))]
         while stack:
-            state, it = stack[-1]
-            advanced = False
-            for arrow, nxt in it:
+            state, _, edges = stack[-1]
+            for arrow, nxt in edges:
                 if color[nxt] == GRAY:
-                    arrows = []
-                    for i in range(len(path)):
-                        if path[i][0] == nxt:
-                            arrows = [p[1] for p in path[i + 1 :]] + [arrow]
-                            break
-                    return LocallyBoundReport(False, tuple(arrows))
+                    i = next(i for i, entry in enumerate(stack) if entry[0] == nxt)
+                    return LocallyBoundReport(False, tuple(entry[1] for entry in stack[i + 1 :]) + (arrow,))
                 if color[nxt] == WHITE:
                     color[nxt] = GRAY
-                    path[-1][1] = arrow
-                    path.append([nxt, None])
-                    stack.append((nxt, iter(graph[nxt])))
-                    advanced = True
+                    stack.append((nxt, arrow, iter(graph[nxt])))
                     break
-            if not advanced:
+            else:
                 color[state] = BLACK
                 stack.pop()
-                path.pop()
-                if path:
-                    path[-1][1] = None
     return LocallyBoundReport(True)
 
 
@@ -286,18 +268,18 @@ def enumerate_paths_from(bq: BoundQuiver, vertex: str, max_len: int) -> list[Pat
     quiver = bq.quiver
     if vertex not in quiver.vertex_set:
         raise StructureError(f"unknown vertex {vertex!r}")
+    step, dead = relation_automaton(bq.relations)
     out = [quiver.path(vertex)]
-    frontier = [out[0]]
+    frontier = [(out[0], 0)]  # (path, automaton state after its word)
     for _ in range(max_len):
         nxt = []
-        for p in frontier:
+        for p, state in frontier:
             for arrow in quiver.arrows_from(p.target):
-                word = p.arrows + (arrow,)
-                if _word_completes_relation(bq, word):
-                    continue
-                nxt.append(Path(vertex, quiver.target(arrow), word))
+                after = step[state].get(arrow, 0)
+                if not dead[after]:
+                    nxt.append((Path(vertex, quiver.target(arrow), p.arrows + (arrow,)), after))
         if not nxt:
             break
         frontier = nxt
-        out.extend(nxt)
+        out.extend(p for p, _ in nxt)
     return out

@@ -59,19 +59,20 @@ def cmd_validate(args) -> int:
     return OK
 
 
-def _network_report(net: PullbackNetwork, shown) -> None:
-    """The report on `shown`, the network or its double cover."""
+def _network_report(net: PullbackNetwork, cover: bool) -> None:
+    """The report on the network or, with `cover`, on its double cover, whose counts are twice the network's."""
     census = maximal_r_free_traversals(net)
-    print(f"vertices: {len(shown.vertices)}")
-    print(f"arrows: {len(shown.arrows)}")
-    print(f"edges: {len(shown.edges)}")
-    if shown is net:
+    sheets = 2 if cover else 1
+    print(f"vertices: {sheets * len(net.vertices)}")
+    print(f"arrows: {sheets * len(net.arrows)}")
+    print(f"edges: {sheets * len(net.edges)}")
+    if cover:  # every traversal lifts to exactly two of the cover (see maximal_r_free_traversals)
+        print(f"maximal R[2]-free traversals: {2 * census}")
+    else:
         roots = " ".join(f"({n},{m})" for n, m in sorted(net.forest_roots))
         print(f"roots: {roots}")
         print(f"triangles: {net.triangle_count}")
         print(f"maximal R[1]-free traversals: {census}")
-    else:  # every traversal lifts to exactly two of the cover (see maximal_r_free_traversals)
-        print(f"maximal R[2]-free traversals: {2 * census}")
 
 
 def cmd_network(args) -> int:
@@ -86,10 +87,9 @@ def cmd_network(args) -> int:
     require_valid(d1.tree)
     require_valid(d2.tree)
     net = PullbackNetwork(d1.tree, d2.tree)
-    shown = two_cover(net) if args.cover else net
     if args.dot:
-        Path(args.dot).write_text(to_dot(shown), encoding="utf-8")
-    _network_report(net, shown)
+        Path(args.dot).write_text(to_dot(two_cover(net) if args.cover else net), encoding="utf-8")
+    _network_report(net, args.cover)
     if args.dot:
         print(f"dot written to {args.dot}")
     return OK

@@ -20,7 +20,7 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from .algebra import BoundQuiver, StructureError, first_relation, relation_matcher
+from .algebra import BoundQuiver, StructureError, first_relation, relation_automaton
 
 SINK = "sink"
 SOURCE = "source"
@@ -107,7 +107,6 @@ class RootedTree:
                 queue.append(c)
         if len(self.height) != len(self.vertices):
             raise StructureError("underlying graph is not connected")
-        self.tree_height = max(self.height.values())
 
     def children(self, vertex: int) -> tuple[int, ...]:
         return self.child_lists[vertex]
@@ -187,10 +186,11 @@ def validate_tree_over_q(t: TreeOverQ) -> TreeValidationReport:
 
     The bound condition looks for each relation in the image of each
     root-to-leaf path; every tree path is contained in one of these, so
-    checking their images suffices.  One walk down from the root carries a
-    flag: a vertex fails if its parent fails or an occurrence of a relation
-    ends at it, which one step of the relation's string-matching automaton
-    tells (`algebra.relation_matcher`).  Only the first failing leaf, in
+    checking their images suffices.  One walk down from the root gives each
+    vertex the state of the relations' string-matching automaton
+    (`algebra.relation_automaton`, over the reversed relations when the
+    arrows run toward the root) and a flag: a vertex fails if its parent
+    fails or a relation ends at it.  Only the first failing leaf, in
     ascending order, has its whole image word searched by
     `algebra.first_relation`, for the witness.
     """
@@ -207,22 +207,15 @@ def validate_tree_over_q(t: TreeOverQ) -> TreeValidationReport:
     # Whether the arrows run from the root to the leaves, so that a root path
     # read downward is read in traversal order.
     leaving = len(down) > 1 and tree.arrow_target[tree.child_arrow[down[1]]] == down[1]
-    ends = set()
-    for rel in t.codomain.relations:
-        if len(rel) > tree.tree_height:
-            continue  # longer than every root path
-        step, state = relation_matcher(rel if leaving else rel[::-1]), {tree.root: 0}
-        for v in down[1:]:
-            state[v] = step[state[tree.parent[v]]].get(t.child_label(v), 0)
-            if state[v] == len(rel):
-                ends.add(v)
-                state[v] = 0  # every root path through v fails already
-    if not ends:
-        return TreeValidationReport(True)
-    failing = {tree.root: False}
+    step, dead = relation_automaton(rel if leaving else rel[::-1] for rel in t.codomain.relations)
+    state, failing = {tree.root: 0}, {tree.root: False}
     for v in down[1:]:
-        failing[v] = v in ends or failing[tree.parent[v]]
-    leaf = next(leaf for leaf in tree.leaves() if failing[leaf])
+        up = tree.parent[v]
+        state[v] = step[state[up]].get(t.child_label(v), 0)
+        failing[v] = failing[up] or dead[state[v]]
+    leaf = next((leaf for leaf in tree.leaves() if failing[leaf]), None)
+    if leaf is None:
+        return TreeValidationReport(True)
     chain = [leaf]
     while chain[-1] != tree.root:
         chain.append(tree.parent[chain[-1]])

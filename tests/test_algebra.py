@@ -1,8 +1,12 @@
 """Bound quivers: ideal membership, locally-bound check, path enumeration."""
 
 import random
+import time
+from itertools import product
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from rtmtools import (
     BoundQuiver,
@@ -12,7 +16,7 @@ from rtmtools import (
     enumerate_paths_from,
     path_in_ideal,
 )
-from rtmtools.algebra import automaton_state_count, first_relation
+from rtmtools.algebra import automaton_state_count, first_relation, relation_automaton
 
 
 def brute_force_relation_free_paths(bq, vertex, max_len):
@@ -147,8 +151,101 @@ def _random_bound_quiver(seed):
     return BoundQuiver(q, rels)
 
 
+def reference_state_count(bq):
+    """Reachable (quiver vertex, memory) pairs, where the memory is the longest suffix of the
+    walked word that is a proper prefix of a relation, found by searching the suffixes; a step
+    that completes a relation is refused."""
+    q = bq.quiver
+    prefixes = {()} | {rel[:k] for rel in bq.relations for k in range(1, len(rel))}
+    seen, stack = set(), [(v, ()) for v in q.vertices]
+    while stack:
+        state = stack.pop()
+        if state in seen:
+            continue
+        seen.add(state)
+        vertex, memory = state
+        for arrow in q.arrows_from(vertex):
+            word = memory + (arrow,)
+            if any(word[len(word) - len(r) :] == r for r in bq.relations if len(r) <= len(word)):
+                continue
+            stack.append((q.target(arrow), next(word[i:] for i in range(len(word) + 1) if word[i:] in prefixes)))
+    return len(seen)
+
+
+def _random_walk_relations(seed):
+    """A random quiver whose relations are random walks of 2 to 5 arrows, so they share prefixes and overlap."""
+    rng = random.Random(seed)
+    q = _random_bound_quiver(seed).quiver
+    rels = []
+    for _ in range(rng.randint(0, 6)):
+        word = [rng.choice(q.arrows)]
+        for _ in range(rng.randint(1, 4)):
+            options = q.arrows_from(q.target(word[-1]))
+            if options:
+                word.append(rng.choice(options))
+        if len(word) >= 2:
+            rels.append(word)
+    return BoundQuiver(q, rels)
+
+
+@given(
+    st.lists(st.lists(st.sampled_from("abc"), min_size=1, max_size=5).map(tuple), min_size=1, max_size=6),
+    st.lists(st.sampled_from("abc"), max_size=30).map(tuple),
+    st.data(),
+)
+def test_relation_automaton_marks_the_ends_of_words(words, text, data):
+    first = words[0]
+    i = data.draw(st.integers(0, len(first) - 1))
+    j = data.draw(st.integers(i + 1, len(first)))
+    # a duplicate, a word inside another, and a word sharing the first's prefix
+    words = words + [first, first[i:j], first + first[:j]]
+    for ws in (words, [w[::-1] for w in words]):
+        step, dead = relation_automaton(ws)
+        state = 0
+        for k, x in enumerate(text, start=1):
+            state = step[state].get(x, 0)
+            assert dead[state] == any(text[max(0, k - len(w)) : k] == w for w in ws)
+
+
+def test_state_count_matches_the_suffix_search(loop_tail_quiver, two_loop_quiver):
+    cases = [loop_tail_quiver, two_loop_quiver]
+    cases += [f(seed) for seed in range(400) for f in (_random_bound_quiver, _random_walk_relations)]
+    for bq in cases:
+        assert automaton_state_count(bq) == reference_state_count(bq)
+
+
+def test_unbounded_report_holds_a_closed_relation_free_walk():
+    # the witness of a cycle of two or more arrows used to hold None
+    failing = 0
+    for bq in (f(seed) for seed in range(400) for f in (_random_bound_quiver, _random_walk_relations)):
+        report = check_locally_bound(bq)
+        if report.ok:
+            continue
+        failing += 1
+        q = bq.quiver
+        walk = q.path(q.source(report.cycle[0]), report.cycle)
+        assert walk.source == walk.target, f"{report.cycle} is not closed"
+        longest = max(map(len, bq.relations), default=0)
+        assert not path_in_ideal(bq, q.path(walk.source, report.cycle * (longest + 2))), report.cycle
+    assert failing == 432
+
+
+def test_locally_bound_check_is_fast_with_many_relations():
+    # Every word of 7 arrows over three loops but alpha^7, and alpha^31: the relation-free
+    # words are the powers of alpha below 31.  Scanning every relation per step took 0.36 s.
+    q = Quiver(["1"], [(x, "1", "1") for x in ("alpha", "beta", "gamma")])
+    rels = [w for w in product(q.arrows, repeat=7) if set(w) != {"alpha"}] + [("alpha",) * 31]
+    bq = BoundQuiver(q, rels)
+    assert len(bq.relations) == 2187
+    start = time.perf_counter()
+    report = check_locally_bound(bq)
+    assert time.perf_counter() - start < 0.1
+    assert report.ok
+    assert max(len(p.arrows) for p in enumerate_paths_from(bq, "1", 40)) == 30
+
+
 def test_locally_bound_iff_path_enumeration_saturates():
-    for seed in range(40):
+    for seed in range(200):
         bq = _random_bound_quiver(seed)
         cap = automaton_state_count(bq)
         longest = max(

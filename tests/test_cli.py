@@ -10,7 +10,7 @@ import pytest
 
 from rtmtools import cli, oracle, push_down, structure, validate_tree_over_q
 from rtmtools.cli import main
-from rtmtools.network import PullbackNetwork
+from rtmtools.network import PullbackNetwork, to_dot, two_cover
 from rtmtools.textio import ParseError, format_document, parse_document
 from rtmtools.trees import ModuleHom, RootedTree
 
@@ -92,6 +92,11 @@ def test_cmd_validate_unbounded_quiver(tmp_path, capsys):
     path = _write(tmp_path, "loop.rtm", text)
     assert main(["validate", path]) == 1
     assert "relation-free cycle alpha" in capsys.readouterr().out
+    # a cycle of two arrows came back holding None, and the report line ended in a TypeError
+    text = "QUIVER\nvertex u\nvertex v\narrow a u v\narrow b v u\nTREE SINK\nnode 1 u\n"
+    path = _write(tmp_path, "two-cycle.rtm", text)
+    assert main(["validate", path]) == 1
+    assert capsys.readouterr().out == "locally-bound check failed: relation-free cycle b a\n"
 
 
 def test_cmd_network_report(tmp_path, capsys, sink_document):
@@ -117,6 +122,15 @@ def test_cmd_network_writes_dot(tmp_path, capsys, sink_document):
     assert main(["network", path, path, "--dot", str(dot_path)]) == 0
     text = dot_path.read_text(encoding="utf-8")
     assert text.startswith("digraph") and '"2,2" -> "1,1"' in text
+
+
+def test_cmd_network_cover_dot_writes_the_cover(tmp_path, capsys, sink_document):
+    path = _write(tmp_path, "m.rtm", sink_document)
+    dot_path = tmp_path / "cover.dot"
+    assert main(["network", path, path, "--cover", "--dot", str(dot_path)]) == 0
+    assert capsys.readouterr().out.splitlines()[:3] == ["vertices: 26", "arrows: 16", "edges: 6"]
+    net = PullbackNetwork(*(parse_document(sink_document).tree for _ in range(2)))
+    assert dot_path.read_text(encoding="utf-8") == to_dot(two_cover(net))
 
 
 def test_cmd_network_rejects_mixed_orientations(tmp_path, capsys, sink_document):

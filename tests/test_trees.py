@@ -2,6 +2,7 @@
 
 import random
 import time
+from itertools import product
 
 import numpy as np
 import pytest
@@ -265,3 +266,31 @@ def test_validation_is_linear_on_a_comb(orientation):
     report = validate_tree_over_q(t)
     assert report == _per_leaf_report(t)
     assert report.witness == ((0, 1, 2, 3) if orientation == SOURCE else (3, 2, 1, 0), ("alpha",) * 3)
+
+
+def _alpha_forest(chains, depth, orientation):
+    """A root with `chains` chains of `depth` alpha arrows, over three loops bound by every word of
+    six arrows but alpha^6, and by alpha^31: 729 relations, none in the image of a root path."""
+    q = Quiver(["1"], [(x, "1", "1") for x in ("alpha", "beta", "gamma")])
+    rels = [w for w in product(q.arrows, repeat=6) if set(w) != {"alpha"}] + [("alpha",) * 31]
+    n = chains * depth + 1
+    edges = [(v, v - 1 if (v - 1) % depth else 0) for v in range(1, n)]
+    arrows = [(f"a{c}", *((c, p) if orientation == SINK else (p, c))) for c, p in edges]
+    tree = RootedTree(range(n), arrows, orientation)
+    return TreeOverQ(tree, BoundQuiver(q, rels), dict.fromkeys(range(n), "1"), {a: "alpha" for a, _, _ in arrows})
+
+
+@pytest.mark.parametrize("orientation", [SINK, SOURCE])
+def test_validation_reads_all_relations_in_one_walk(orientation):
+    # One automaton walk per relation took 4.9-6.0 s on this forest of 19,981 vertices.
+    t = _alpha_forest(666, 30, orientation)
+    assert len(t.codomain.relations) == 729
+    start = time.perf_counter()
+    report = validate_tree_over_q(t)
+    assert time.perf_counter() - start < 0.5
+    assert report.ok
+    # a beta at depth 25 of the first chain is a relation with the five alphas below it
+    bad = TreeOverQ(t.tree, t.codomain, t.vertex_label, {**t.arrow_label, "a25": "beta"})
+    report = validate_tree_over_q(bad)
+    assert report == _per_leaf_report(bad)
+    assert report.witness[1] == ("alpha",) * 5 + ("beta",)
