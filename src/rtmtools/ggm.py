@@ -306,12 +306,7 @@ def _stream(cover: TwoCover) -> Iterator[GeneralizedGraphMap]:
         yield from _closures(cover, table, pair + (1,), position)
 
 
-def enumerate_ggms(
-    t1: TreeOverQ,
-    t2: TreeOverQ,
-    with_signs: bool = False,
-    cover: Optional[TwoCover] = None,
-) -> list[GeneralizedGraphMap]:
+def enumerate_ggms(t1: TreeOverQ, t2: TreeOverQ, with_signs: bool = False) -> list[GeneralizedGraphMap]:
     """Every generalized graph map for the pair, canonically signed, in `sort_key` order.
 
     Each map is normalized so its lexicographically least vertex pair
@@ -320,9 +315,7 @@ def enumerate_ggms(
     every map comes out exactly once, from its least pair (the canonical
     parent of reverse search, Avis & Fukuda 1996); see `_stream`.
     """
-    if cover is None:
-        cover = two_cover(PullbackNetwork(t1, t2))
-    ggms = sorted(_stream(cover), key=Subnetwork.sort_key)
+    ggms = sorted(_stream(two_cover(PullbackNetwork(t1, t2))), key=Subnetwork.sort_key)
     if with_signs:
         ggms += [g.negate() for g in ggms]
     return ggms

@@ -8,21 +8,23 @@ modulo an odd prime below 2**24; inverses are Python's `pow(x, -1, p)`.  No
 floating point is used anywhere.
 
 Every elimination is one sparse Gauss-Jordan, `_gauss_jordan`, on rows
-{column: nonzero residue} of Python ints: the Hom system, the rank of each
-block of a claimed isomorphism (forward elimination only, since a rank
-needs no reduced form), and, through the dense wrappers `rref` and
-`nullspace`, the scan's coordinates.  `ggm.hom_span` reduces its rows with
-the same step, `_eliminate`.  Columns go in ascending order and the pivot is
-the sparsest eligible row (Markowitz's rule), so the intertwining systems of
+{column: nonzero residue} of Python ints: the Hom system and the rank of
+each block of a claimed isomorphism by forward elimination only (a
+dimension or a rank needs no reduced form), the Hom basis by
+back-substitution only when it is read, and the dense wrappers `rref` and
+`nullspace`.  `ggm.hom_span` reduces its rows with the same step,
+`_eliminate`.  Columns go in ascending order and the pivot is the
+sparsest eligible row (Markowitz's rule), so the intertwining systems of
 tree modules cost about their nonzeros and fill-in; the reduced form, hence
 every basis and witness, does not depend on the pivot row chosen.  The
 unknowns are the flat coordinates of a homomorphism, laid out by
 `trees.hom_layout`.
 
 The idempotent scan works in coordinates of the endomorphism basis, never on
-candidate matrices.  Structure constants gamma (B_k B_l = sum_m gamma_klm
-B_m) come from one elimination and one batched product per quiver vertex;
-a basis whose span is not closed under composition raises ValueError.  The
+candidate matrices.  A vector in the span has its coordinates at the free
+columns of the solve, and structure constants gamma (B_k B_l = sum_m
+gamma_klm B_m) come from one batched product per quiver vertex; a basis
+whose span is not closed under composition raises ValueError.  The
 scan then evaluates e**2 - e on coefficient vectors, in the same ascending
 order as a scan of every combination, so it returns the same witness.
 """
@@ -45,7 +47,6 @@ from .trees import (
     TreeOverQ,
     entries,
     hom_layout,
-    identity_hom,
     push_down,
     validate_tree_over_q,
 )
@@ -83,7 +84,8 @@ def _gauss_jordan(rows: list[dict], p: int, reduced: bool = True) -> list[tuple[
     not depend on which pivot row is chosen.  With `reduced` False the
     column is cleared only from the rows not yet used, with no
     back-substitution: the pivot rows are an echelon form, which gives the
-    rank and nothing more.  `rows` is reduced in place.
+    rank; run again on them, the elimination only substitutes back.  `rows`
+    is reduced in place.
     """
     where: dict = {}  # column -> indices of the rows with a nonzero there
     for i, row in enumerate(rows):
@@ -170,22 +172,38 @@ def nullspace(mat: np.ndarray, p: int) -> np.ndarray:
 
 
 class HomBasis:
-    """A basis of the homomorphisms between two modules over GF(prime), and its dimension.
+    """The homomorphisms from `domain` to `codomain` over GF(prime), as their solve leaves them.
 
-    `basis` is a list of maps, or a function that builds the list: then it
-    runs on the first read of `basis`, so a caller that reads only
-    `dimension` and `prime` builds no map.  Given a list, `prime` defaults
-    to the prime of its first map.
+    `echelon` is the forward echelon form of the intertwining equations,
+    (pivot column, row) pairs over the `width` unknowns of
+    `trees.hom_layout`, so `dimension` is width minus its rank.  The rest
+    is built when first read: `rows`, the basis as flat rows, one per free
+    column in ascending order, with 1 at that column and 0 at the other
+    free columns (back-substitution, then `_null_rows`); `free`, those
+    columns; and `basis`, the rows as maps.  So a caller that reads only
+    `dimension` substitutes back nothing and builds no map.
     """
 
-    def __init__(self, basis, dimension: int, prime: Optional[int] = None):
-        self._basis = basis
-        self.dimension = dimension
-        self.prime = basis[0].prime if prime is None and dimension else prime
+    def __init__(self, domain: ModuleRep, codomain: ModuleRep, echelon: list[tuple[int, dict]], width: int):
+        self.domain = domain
+        self.codomain = codomain
+        self.prime = domain.prime
+        self.dimension = width - len(echelon)
+        self._echelon = echelon
+        self._width = width
+
+    @cached_property
+    def rows(self) -> np.ndarray:
+        reduced = _gauss_jordan([row for _, row in self._echelon], self.prime)
+        return _null_rows(reduced, self._width, self.prime)
+
+    @cached_property
+    def free(self) -> list[int]:
+        return sorted(set(range(self._width)).difference(c for c, _ in self._echelon))
 
     @cached_property
     def basis(self) -> list[ModuleHom]:
-        return self._basis() if callable(self._basis) else self._basis
+        return [ModuleHom.from_flat(self.domain, self.codomain, row) for row in self.rows]
 
 
 def hom_space(m1: ModuleRep, m2: ModuleRep) -> HomBasis:
@@ -194,9 +212,9 @@ def hom_space(m1: ModuleRep, m2: ModuleRep) -> HomBasis:
     Unknowns are all entries of the per-vertex blocks, in `trees.hom_layout`;
     for every quiver arrow the equation X_target A1 - A2 X_source = 0
     contributes one row per matrix entry (i, j), built from the nonzeros of
-    A1 and A2.  The dimension is unknowns - rank of the sparse elimination;
-    the basis, one map per free unknown in ascending order, is read off the
-    reduced rows with `ModuleHom.from_flat` only when it is first read.
+    A1 and A2.  The solve stops at forward elimination, which gives the
+    dimension; the `HomBasis` builds its basis from the echelon form only
+    when the basis is first read.
     """
     if m1.prime != m2.prime:
         raise ValueError("modules use different primes")
@@ -205,9 +223,6 @@ def hom_space(m1: ModuleRep, m2: ModuleRep) -> HomBasis:
     p = m1.prime
     layout = hom_layout(m1, m2)
     offsets = {q: off for q, off, _, _ in layout}
-    total = sum(rows * cols for _, _, rows, cols in layout)
-    if total == 0:
-        return HomBasis([], 0, p)
     quiver = m1.codomain.quiver
     rows: list[dict] = []
     for a in quiver.arrows:
@@ -226,12 +241,8 @@ def hom_space(m1: ModuleRep, m2: ModuleRep) -> HomBasis:
                 row, cell = eqs[i * n_j + j], off_s + k * n_j + j
                 row[cell] = row.get(cell, 0) - x
         rows += eqs
-    pivots = _gauss_jordan([{c: x % p for c, x in row.items() if x % p} for row in rows], p)
-
-    def maps() -> list[ModuleHom]:
-        return [ModuleHom.from_flat(m1, m2, row) for row in _null_rows(pivots, total, p)]
-
-    return HomBasis(maps, total - len(pivots), p)
+    echelon = _gauss_jordan([{c: x % p for c, x in row.items() if x % p} for row in rows], p, reduced=False)
+    return HomBasis(m1, m2, echelon, sum(r * c for _, _, r, c in layout))
 
 
 @dataclass
@@ -345,15 +356,14 @@ def has_nontrivial_idempotent(end_basis: HomBasis, cap: int = 10**7) -> Idempote
     of their coefficient vectors, the first basis element least
     significant, so the returned witness is deterministic.
 
-    The scan runs on coefficient vectors, not matrices.  One elimination of
-    [F | I], F the flattened basis, gives coordinates in the basis; the
-    products B_k B_l, one batched product per quiver vertex, give the
-    structure constants gamma with B_k B_l = sum_m gamma[k, l, m] B_m, and
-    e = sum_k c_k B_k is idempotent iff sum_kl c_k c_l gamma[k, l] = c.  The
-    zero vector and the coordinates of the identity are skipped, and the
-    first hit is turned back into blocks.  A basis that is not linearly
-    independent, or whose span is not closed under composition, raises
-    ValueError.
+    The scan runs on coefficient vectors, not matrices.  The products
+    B_k B_l of the basis rows, one batched product per quiver vertex, give
+    the structure constants gamma with B_k B_l = sum_m gamma[k, l, m] B_m,
+    read at the free columns of the solve, and e = sum_k c_k B_k is
+    idempotent iff sum_kl c_k c_l gamma[k, l] = c.  The zero vector and the
+    coordinates of the identity are skipped, and the first hit is turned
+    back into blocks.  A basis whose span is not closed under composition
+    raises ValueError.
     """
     if end_basis.dimension == 0:
         return IdempotentSearch("none")
@@ -362,22 +372,17 @@ def has_nontrivial_idempotent(end_basis: HomBasis, cap: int = 10**7) -> Idempote
     if p**dim > cap:
         reason = f"endomorphism space too large for the scan ({p}**{dim} candidates > cap {cap})"
         return IdempotentSearch("unavailable", reason=reason)
-    sample = end_basis.basis[0]
-    if sample.domain is not sample.codomain and sample.domain.basis != sample.codomain.basis:
+    domain, codomain = end_basis.domain, end_basis.codomain
+    if domain is not codomain and domain.basis != codomain.basis:
         raise ValueError("idempotent search needs an endomorphism basis")
-    qs = sorted(sample.blocks)
-    sizes = [sample.blocks[q].shape[0] for q in qs]
+    rows = end_basis.rows
     # The basis extended by the identity, so one batched product per quiver
     # vertex gives every B_k B_l and, as its last row, the identity.
-    stacked = [np.array([h.blocks[q] for h in end_basis.basis] + [np.eye(n, dtype=np.int64)]) for q, n in zip(qs, sizes)]
-    flat = np.concatenate([s.reshape(dim + 1, n * n) for s, n in zip(stacked, sizes)], axis=1)
-    products = np.concatenate([(s[:, None] @ s[None]).reshape((dim + 1) ** 2, n * n) for s, n in zip(stacked, sizes)], axis=1) % p
-    flat, width = flat[:dim], flat.shape[1]
-    reduced, _, pivots = rref(np.concatenate([flat, np.eye(dim, dtype=np.int64)], axis=1), p)
-    if pivots[-1] >= width:  # a pivot in the identity part: F has rank below dim
-        raise ValueError("idempotent search needs a linearly independent basis")
-    coords = (products[:, list(pivots)] @ reduced[:, width:]) % p
-    spanned = ((coords @ flat) % p == products).all(axis=1)
+    layout = hom_layout(domain, codomain)
+    stacked = [np.vstack([rows[:, off : off + n * n].reshape(dim, n, n), np.eye(n, dtype=np.int64)[None]]) for _, off, n, _ in layout]
+    products = np.concatenate([(s[:, None] @ s[None]).reshape((dim + 1) ** 2, s.shape[1] ** 2) for s in stacked], axis=1) % p
+    coords = products[:, end_basis.free]
+    spanned = ((coords @ rows) % p == products).all(axis=1)
     if not spanned[:-1].all():
         raise ValueError("the span of the basis is not closed under composition")
     skip = sum(c * p**k for k, c in enumerate(coords[-1].tolist())) if spanned[-1] else 0
@@ -387,8 +392,8 @@ def has_nontrivial_idempotent(end_basis: HomBasis, cap: int = 10**7) -> Idempote
             break
     else:
         return IdempotentSearch("none")
-    entries = np.array([index // p**k % p for k in range(dim)]) @ flat
-    return IdempotentSearch("found", ModuleHom.from_flat(sample.domain, sample.codomain, entries))
+    entries = np.array([index // p**k % p for k in range(dim)]) @ rows
+    return IdempotentSearch("found", ModuleHom.from_flat(domain, codomain, entries))
 
 
 def verify_iso(h: ModuleHom) -> bool:
@@ -550,7 +555,6 @@ __all__ = [
     "end_dimensions",
     "has_nontrivial_idempotent",
     "hom_space",
-    "identity_hom",
     "nullspace",
     "random_instance",
     "rref",

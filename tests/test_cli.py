@@ -495,21 +495,42 @@ def test_cmd_validate_on_a_wide_star(tmp_path, capsys, orientation):
     assert capsys.readouterr().out == "locally-bound check: ok\ntree validation: ok\n"
 
 
-@pytest.mark.parametrize("argv", [["hom"], ["indec", "--cap", "10"]], ids=" ".join)
-def test_commands_that_read_only_the_hom_dimension_build_no_map(tmp_path, capsys, monkeypatch, sink_document, argv):
-    built = []
-    init = ModuleHom.__init__
+def _record_maps_and_back_substitutions(monkeypatch) -> tuple[list, list]:
+    """Lists that fill with every `ModuleHom` built and every `_gauss_jordan` call that substitutes back."""
+    built, substituted = [], []
+    init, gauss_jordan = ModuleHom.__init__, oracle._gauss_jordan
 
     def counting_init(self, *args, **kwargs):
         built.append(self)
         init(self, *args, **kwargs)
 
+    def counting_gauss_jordan(rows, p, reduced=True):
+        if reduced:
+            substituted.append(len(rows))
+        return gauss_jordan(rows, p, reduced)
+
     monkeypatch.setattr(ModuleHom, "__init__", counting_init)
+    monkeypatch.setattr(oracle, "_gauss_jordan", counting_gauss_jordan)
+    return built, substituted
+
+
+@pytest.mark.parametrize("argv", [["hom"], ["indec", "--cap", "10"]], ids=" ".join)
+def test_commands_that_read_only_the_hom_dimension_build_no_map(tmp_path, capsys, monkeypatch, sink_document, argv):
+    built, substituted = _record_maps_and_back_substitutions(monkeypatch)
     path = _write(tmp_path, "m.rtm", sink_document)
     files = [path, path] if argv[0] == "hom" else [path]
     assert main(argv[:1] + files + argv[1:]) == (0 if argv[0] == "hom" else 3)
     assert "oracle" in capsys.readouterr().out
-    assert built == []
+    assert built == [] and substituted == []
+
+
+def test_indec_under_the_cap_builds_no_map_but_its_witness(tmp_path, capsys, monkeypatch, sink_document):
+    # The scan reads the basis as the rows of the solve, not as maps.
+    built, _ = _record_maps_and_back_substitutions(monkeypatch)
+    path = _write(tmp_path, "m.rtm", sink_document)
+    assert main(["indec", path]) == 0
+    assert "oracle (p=3): DECOMPOSABLE" in capsys.readouterr().out
+    assert len(built) <= 1
 
 
 def test_cmd_hom_pushes_each_tree_down_once(tmp_path, capsys, monkeypatch, sink_document):

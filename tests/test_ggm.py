@@ -279,7 +279,7 @@ def test_enumeration_matches_the_lexicographic_reverse_search():
             table = _Obligations(cover.base)
             want = [g for pair in cover.base.vertices for g in _closures(cover, table, pair + (1,))]
             want.sort(key=Subnetwork.sort_key)
-            got = enumerate_ggms(u1, u2, cover=cover)
+            got = enumerate_ggms(u1, u2)
             assert [(g.vertices, g.arrows, g.edges) for g in got] == [(g.vertices, g.arrows, g.edges) for g in want]
 
 

@@ -411,6 +411,44 @@ def test_hom_space_matches_the_kronecker_system_on_loops(pair):
         np.testing.assert_array_equal(h.flatten(), row)
 
 
+def _interleaved_hom_rows(m1, m2) -> np.ndarray:
+    """The Hom basis as rows, by a full Gauss-Jordan of the very system `hom_space` eliminates, then `_null_rows`."""
+    systems = []
+    forward = oracle._gauss_jordan
+
+    def recording(rows, p, reduced=True):
+        systems.append([dict(row) for row in rows])
+        return forward(rows, p, reduced)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(oracle, "_gauss_jordan", recording)
+        hom_space(m1, m2)
+    (system,) = systems
+    width = sum(r * c for _, _, r, c in hom_layout(m1, m2))
+    return oracle._null_rows(forward(system, m1.prime), width, m1.prime)
+
+
+@pytest.mark.parametrize("orientation", (SINK, SOURCE))
+def test_hom_basis_from_the_forward_echelon_is_the_interleaved_basis(orientation):
+    checked = 0
+    for seed in range(200):
+        t = random_instance(seed, orientation)
+        u = random_instance(seed + 1000, orientation, codomain=t.codomain)
+        for a, b in ((t, t), (t, u), (u, t)):
+            for p in (3, 5):
+                m1, m2 = push_down(a, p), push_down(b, p)
+                got = hom_space(m1, m2)
+                want = _interleaved_hom_rows(m1, m2)
+                assert got.rows.shape == want.shape and got.dimension == len(want)
+                np.testing.assert_array_equal(got.rows, want)
+                np.testing.assert_array_equal(got.rows[:, got.free], np.eye(got.dimension, dtype=np.int64))
+                assert len(got.basis) == len(want)
+                for h, row in zip(got.basis, want):
+                    assert h.equal(ModuleHom.from_flat(m1, m2, row))
+                checked += got.dimension
+    assert checked > 1000
+
+
 @st.composite
 def random_instance_modules(draw):
     seed, orientation = draw(st.integers(0, 199)), draw(st.sampled_from((SINK, SOURCE)))
@@ -536,24 +574,25 @@ def _loop_module(p, dim):
     return ModuleRep(p, LOOPS, {"1": tuple(range(1, dim + 1))}, zero)
 
 
+def _spanning_basis(rep, maps) -> HomBasis:
+    """The `HomBasis` over End(rep) whose rows span `maps`: the solve of the equations that annihilate them."""
+    flat = np.stack([h.flatten() for h in maps])
+    equations = nullspace(flat, rep.prime)
+    echelon = oracle._gauss_jordan(oracle._dense_rows(equations, rep.prime), rep.prime, reduced=False)
+    return HomBasis(rep, rep, echelon, flat.shape[1])
+
+
 def test_idempotent_scan_rejects_a_span_not_closed_under_composition():
     rep = _loop_module(3, 2)
     swap = ModuleHom(rep, rep, {"1": np.array([[0, 1], [1, 0]])})  # its square is 1
     with pytest.raises(ValueError, match="not closed under composition"):
-        has_nontrivial_idempotent(HomBasis([swap], 1))
-
-
-def test_idempotent_scan_rejects_a_dependent_basis():
-    rep = _loop_module(5, 2)
-    one = identity_hom(rep)
-    with pytest.raises(ValueError, match="linearly independent"):
-        has_nontrivial_idempotent(HomBasis([one, one.add(one)], 2))
+        has_nontrivial_idempotent(_spanning_basis(rep, [swap]))
 
 
 def test_idempotent_scan_without_the_identity_in_the_span():
     rep = _loop_module(3, 2)
     corner = ModuleHom(rep, rep, {"1": np.array([[1, 0], [0, 0]])})
-    search = has_nontrivial_idempotent(HomBasis([corner], 1))
+    search = has_nontrivial_idempotent(_spanning_basis(rep, [corner]))
     assert search.status == "found" and search.idempotent.equal(corner)
 
 
@@ -568,9 +607,9 @@ def test_indec_on_uniserial_chain_ten(tmp_path, capsys, orientation):
 
 
 @st.composite
-def sparse_matrices_mod_small_p(draw):
-    """(matrix, p), p in 3, 5, 7: up to 30x30, mostly zeros; a row is often a combination of two others."""
-    p = draw(st.sampled_from((3, 5, 7)))
+def sparse_matrices(draw, primes=(3, 5, 7)):
+    """(matrix, p), p in `primes`: up to 30x30, mostly zeros; a row is often a combination of two others."""
+    p = draw(st.sampled_from(primes))
     rows, cols = draw(st.integers(0, 30)), draw(st.integers(0, 30))
     mat = np.zeros((rows, cols), dtype=np.int64)
     if rows and cols:
@@ -584,13 +623,24 @@ def sparse_matrices_mod_small_p(draw):
 
 
 @settings(max_examples=150, deadline=None)
-@given(sparse_matrices_mod_small_p())
+@given(sparse_matrices())
 @example((np.array([[1, 1, 0], [1, 1, 0], [0, 1, 1]]), 3))  # a repeated row
 @example((np.array([[1, 2, 0, 0], [0, 1, 3, 0], [1, 3, 3, 0], [0, 0, 1, 4]]), 5))  # row 2 = row 0 + row 1
 def test_forward_elimination_rank_is_the_rref_rank(case):
     mat, p = case
     echelon = oracle._gauss_jordan(oracle._dense_rows(mat, p), p, reduced=False)
     assert len(echelon) == rref(mat, p)[1] == _reference_rref(mat, p)[1]
+
+
+@settings(max_examples=150, deadline=None)
+@given(sparse_matrices(PRIMES))
+@example((np.array([[0, 2, 1, 0], [1, 1, 0, 2], [2, 2, 0, 1]]), 3))  # row 2 = 2 * row 1
+def test_gauss_jordan_on_the_forward_echelon_is_the_rref(case):
+    # `HomBasis` reduces the echelon rows of the Hom solve only when its basis is read.
+    mat, p = case
+    echelon = oracle._gauss_jordan(oracle._dense_rows(mat, p), p, reduced=False)
+    again = oracle._gauss_jordan([row for _, row in echelon], p)
+    assert again == oracle._gauss_jordan(oracle._dense_rows(mat, p), p)
 
 
 def test_verify_iso_eliminates_forward_only(monkeypatch):
