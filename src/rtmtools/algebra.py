@@ -8,7 +8,9 @@ contiguous-subword test on arrow sequences.  One multi-pattern
 string-matching automaton of the relations (`relation_automaton`) answers
 every such question: ideal membership, relation-free path enumeration, the
 locally-bound check ("only finitely many relation-free paths exist") and,
-in `trees`, the validation of a labelled tree.
+in `trees`, the validation of a labelled tree.  Each `BoundQuiver` builds
+it at most once, on first use, and once more over the reversed relations
+(`BoundQuiver.automaton`).
 
 Conventions: arrow sequences are stored in traversal order, i.e. the first
 arrow walked comes first.  Algebraic composition (right-to-left) is never
@@ -113,6 +115,13 @@ class BoundQuiver:
             quiver.path(first, word)  # raises if not composable
             rels.append(word)
         self.relations = tuple(dict.fromkeys(rels))
+        self._automata: dict = {}
+
+    def automaton(self, reverse: bool = False) -> tuple[list[dict[str, int]], list[bool]]:
+        """The `relation_automaton` of the relations, each read backward when `reverse`; built on first use."""
+        if reverse not in self._automata:
+            self._automata[reverse] = relation_automaton(rel[::-1] if reverse else rel for rel in self.relations)
+        return self._automata[reverse]
 
     def __eq__(self, other: object) -> bool:
         if self is other:
@@ -171,7 +180,7 @@ def path_in_ideal(bq: BoundQuiver, path: Path) -> bool:
     relation occurs in it as a contiguous subword.
     """
     bq.quiver.path(path.source, path.arrows)  # structural re-check
-    step, dead = relation_automaton(bq.relations)
+    step, dead = bq.automaton()
     return any(dead[s] for s in accumulate(path.arrows, lambda s, x: step[s].get(x, 0), initial=0))
 
 
@@ -194,7 +203,7 @@ def _reachable_states(bq: BoundQuiver) -> dict[tuple[str, int], list[tuple[str, 
     Edges are labelled by the arrow taken; a transition exists only when the
     arrow does not complete a relation.
     """
-    step, dead = relation_automaton(bq.relations)
+    step, dead = bq.automaton()
     quiver = bq.quiver
     graph: dict = {}
     stack = [(v, 0) for v in quiver.vertices]
@@ -268,7 +277,7 @@ def enumerate_paths_from(bq: BoundQuiver, vertex: str, max_len: int) -> list[Pat
     quiver = bq.quiver
     if vertex not in quiver.vertex_set:
         raise StructureError(f"unknown vertex {vertex!r}")
-    step, dead = relation_automaton(bq.relations)
+    step, dead = bq.automaton()
     out = [quiver.path(vertex)]
     frontier = [(out[0], 0)]  # (path, automaton state after its word)
     for _ in range(max_len):

@@ -38,8 +38,6 @@ from collections import defaultdict
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional
 
-import numpy as np
-
 from .network import Edge, NetArrow, PullbackNetwork, TwoCover, _edge, _lift, two_cover
 from .oracle import _eliminate
 from .trees import BranchMorphism, ModuleHom, ModuleRep, TreeOverQ, hom_layout
@@ -321,29 +319,32 @@ def enumerate_ggms(t1: TreeOverQ, t2: TreeOverQ, with_signs: bool = False) -> li
     return ggms
 
 
-def _cells(m1: ModuleRep, m2: ModuleRep) -> tuple[dict, int]:
-    """The flat column of each pair (n, m) in the `hom_layout` of (m1, m2), and the width.
+def _cells(m1: ModuleRep, m2: ModuleRep) -> dict:
+    """The flat column of each pair (n, m) in the `hom_layout` of (m1, m2).
 
     A graph map sends v_n to the signed sum of its partners v_m, so each
     signed pair (n, m, s) is the entry s of block q at (m, n), q the label
     of n and m; every other entry is 0.
     """
-    cell, width = {}, 0
-    for q, offset, rows, cols in hom_layout(m1, m2):
+    cell = {}
+    for q, offset, _, cols in hom_layout(m1, m2):
         for j, n in enumerate(m1.basis[q]):
             for i, m in enumerate(m2.basis[q]):
                 cell[n, m] = offset + i * cols + j
-        width = offset + rows * cols
-    return cell, width
+    return cell
 
 
 def ggm_matrix(g: GeneralizedGraphMap, m1: ModuleRep, m2: ModuleRep) -> ModuleHom:
-    """The homomorphism induced by a graph map: v_n maps to the signed sum of partners."""
-    cell, width = _cells(m1, m2)
-    flat = np.zeros(width, dtype=np.int64)
+    """The homomorphism induced by a graph map: v_n maps to the signed sum of partners.
+
+    `m1` and `m2` are the modules of the graph map's trees; see `_cells`.
+    """
+    label = g.cover.base.t1.vertex_label
+    blocks: dict = {}
     for n, m, s in g.vertices:
-        flat[cell[n, m]] = s
-    return ModuleHom.from_flat(m1, m2, flat)
+        q = label[n]
+        blocks.setdefault(q, {})[m2.basis_index(q, m), m1.basis_index(q, n)] = s
+    return ModuleHom(m1, m2, blocks)
 
 
 def hom_span(
@@ -359,7 +360,7 @@ def hom_span(
     a stop at the Hom dimension is sound because every map is a homomorphism.
     """
     p = m1.prime
-    cell, _ = _cells(m1, m2)
+    cell = _cells(m1, m2)
     basis: dict = {}  # pivot column -> row with 1 there and nothing left of it
     maps = []
     stream = _stream(two_cover(PullbackNetwork(t1, t2)))

@@ -7,6 +7,13 @@ isomorphisms are verified by rank.  Arithmetic is exact integer arithmetic
 modulo an odd prime below 2**24; inverses are Python's `pow(x, -1, p)`.  No
 floating point is used anywhere.
 
+Modules and maps arrive as the nonzero entries of their arrow actions and
+blocks (`trees.ModuleRep`, `trees.ModuleHom`): the Hom system is written
+from those entries, and an isomorphism is checked on them with no numpy
+call.  Dense int64 arrays hold only the flat rows of a Hom basis, which the
+idempotent scan multiplies in batches, and the input and output of the
+dense wrappers `rref` and `nullspace`.
+
 Every elimination is one sparse Gauss-Jordan, `_gauss_jordan`, on rows
 {column: nonzero residue} of Python ints: the Hom system and the rank of
 each block of a claimed isomorphism by forward elimination only (a
@@ -45,7 +52,6 @@ from .trees import (
     ModuleRep,
     RootedTree,
     TreeOverQ,
-    entries,
     hom_layout,
     push_down,
     validate_tree_over_q,
@@ -115,20 +121,21 @@ def _gauss_jordan(rows: list[dict], p: int, reduced: bool = True) -> list[tuple[
     return pivots
 
 
-def _sparse_rows(nonzeros: list[tuple[int, int, int]], count: int) -> list[dict]:
-    """`count` sparse rows holding the (row, column, value) entries `nonzeros`."""
+def _sparse_rows(entries: dict, count: int) -> list[dict]:
+    """`count` sparse rows holding the entries {(row, column): value}."""
     rows: list[dict] = [{} for _ in range(count)]
-    for i, j, x in nonzeros:
+    for (i, j), x in entries.items():
         rows[i][j] = x
     return rows
 
 
 def _dense_rows(mat: np.ndarray, p: int) -> list[dict]:
-    """The rows of a 2-d matrix as sparse rows, from its `entries` (one `np.flatnonzero`)."""
+    """The rows of a 2-d matrix as sparse rows, from one `np.nonzero`."""
     m = np.asarray(mat, dtype=np.int64) % p
     if m.ndim != 2:
         raise ValueError("need a 2-d matrix")
-    return _sparse_rows(entries(m), len(m))
+    i, j = np.nonzero(m)
+    return _sparse_rows(dict(zip(zip(i.tolist(), j.tolist()), m[i, j].tolist())), len(m))
 
 
 def _null_rows(pivots: list[tuple[int, dict]], cols: int, p: int) -> np.ndarray:
@@ -211,8 +218,8 @@ def hom_space(m1: ModuleRep, m2: ModuleRep) -> HomBasis:
 
     Unknowns are all entries of the per-vertex blocks, in `trees.hom_layout`;
     for every quiver arrow the equation X_target A1 - A2 X_source = 0
-    contributes one row per matrix entry (i, j), built from the nonzeros of
-    A1 and A2.  The solve stops at forward elimination, which gives the
+    contributes one row per entry (i, j), built straight from the entries of
+    the actions A1 and A2.  The solve stops at forward elimination, which gives the
     dimension; the `HomBasis` builds its basis from the echelon form only
     when the basis is first read.
     """
@@ -226,17 +233,17 @@ def hom_space(m1: ModuleRep, m2: ModuleRep) -> HomBasis:
     quiver = m1.codomain.quiver
     rows: list[dict] = []
     for a in quiver.arrows:
-        a1, a2 = m1.matrices[a], m2.matrices[a]
-        off_s, off_t = offsets[quiver.source(a)], offsets[quiver.target(a)]
-        n_i, n_j = a2.shape[0], a1.shape[1]
+        src, tgt = quiver.source(a), quiver.target(a)
+        off_s, off_t = offsets[src], offsets[tgt]
+        n_i, n_j, n_l = m2.dim(tgt), m1.dim(src), m1.dim(tgt)
         # Row (i, j) gets X_tgt[i, l] * A1[l, j] and -A2[i, k] * X_src[k, j],
-        # over the nonzeros of A1 and A2; on a loop (src == tgt) the two
+        # over the entries of A1 and A2; on a loop (src == tgt) the two
         # terms can meet in one cell, and add.
         eqs: list[dict] = [{} for _ in range(n_i * n_j)]
-        for l, j, x in entries(a1):
+        for (l, j), x in m1.actions[a].items():
             for i in range(n_i):
-                eqs[i * n_j + j][off_t + i * a1.shape[0] + l] = x
-        for i, k, x in entries(a2):
+                eqs[i * n_j + j][off_t + i * n_l + l] = x
+        for (i, k), x in m2.actions[a].items():
             for j in range(n_j):
                 row, cell = eqs[i * n_j + j], off_s + k * n_j + j
                 row[cell] = row.get(cell, 0) - x
@@ -399,18 +406,15 @@ def has_nontrivial_idempotent(end_basis: HomBasis, cap: int = 10**7) -> Idempote
 def verify_iso(h: ModuleHom) -> bool:
     """True iff every per-vertex block is square and invertible and h intertwines.
 
-    A block is invertible iff the forward elimination of its nonzeros has
+    A block is invertible iff the forward elimination of its entries has
     full rank: a rank needs no back-substitution.  `ModuleHom.intertwines`
-    works from the same nonzeros, read once per block.
+    multiplies the same entries.  Nothing here calls numpy.
     """
-    nonzeros = {}
     for qv, blk in h.blocks.items():
-        if blk.shape[0] != blk.shape[1]:
+        n = h.domain.dim(qv)
+        if h.codomain.dim(qv) != n or len(_gauss_jordan(_sparse_rows(blk, n), h.prime, reduced=False)) != n:
             return False
-        nonzeros[qv] = entries(blk)
-        if len(_gauss_jordan(_sparse_rows(nonzeros[qv], len(blk)), h.prime, reduced=False)) != len(blk):
-            return False
-    return h.intertwines(nonzeros)
+    return h.intertwines()
 
 
 def end_dimensions(t: TreeOverQ, primes: tuple[int, ...] = (3, 5)) -> dict[int, int]:

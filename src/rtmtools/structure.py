@@ -24,8 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-import numpy as np
-
 from .trees import (
     SOURCE,
     BranchMorphism,
@@ -177,7 +175,7 @@ def module_idempotent(t: TreeOverQ, endo: IdempotentEndo, prime: int = 3) -> Mod
     if endo.t is not t:
         IdempotentEndo(t, endo.vertex_map)  # revalidate against this tree
     rep = push_down(t, prime)
-    blocks = {q: np.zeros((rep.dim(q), rep.dim(q)), dtype=np.int64) for q in rep.basis}
+    blocks: dict = {q: {} for q in rep.basis}
     for n, m in endo.vertex_map.items():
         i, j = (n, m) if t.orientation == SOURCE else (m, n)
         q = t.vertex_label[n]
@@ -237,24 +235,24 @@ def _verified_witness(t: TreeOverQ, rep: ModuleRep, cut: list[str], columns: dic
     W, the product of the (1 + S) of `_compose`, sends v_n to `columns[n]`,
     or to v_n if n has no column, and maps the direct sum to `rep` for a
     sink tree.  A source split does by 1 - S^T, whose inverse is 1 + S^T, so
-    for a source tree W^T, as sparse, maps `rep` to the direct sum.  Raises
-    AssertionError unless `oracle.verify_iso` accepts the witness.
+    for a source tree W^T, its entries with row and column swapped, maps
+    `rep` to the direct sum.  Raises AssertionError unless
+    `oracle.verify_iso` accepts the witness.
     """
     tree, q = t.tree, t.codomain.quiver
-    matrices = {a: m.copy() for a, m in rep.matrices.items()}
+    actions = {a: dict(entries) for a, entries in rep.actions.items()}
     for arrow in cut:
         a = t.arrow_label[arrow]
-        row = rep.basis_index(q.target(a), tree.arrow_target[arrow])
-        matrices[a][row, rep.basis_index(q.source(a), tree.arrow_source[arrow])] = 0
-    blocks = {qv: np.eye(rep.dim(qv), dtype=np.int64) for qv in rep.basis}
+        del actions[a][rep.basis_index(q.target(a), tree.arrow_target[arrow]), rep.basis_index(q.source(a), tree.arrow_source[arrow])]
+    blocks = {qv: {(i, i): 1 for i in range(rep.dim(qv))} for qv in rep.basis}
     for n, column in columns.items():
         qv = t.vertex_label[n]
         j = rep.basis_index(qv, n)
-        blocks[qv][:, j] = 0
-        blocks[qv][[rep.basis_index(qv, m) for m in column], j] = list(column.values())
-    summed = ModuleRep(rep.prime, rep.codomain, rep.basis, matrices)
+        del blocks[qv][j, j]
+        blocks[qv].update(((rep.basis_index(qv, m), j), y) for m, y in column.items())
+    summed = ModuleRep(rep.prime, rep.codomain, rep.basis, actions)
     if t.orientation == SOURCE:
-        witness = ModuleHom(rep, summed, {qv: b.T for qv, b in blocks.items()})
+        witness = ModuleHom(rep, summed, {qv: {(j, i): y for (i, j), y in b.items()} for qv, b in blocks.items()})
     else:
         witness = ModuleHom(summed, rep, blocks)
     if not oracle.verify_iso(witness):

@@ -7,6 +7,12 @@ targets and avoiding the relation ideal, presents a module over the
 zero-relation algebra: one basis vector per tree vertex, with each quiver
 arrow acting by the sum of the tree arrows lying over it.
 
+Every linear map between such bases, the action of an arrow in a
+`ModuleRep` or a block of a `ModuleHom`, is kept as its nonzero entries
+{(row, column): residue mod p}; its dimensions come from the bases.  For a
+tree these are one entry 1 per tree arrow, the coefficient quiver of the
+module (Ringel, Exceptional modules are tree modules, 1998).
+
 This module owns the flat coordinates of a homomorphism: `hom_layout`
 places each per-vertex block, row-major, in sorted quiver-vertex order, and
 `ModuleHom.flatten` and `ModuleHom.from_flat` convert between the two forms.
@@ -15,12 +21,13 @@ The oracle's unknowns and the graph maps' rows use the same layout.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from typing import Iterable
 
 import numpy as np
 
-from .algebra import BoundQuiver, StructureError, first_relation, relation_automaton
+from .algebra import BoundQuiver, StructureError, first_relation
 
 SINK = "sink"
 SOURCE = "source"
@@ -188,8 +195,8 @@ def validate_tree_over_q(t: TreeOverQ) -> TreeValidationReport:
     root-to-leaf path; every tree path is contained in one of these, so
     checking their images suffices.  One walk down from the root gives each
     vertex the state of the relations' string-matching automaton
-    (`algebra.relation_automaton`, over the reversed relations when the
-    arrows run toward the root) and a flag: a vertex fails if its parent
+    (`BoundQuiver.automaton`, over the reversed relations when the arrows
+    run toward the root) and a flag: a vertex fails if its parent
     fails or a relation ends at it.  Only the first failing leaf, in
     ascending order, has its whole image word searched by
     `algebra.first_relation`, for the witness.
@@ -207,7 +214,7 @@ def validate_tree_over_q(t: TreeOverQ) -> TreeValidationReport:
     # Whether the arrows run from the root to the leaves, so that a root path
     # read downward is read in traversal order.
     leaving = len(down) > 1 and tree.arrow_target[tree.child_arrow[down[1]]] == down[1]
-    step, dead = relation_automaton(rel if leaving else rel[::-1] for rel in t.codomain.relations)
+    step, dead = t.codomain.automaton(reverse=not leaving)
     state, failing = {tree.root: 0}, {tree.root: False}
     for v in down[1:]:
         up = tree.parent[v]
@@ -271,8 +278,9 @@ def is_tree_module(t: TreeOverQ) -> bool:
 
 
 # Products of two residues mod p < 2**24, summed over fewer than 2**15 terms
-# (matrix products and the idempotent scan), stay below 2**63.  A dense int64
-# block with 2**15 rows already takes 8 GB, so the arithmetic stays exact.
+# (the idempotent scan's batched products of flat rows), stay below 2**63.  A
+# dense int64 block with 2**15 rows already takes 8 GB, so the arithmetic
+# stays exact.  Sparse products run on Python ints.
 PRIME_BOUND = 2**24
 
 
@@ -287,12 +295,37 @@ def is_odd_prime(n: int) -> bool:
     return True
 
 
-class ModuleRep:
-    """A module over the zero-relation algebra, as matrices over GF(p).
+def _residues(entries: dict, shape: tuple[int, int], p: int, what: str) -> dict:
+    """`entries` {(row, column): value} reduced mod p, zeros dropped; an index outside `shape` raises ValueError."""
+    rows, cols = shape
+    out = {}
+    for (i, j), x in entries.items():
+        if not (0 <= i < rows and 0 <= j < cols):
+            raise ValueError(f"{what} has an entry at ({i}, {j}), outside its shape {shape}")
+        if x := int(x) % p:
+            out[i, j] = x
+    return out
 
-    One ordered basis of tree vertices per quiver vertex and one matrix per
-    quiver arrow, mapping the basis at its source to the basis at its target
-    (columns indexed by the source basis).
+
+def _sparse_product(left: dict, right: dict, p: int) -> dict:
+    """The entries of left @ right mod p, given the entries of both."""
+    by_row: dict = {}
+    for (k, j), v in right.items():
+        by_row.setdefault(k, []).append((j, v))
+    out: dict = {}
+    for (i, k), x in left.items():
+        for j, v in by_row.get(k, ()):
+            out[i, j] = out.get((i, j), 0) + x * v
+    return {key: x % p for key, x in out.items() if x % p}
+
+
+class ModuleRep:
+    """A module over the zero-relation algebra over GF(p), as the nonzero entries of its arrow actions.
+
+    One ordered basis of tree vertices per quiver vertex, and per quiver
+    arrow its action {(row, column): nonzero residue}, from the basis at its
+    source (columns) to the basis at its target (rows).  Any residues are
+    accepted, not only the 1s of a tree; an arrow left out acts by zero.
     """
 
     def __init__(
@@ -300,23 +333,17 @@ class ModuleRep:
         prime: int,
         codomain: BoundQuiver,
         basis: dict[str, tuple[int, ...]],
-        matrices: dict[str, np.ndarray],
+        actions: dict[str, dict],
     ):
         self.prime = prime
         self.codomain = codomain
-        self.basis = {q: tuple(basis.get(q, ())) for q in codomain.quiver.vertices}
-        self.matrices = {}
-        for a in codomain.quiver.arrows:
-            if a not in matrices:
-                raise ValueError(f"missing matrix for arrow {a!r}")
-            mat = np.asarray(matrices[a], dtype=np.int64) % prime
-            want = (len(self.basis[codomain.quiver.target(a)]), len(self.basis[codomain.quiver.source(a)]))
-            if mat.shape != want:
-                raise ValueError(f"matrix for arrow {a!r} has shape {mat.shape}, expected {want}")
-            self.matrices[a] = mat
-        self._index = {
-            q: {n: i for i, n in enumerate(vs)} for q, vs in self.basis.items()
+        q = codomain.quiver
+        self.basis = {v: tuple(basis.get(v, ())) for v in q.vertices}
+        self.actions = {
+            a: _residues(actions.get(a, {}), (self.dim(q.target(a)), self.dim(q.source(a))), prime, f"arrow {a!r}")
+            for a in q.arrows
         }
+        self._index = {v: {n: i for i, n in enumerate(vs)} for v, vs in self.basis.items()}
 
     def dim(self, qvertex: str) -> int:
         return len(self.basis[qvertex])
@@ -331,70 +358,51 @@ class ModuleRep:
     def basis_index(self, qvertex: str, tree_vertex: int) -> int:
         return self._index[qvertex][tree_vertex]
 
-    def relation_product(self, relation: tuple[str, ...]) -> np.ndarray:
-        """Composite matrix along a relation word (first-traversed arrow acts first)."""
-        mat = self.matrices[relation[0]]
+    def relation_product(self, relation: tuple[str, ...]) -> dict:
+        """Entries of the composite action along a relation word (first-traversed arrow acts first)."""
+        out = self.actions[relation[0]]
         for a in relation[1:]:
-            mat = (self.matrices[a] @ mat) % self.prime
-        return mat
+            out = _sparse_product(self.actions[a], out, self.prime)
+        return out
 
     def relations_vanish(self) -> bool:
-        return all(not self.relation_product(r).any() for r in self.codomain.relations)
+        return not any(self.relation_product(r) for r in self.codomain.relations)
 
 
 def push_down(t: TreeOverQ, prime: int = 3) -> ModuleRep:
     """Materialize the module presented by the labelled tree over GF(prime).
 
-    A tree arrow from n to m labelled a puts a 1 in the matrix of a, at the
-    row of m and the column of n: in a sink tree a vertex's vector goes to
-    its parent, in a source tree to the sum of its children along a.  Basis
-    order is ascending vertex label.  The prime and the tree are checked
-    first; an invalid one raises ValueError.
+    A tree arrow from n to m labelled a is the entry 1 of the action of a at
+    the row of m and the column of n: in a sink tree a vertex's vector goes
+    to its parent, in a source tree to the sum of its children along a.
+    Basis order is ascending vertex label.  The prime and the tree are
+    checked first; an invalid one raises ValueError.
     """
     if prime >= PRIME_BOUND:  # checked first: trial division would crawl
         raise ValueError(f"prime {prime} is too large: int64 arithmetic is exact only for p < 2**24")
     if not is_odd_prime(prime):
         raise ValueError(f"need an odd prime, got {prime}")
     require_valid(t)
-    q = t.codomain.quiver
+    q, tree = t.codomain.quiver, t.tree
     basis: dict[str, list[int]] = {qv: [] for qv in q.vertices}
-    for n in t.tree.vertices:  # already ascending
+    for n in tree.vertices:  # already ascending
         basis[t.vertex_label[n]].append(n)
-    index = {qv: {n: i for i, n in enumerate(vs)} for qv, vs in basis.items()}
-    matrices = {
-        a: np.zeros((len(basis[q.target(a)]), len(basis[q.source(a)])), dtype=np.int64)
-        for a in q.arrows
-    }
-    for e in t.tree.arrows:
-        a = t.arrow_label[e]
-        row = index[q.target(a)][t.tree.arrow_target[e]]
-        col = index[q.source(a)][t.tree.arrow_source[e]]
-        matrices[a][row, col] = 1
-    return ModuleRep(prime, t.codomain, basis, matrices)
-
-
-def entries(mat: np.ndarray) -> list[tuple[int, int, int]]:
-    """(row, column, value) of each nonzero entry of a 2-d array, row by row, as Python ints."""
-    flat, cols = np.flatnonzero(mat), mat.shape[1]
-    return [(k // cols, k % cols, x) for k, x in zip(flat.tolist(), mat.ravel()[flat].tolist())]
-
-
-def _sparse_product(left: list, right: list, p: int) -> dict:
-    """{(i, j): x} for the nonzero entries x of left @ right mod p, given the `entries` of both."""
-    by_row: dict = {}
-    for k, j, v in right:
-        by_row.setdefault(k, []).append((j, v))
-    out: dict = {}
-    for i, k, x in left:
-        for j, v in by_row.get(k, ()):
-            out[i, j] = out.get((i, j), 0) + x * v
-    return {key: x % p for key, x in out.items() if x % p}
+    index = {n: i for vs in basis.values() for i, n in enumerate(vs)}
+    actions: dict = {a: {} for a in q.arrows}
+    for e in tree.arrows:
+        actions[t.arrow_label[e]][index[tree.arrow_target[e]], index[tree.arrow_source[e]]] = 1
+    return ModuleRep(prime, t.codomain, basis, actions)
 
 
 class ModuleHom:
-    """A per-quiver-vertex family of matrices from one module to another."""
+    """A homomorphism between two modules, as the nonzero entries of its per-quiver-vertex blocks.
 
-    def __init__(self, domain: ModuleRep, codomain: ModuleRep, blocks: dict[str, np.ndarray]):
+    The block at q is {(row, column): nonzero residue}, rows indexed by the
+    codomain's basis at q and columns by the domain's; a vertex left out
+    maps by zero.
+    """
+
+    def __init__(self, domain: ModuleRep, codomain: ModuleRep, blocks: dict[str, dict]):
         if domain.prime != codomain.prime:
             raise ValueError("domain and codomain use different primes")
         if domain.codomain != codomain.codomain:
@@ -402,72 +410,65 @@ class ModuleHom:
         self.domain = domain
         self.codomain = codomain
         self.prime = domain.prime
-        self.blocks = {}
-        for qv in domain.codomain.quiver.vertices:
-            blk = np.asarray(blocks.get(qv, np.zeros((codomain.dim(qv), domain.dim(qv)))), dtype=np.int64) % self.prime
-            want = (codomain.dim(qv), domain.dim(qv))
-            if blk.shape != want:
-                raise ValueError(f"block at {qv!r} has shape {blk.shape}, expected {want}")
-            self.blocks[qv] = blk
+        self.blocks = {
+            q: _residues(blocks.get(q, {}), (codomain.dim(q), domain.dim(q)), self.prime, f"block at {q!r}")
+            for q in domain.basis
+        }
 
-    def intertwines(self, nonzeros: Optional[dict] = None) -> bool:
-        """Whether the blocks commute with every quiver-arrow action.
-
-        Both sides of X_tgt A1 = A2 X_src are compared as their nonzero
-        entries, summed over the nonzeros of the factors on Python ints.
-        A caller that has read the `entries` of every block passes them as
-        `nonzeros` ({quiver vertex: entries}).
-        """
-        q = self.domain.codomain.quiver
-        p = self.prime
-        if nonzeros is None:
-            nonzeros = {qv: entries(blk) for qv, blk in self.blocks.items()}
-        for a in q.arrows:
-            lhs = _sparse_product(nonzeros[q.target(a)], entries(self.domain.matrices[a]), p)
-            if lhs != _sparse_product(entries(self.codomain.matrices[a]), nonzeros[q.source(a)], p):
-                return False
-        return True
+    def intertwines(self) -> bool:
+        """Whether the blocks commute with every quiver-arrow action: X_tgt A1 = A2 X_src, as entries."""
+        q, p = self.domain.codomain.quiver, self.prime
+        return all(
+            _sparse_product(self.blocks[q.target(a)], self.domain.actions[a], p)
+            == _sparse_product(self.codomain.actions[a], self.blocks[q.source(a)], p)
+            for a in q.arrows
+        )
 
     def is_zero(self) -> bool:
-        return all(not blk.any() for blk in self.blocks.values())
+        return not any(self.blocks.values())
 
     def is_identity(self) -> bool:
         return all(
-            blk.shape[0] == blk.shape[1] and np.array_equal(blk, np.eye(blk.shape[0], dtype=np.int64))
-            for blk in self.blocks.values()
+            self.codomain.dim(q) == self.domain.dim(q) == len(b) and all(i == j and x == 1 for (i, j), x in b.items())
+            for q, b in self.blocks.items()
         )
 
     def negate(self) -> "ModuleHom":
-        return ModuleHom(self.domain, self.codomain, {q: (-b) % self.prime for q, b in self.blocks.items()})
+        return ModuleHom(self.domain, self.codomain, {q: {k: -x for k, x in b.items()} for q, b in self.blocks.items()})
 
     def add(self, other: "ModuleHom") -> "ModuleHom":
         return ModuleHom(
-            self.domain, self.codomain, {q: (b + other.blocks[q]) % self.prime for q, b in self.blocks.items()}
+            self.domain,
+            self.codomain,
+            {q: {k: b.get(k, 0) + other.blocks[q].get(k, 0) for k in b.keys() | other.blocks[q].keys()} for q, b in self.blocks.items()},
         )
 
     def compose(self, first: "ModuleHom") -> "ModuleHom":
         """self after first."""
-        return ModuleHom(
-            first.domain,
-            self.codomain,
-            {q: (self.blocks[q] @ first.blocks[q]) % self.prime for q in self.blocks},
-        )
+        return ModuleHom(first.domain, self.codomain, {q: _sparse_product(b, first.blocks[q], self.prime) for q, b in self.blocks.items()})
 
     def equal(self, other: "ModuleHom") -> bool:
-        return all(np.array_equal(self.blocks[q], other.blocks[q]) for q in self.blocks)
+        return self.blocks == other.blocks
 
     def flatten(self) -> np.ndarray:
         """Row vector of all block entries, in the `hom_layout` of the pair."""
-        parts = [self.blocks[q].ravel() for q in sorted(self.blocks)]
-        if not parts:
-            return np.zeros(0, dtype=np.int64)
-        return np.concatenate(parts)
+        layout = hom_layout(self.domain, self.codomain)
+        flat = np.zeros(sum(rows * cols for _, _, rows, cols in layout), dtype=np.int64)
+        cells = {off + i * cols + j: x for q, off, _, cols in layout for (i, j), x in self.blocks[q].items()}
+        flat[list(cells)] = list(cells.values())
+        return flat
 
     @classmethod
     def from_flat(cls, domain: ModuleRep, codomain: ModuleRep, vec: np.ndarray) -> "ModuleHom":
-        """The homomorphism whose `flatten` is `vec`."""
+        """The homomorphism whose `flatten` is `vec`: its nonzeros, read by one `np.flatnonzero`."""
         layout = hom_layout(domain, codomain)
-        return cls(domain, codomain, {q: vec[off : off + rows * cols].reshape(rows, cols) for q, off, rows, cols in layout})
+        starts = [off for _, off, _, _ in layout]
+        blocks: dict = {q: {} for q, _, _, _ in layout}
+        cells = np.flatnonzero(vec)
+        for k, x in zip(cells.tolist(), np.asarray(vec)[cells].tolist()):
+            q, off, _, cols = layout[bisect_right(starts, k) - 1]  # the last block starting at or before k
+            blocks[q][divmod(k - off, cols)] = x
+        return cls(domain, codomain, blocks)
 
 
 def hom_layout(m1: ModuleRep, m2: ModuleRep) -> list[tuple[str, int, int, int]]:
@@ -486,9 +487,7 @@ def hom_layout(m1: ModuleRep, m2: ModuleRep) -> list[tuple[str, int, int, int]]:
 
 
 def identity_hom(rep: ModuleRep) -> ModuleHom:
-    return ModuleHom(
-        rep, rep, {q: np.eye(rep.dim(q), dtype=np.int64) for q in rep.basis}
-    )
+    return ModuleHom(rep, rep, {q: {(i, i): 1 for i in range(rep.dim(q))} for q in rep.basis})
 
 
 @dataclass

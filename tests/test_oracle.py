@@ -1,7 +1,10 @@
 """Exact GF(p) linear algebra, idempotent scans, and the instance generator."""
 
+import sys
+
 import numpy as np
 import pytest
+from dense import actions, blocks, hom, module
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
@@ -13,6 +16,7 @@ from rtmtools import (
     ModuleHom,
     ModuleRep,
     Quiver,
+    decompose_fully,
     GenerationExhausted,
     RootedTree,
     TreeOverQ,
@@ -107,7 +111,8 @@ def test_idempotent_scan_on_sink_example(sink_tree):
     assert search.status == "found"
     e = search.idempotent
     assert e.compose(e).equal(e)
-    assert e.intertwines()
+    assert all(np.array_equal(b @ b % 3, b) for b in blocks(e).values())
+    assert e.intertwines() and _dense_intertwines(e)
     assert not e.is_zero() and not e.is_identity()
 
 
@@ -141,27 +146,25 @@ def test_verify_iso(sink_tree):
     assert verify_iso(identity_hom(rep))
     zero = identity_hom(rep)
     zero = zero.add(zero.negate())
+    assert zero.is_zero() and not any(b.any() for b in blocks(zero).values())
     assert not verify_iso(zero)
     endo = find_nonidentity_idempotent(sink_tree)
     assert verify_iso(split(sink_tree, endo, 3).witness)
 
 
 def _dense_intertwines(h) -> bool:
-    q = h.domain.codomain.quiver
-    return all(
-        np.array_equal(h.blocks[q.target(a)] @ h.domain.matrices[a] % h.prime, h.codomain.matrices[a] @ h.blocks[q.source(a)] % h.prime)
-        for a in q.arrows
-    )
+    q, x, a1, a2 = h.domain.codomain.quiver, blocks(h), actions(h.domain), actions(h.codomain)
+    return all(np.array_equal(x[q.target(a)] @ a1[a] % h.prime, a2[a] @ x[q.source(a)] % h.prime) for a in q.arrows)
 
 
 def _dense_is_iso(h) -> bool:
     """`verify_iso` by dense products and the Python-int reference rank."""
-    square = all(blk.shape[0] == blk.shape[1] for blk in h.blocks.values())
-    return square and all(_reference_rref(blk, h.prime)[1] == len(blk) for blk in h.blocks.values()) and _dense_intertwines(h)
+    square = all(blk.shape[0] == blk.shape[1] for blk in blocks(h).values())
+    return square and all(_reference_rref(blk, h.prime)[1] == len(blk) for blk in blocks(h).values()) and _dense_intertwines(h)
 
 
 def _with_block(h, q, block):
-    return ModuleHom(h.domain, h.codomain, {**h.blocks, q: block})
+    return hom(h.domain, h.codomain, {**blocks(h), q: block})
 
 
 def test_verify_iso_rejects_a_witness_with_one_entry_changed(random_splits):
@@ -169,10 +172,11 @@ def test_verify_iso_rejects_a_witness_with_one_entry_changed(random_splits):
         w = dec.witness
         assert verify_iso(w) and _dense_is_iso(w)
         # the first entry, in block and row-major order, whose change by +1 the reference rejects
+        dense_w = blocks(w)
         changed = (
-            _with_block(w, q, w.blocks[q] + np.eye(1, w.blocks[q].size, k, dtype=np.int64).reshape(w.blocks[q].shape))
-            for q in sorted(w.blocks)
-            for k in range(w.blocks[q].size)
+            _with_block(w, q, dense_w[q] + np.eye(1, dense_w[q].size, k, dtype=np.int64).reshape(dense_w[q].shape))
+            for q in sorted(dense_w)
+            for k in range(dense_w[q].size)
         )
         bad = next(h for h in changed if not _dense_is_iso(h))
         assert not verify_iso(bad)
@@ -184,8 +188,7 @@ def test_verify_iso_rejects_a_singular_block_that_intertwines(random_splits):
         # the witness maps from the direct sum for a sink tree and to it for a source tree
         first = set(dec.summands[0].tree.vertices)
         summed = dec.witness.domain if t.orientation == SINK else dec.witness.codomain
-        blocks = {q: np.diag([int(n in first) for n in vs]).reshape(len(vs), len(vs)) for q, vs in summed.basis.items()}
-        projection = ModuleHom(summed, summed, blocks)
+        projection = hom(summed, summed, {q: np.diag([int(n in first) for n in vs]).reshape(len(vs), len(vs)) for q, vs in summed.basis.items()})
         h = dec.witness.compose(projection) if t.orientation == SINK else projection.compose(dec.witness)
         assert _dense_intertwines(h) and not _dense_is_iso(h)
         assert not verify_iso(h)
@@ -195,16 +198,16 @@ def test_verify_iso_rejects_an_invertible_map_that_does_not_intertwine(random_sp
     for _, dec in random_splits:
         w = dec.witness
         # scale a block by 2, or shear it by 1 + E_ij: invertible, so only intertwining can fail
-        changes = []
-        for q in sorted(w.blocks):
-            n = len(w.blocks[q])
-            changes.append(_with_block(w, q, 2 * w.blocks[q]))
+        changes, dense_w = [], blocks(w)
+        for q in sorted(dense_w):
+            n = len(dense_w[q])
+            changes.append(_with_block(w, q, 2 * dense_w[q]))
             for i, j in ((i, j) for i in range(n) for j in range(n) if i != j):
                 shear = np.eye(n, dtype=np.int64)
                 shear[i, j] = 1
-                changes.append(_with_block(w, q, w.blocks[q] @ shear))
+                changes.append(_with_block(w, q, dense_w[q] @ shear))
         h = next(h for h in changes if not _dense_intertwines(h))
-        assert all(_reference_rref(blk, h.prime)[1] == len(blk) for blk in h.blocks.values())
+        assert all(_reference_rref(blk, h.prime)[1] == len(blk) for blk in blocks(h).values())
         assert not verify_iso(h)
 
 
@@ -348,12 +351,12 @@ def _kronecker_hom_kernel(m1, m2) -> np.ndarray:
         off_t, rows_t, cols_t = offsets[tgt]
         if rows_t * cols_t:
             block[:, off_t : off_t + rows_t * cols_t] = np.kron(
-                np.eye(rows_t, dtype=np.int64), m1.matrices[a].T
+                np.eye(rows_t, dtype=np.int64), actions(m1)[a].T
             )
         off_s, rows_s, cols_s = offsets[src]
         if rows_s * cols_s:
             block[:, off_s : off_s + rows_s * cols_s] -= np.kron(
-                m2.matrices[a], np.eye(cols_s, dtype=np.int64)
+                actions(m2)[a], np.eye(cols_s, dtype=np.int64)
             )
         blocks.append(block % p)
     system = np.vstack(blocks) if blocks else np.zeros((0, total), dtype=np.int64)
@@ -389,15 +392,15 @@ LOOPS = BoundQuiver(Quiver(["1", "2"], [("alpha", "1", "1"), ("beta", "1", "2"),
 def loop_modules(draw):
     p = draw(st.sampled_from((3, 5)))
 
-    def module():
+    def draw_module():
         dims = {q: draw(st.integers(0, 3)) for q in ("1", "2")}
         mats = {}
         for a, s, t in (("alpha", "1", "1"), ("beta", "1", "2"), ("gamma", "2", "2")):
             flat = draw(st.lists(st.integers(0, p - 1), min_size=dims[t] * dims[s], max_size=dims[t] * dims[s]))
             mats[a] = np.array(flat, dtype=np.int64).reshape(dims[t], dims[s])
-        return ModuleRep(p, LOOPS, {q: tuple(range(1, d + 1)) for q, d in dims.items()}, mats)
+        return module(p, LOOPS, {q: tuple(range(1, d + 1)) for q, d in dims.items()}, mats)
 
-    return module(), module()
+    return draw_module(), draw_module()
 
 
 @settings(max_examples=120, deadline=None)
@@ -459,19 +462,41 @@ def random_instance_modules(draw):
     return push_down(a, p), push_down(b, p)
 
 
+def _assert_dense(h, want: dict):
+    """The blocks of h, as dense matrices, are `want` mod p."""
+    got = blocks(h)
+    assert got.keys() == want.keys()
+    for q, b in want.items():
+        np.testing.assert_array_equal(got[q], b % h.prime)
+
+
 @settings(max_examples=120, deadline=None)
 @given(st.one_of(loop_modules(), random_instance_modules()))
 def test_from_flat_inverts_flatten_on_hom_bases(pair):
     m1, m2 = pair
     layout = hom_layout(m1, m2)
-    for h in hom_space(m1, m2).basis:
-        flat = h.flatten()
+    basis = hom_space(m1, m2).basis
+    for h in basis:
+        flat, dense_h = h.flatten(), blocks(h)
         assert flat.shape == (sum(rows * cols for _, _, rows, cols in layout),)
         for q, off, rows, cols in layout:  # zero-size blocks included
-            assert h.blocks[q].shape == (rows, cols)
-            np.testing.assert_array_equal(flat[off : off + rows * cols], h.blocks[q].ravel())
+            assert dense_h[q].shape == (rows, cols)
+            np.testing.assert_array_equal(flat[off : off + rows * cols], dense_h[q].ravel())
         back = ModuleHom.from_flat(h.domain, h.codomain, flat)
         assert back.blocks.keys() == h.blocks.keys() and back.equal(h)
+        assert h.intertwines() and _dense_intertwines(h)
+    # the map algebra on the same maps, against dense numpy
+    for h, k in zip(basis, basis[1:] + basis[:1]):
+        dh, dk = blocks(h), blocks(k)
+        _assert_dense(h.add(k), {q: dh[q] + dk[q] for q in dh})
+        _assert_dense(h.negate(), {q: -dh[q] for q in dh})
+        assert h.add(k).equal(k.add(h)) and h.add(h.negate()).is_zero() and not h.is_zero()
+        assert h.equal(k) == all(np.array_equal(dh[q], dk[q]) for q in dh)
+        if m1.basis == m2.basis:
+            _assert_dense(h.compose(k), {q: dh[q] @ dk[q] for q in dh})
+            eye = {q: np.eye(len(b), dtype=np.int64) for q, b in dh.items()}
+            assert h.is_identity() == all(np.array_equal(dh[q], eye[q]) for q in dh)
+            assert identity_hom(m1).is_identity() and identity_hom(m1).compose(h).equal(h)
 
 
 def _materialising_scan(end_basis: HomBasis):
@@ -481,8 +506,8 @@ def _materialising_scan(end_basis: HomBasis):
     sample = end_basis.basis[0]
     p, dim = sample.prime, end_basis.dimension
     qs = sorted(sample.blocks)
-    stacked = {q: np.stack([h.blocks[q] for h in end_basis.basis]) for q in qs}
-    identity = {q: np.eye(sample.blocks[q].shape[0], dtype=np.int64) for q in qs}
+    stacked = {q: np.stack([blocks(h)[q] for h in end_basis.basis]) for q in qs}
+    identity = {q: np.eye(sample.codomain.dim(q), dtype=np.int64) for q in qs}
     powers = np.array([p**k for k in range(dim)], dtype=np.int64)
     for lo in range(1, p**dim, 1 << 14):  # index 0 is the zero map
         idx = np.arange(lo, min(lo + (1 << 14), p**dim), dtype=np.int64)
@@ -560,18 +585,16 @@ def test_idempotent_scan_matches_the_materialising_scan(case):
     basis = hom_space(rep, rep)
     assume(p**basis.dimension <= 10**5)  # the reference builds every candidate
     search = has_nontrivial_idempotent(basis)
-    status, blocks = _materialising_scan(basis)
+    status, want = _materialising_scan(basis)
     assert search.status == status
-    if blocks is not None:
-        assert search.idempotent.blocks.keys() == blocks.keys()
-        for q, block in blocks.items():
-            np.testing.assert_array_equal(search.idempotent.blocks[q], block)
+    if want is not None:
+        _assert_dense(search.idempotent, want)
 
 
 def _loop_module(p, dim):
     """One vertex of dimension `dim` on the loop quiver, every arrow zero."""
     zero = {"alpha": np.zeros((dim, dim)), "beta": np.zeros((0, dim)), "gamma": np.zeros((0, 0))}
-    return ModuleRep(p, LOOPS, {"1": tuple(range(1, dim + 1))}, zero)
+    return module(p, LOOPS, {"1": tuple(range(1, dim + 1))}, zero)
 
 
 def _spanning_basis(rep, maps) -> HomBasis:
@@ -584,14 +607,14 @@ def _spanning_basis(rep, maps) -> HomBasis:
 
 def test_idempotent_scan_rejects_a_span_not_closed_under_composition():
     rep = _loop_module(3, 2)
-    swap = ModuleHom(rep, rep, {"1": np.array([[0, 1], [1, 0]])})  # its square is 1
+    swap = hom(rep, rep, {"1": np.array([[0, 1], [1, 0]])})  # its square is 1
     with pytest.raises(ValueError, match="not closed under composition"):
         has_nontrivial_idempotent(_spanning_basis(rep, [swap]))
 
 
 def test_idempotent_scan_without_the_identity_in_the_span():
     rep = _loop_module(3, 2)
-    corner = ModuleHom(rep, rep, {"1": np.array([[1, 0], [0, 0]])})
+    corner = hom(rep, rep, {"1": np.array([[1, 0], [0, 0]])})
     search = has_nontrivial_idempotent(_spanning_basis(rep, [corner]))
     assert search.status == "found" and search.idempotent.equal(corner)
 
@@ -654,11 +677,46 @@ def test_verify_iso_eliminates_forward_only(monkeypatch):
     monkeypatch.setattr(oracle, "_eliminate", lambda *args: calls.append(args[2]) or eliminate(*args))
     for block in (upper, upper.T):
         calls.clear()
-        assert verify_iso(ModuleHom(rep, rep, {"1": block}))
+        assert verify_iso(hom(rep, rep, {"1": block}))
         assert len(calls) <= n
     zero_column = upper.copy()
     zero_column[n // 2 - 1 : n // 2 + 1, n // 2] = 0
     repeated_row = upper.copy()
     repeated_row[n // 2] = upper[n // 2 - 1]  # a nonzero in every row and column, yet singular
     for singular in (zero_column, repeated_row):
-        assert not verify_iso(ModuleHom(rep, rep, {"1": singular}))
+        assert not verify_iso(hom(rep, rep, {"1": singular}))
+
+
+def _numpy_calls(fn) -> list:
+    """Names of the numpy functions and array methods called while fn runs."""
+    calls = []
+
+    def profile(frame, event, arg):
+        if event == "call" and "numpy" in frame.f_code.co_filename.split("/"):
+            calls.append(frame.f_code.co_name)
+        elif event == "c_call":
+            owner = getattr(arg, "__self__", None)
+            if (getattr(arg, "__module__", None) or "").startswith("numpy") or isinstance(owner, (np.ndarray, np.generic)):
+                calls.append(arg.__name__)
+
+    sys.setprofile(profile)
+    try:
+        fn()
+    finally:
+        sys.setprofile(None)
+    return calls
+
+
+@pytest.mark.parametrize("orientation", (SINK, SOURCE))
+def test_verify_iso_on_the_twin_chain_600_witness_calls_no_numpy(monkeypatch, orientation):
+    # Reading each block's nonzeros with numpy took 1,801 calls on this witness, one per quiver vertex and arrow.
+    witnesses = []
+    verify = oracle.verify_iso
+    monkeypatch.setattr(oracle, "verify_iso", lambda h: witnesses.append(h) or verify(h))
+    assert len(decompose_fully(_twin_chain(600, orientation))) == 2
+    [w] = witnesses
+    assert len(w.blocks) == 601
+    assert _numpy_calls(lambda: w.flatten())  # the profile sees numpy
+    results = []
+    assert _numpy_calls(lambda: results.append(verify(w))) == []
+    assert results == [True]

@@ -7,6 +7,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from dense import actions, blocks
 
 from rtmtools import (
     SINK,
@@ -114,7 +115,7 @@ def test_module_idempotent_sink(sink_tree):
     rep = ide.domain
     # identity except v4 -> v2
     np.testing.assert_array_equal(
-        ide.blocks["2"][:, rep.basis_index("2", 4)],
+        blocks(ide)["2"][:, rep.basis_index("2", 4)],
         np.eye(3, dtype=int)[:, rep.basis_index("2", 2)],
     )
     assert ide.compose(ide).equal(ide)
@@ -132,7 +133,7 @@ def test_module_idempotent_source(source_tree_factory):
     endo = IdempotentEndo(t, {1: 1, 2: 3, 3: 3, 4: 5, 5: 5})
     ide = module_idempotent(t, endo, 3)
     rep = ide.domain
-    block = ide.blocks["1"]
+    block = blocks(ide)["1"]
     np.testing.assert_array_equal(block[:, rep.basis_index("1", 1)], [1, 0, 0, 0, 0])
     np.testing.assert_array_equal(block[:, rep.basis_index("1", 3)], [0, 1, 1, 0, 0])
     assert not block[:, rep.basis_index("1", 2)].any()
@@ -147,7 +148,7 @@ def test_split_of_sink_example(sink_tree):
     assert dec.summands[1].vertex_label[4] == "2"  # simple summand at vertex 2
     assert verify_iso(dec.witness)
     # witness column of v4 is v4 - v2
-    col = dec.witness.blocks["2"][:, dec.witness.domain.basis_index("2", 4)]
+    col = blocks(dec.witness)["2"][:, dec.witness.domain.basis_index("2", 4)]
     expected = np.zeros(3, dtype=int)
     expected[dec.witness.codomain.basis_index("2", 4)] = 1
     expected[dec.witness.codomain.basis_index("2", 2)] = 2  # -1 mod 3
@@ -177,15 +178,16 @@ def test_split_is_the_direct_sum_of_the_summands_in_the_basis_of_the_tree(random
             assert (s.vertex_label, s.arrow_label) == (want.vertex_label, want.arrow_label)
         # each arrow matrix is block-diagonal over the summands, with the summand's module as its block
         q = t.codomain.quiver
-        covered = {a: np.zeros(mat.shape, dtype=bool) for a, mat in summed.matrices.items()}
+        dense_sum = actions(summed)
+        covered = {a: np.zeros(mat.shape, dtype=bool) for a, mat in dense_sum.items()}
         for s in dec.summands:
             block = push_down(s, rep.prime)
-            for a, mat in summed.matrices.items():
+            for a, mat in dense_sum.items():
                 rows = [summed.basis_index(q.target(a), n) for n in block.basis[q.target(a)]]
                 cols = [summed.basis_index(q.source(a), n) for n in block.basis[q.source(a)]]
-                np.testing.assert_array_equal(mat[np.ix_(rows, cols)], block.matrices[a])
+                np.testing.assert_array_equal(mat[np.ix_(rows, cols)], actions(block)[a])
                 covered[a][np.ix_(rows, cols)] = True
-        assert not any(mat[~covered[a]].any() for a, mat in summed.matrices.items())
+        assert not any(mat[~covered[a]].any() for a, mat in dense_sum.items())
 
 
 def _two_loop_tree(two_loop_quiver, orientation, edges):
@@ -314,16 +316,16 @@ def test_decompose_fully_matches_chained_splits_under_one_composed_witness(monke
                 assert verify(w)
                 rep, q = push_down(t, prime), t.codomain.quiver
                 summand_side, module_side = (w.domain, w.codomain) if orientation == SINK else (w.codomain, w.domain)
-                summed = {a: np.zeros_like(m) for a, m in rep.matrices.items()}
+                summed = {a: np.zeros_like(m) for a, m in actions(rep).items()}
                 for x in pieces:
                     for e in x.tree.arrows:
                         a = x.arrow_label[e]
                         row = rep.basis_index(q.target(a), x.tree.arrow_target[e])
                         summed[a][row, rep.basis_index(q.source(a), x.tree.arrow_source[e])] = 1
                 assert w.domain.basis == w.codomain.basis == rep.basis
-                for a, m in rep.matrices.items():
-                    np.testing.assert_array_equal(summand_side.matrices[a], summed[a])
-                    np.testing.assert_array_equal(module_side.matrices[a], m)
+                for a, m in actions(rep).items():
+                    np.testing.assert_array_equal(actions(summand_side)[a], summed[a])
+                    np.testing.assert_array_equal(actions(module_side)[a], m)
     assert decomposable >= 150
 
 

@@ -6,23 +6,31 @@ from itertools import product
 
 import numpy as np
 import pytest
+from dense import actions, sparse
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rtmtools import (
     SINK,
     SOURCE,
     BoundQuiver,
+    ModuleHom,
+    ModuleRep,
     Quiver,
     RootedTree,
     StructureError,
     TreeOverQ,
     branch,
+    check_locally_bound,
     is_tree_module,
     push_down,
     random_instance,
     validate_tree_over_q,
 )
+from rtmtools import algebra
 from rtmtools.algebra import first_relation
 from rtmtools.cli import main
+from rtmtools.textio import parse_document
 from rtmtools.trees import TreeValidationReport
 
 
@@ -134,8 +142,8 @@ def test_push_down_sink_matrices(sink_tree):
     rep = push_down(sink_tree, 3)
     assert rep.basis == {"1": (3, 5), "2": (1, 2, 4)}
     assert rep.total_dim == 5
-    np.testing.assert_array_equal(rep.matrices["beta"], [[1, 0], [0, 1], [0, 0]])
-    np.testing.assert_array_equal(rep.matrices["alpha"], [[0, 1, 1], [0, 0, 0], [0, 0, 0]])
+    np.testing.assert_array_equal(actions(rep)["beta"], [[1, 0], [0, 1], [0, 0]])
+    np.testing.assert_array_equal(actions(rep)["alpha"], [[0, 1, 1], [0, 0, 0], [0, 0, 0]])
     assert rep.relations_vanish()
 
 
@@ -143,10 +151,10 @@ def test_push_down_source_action(source_tree_factory):
     t = source_tree_factory("alpha", "alpha", "alpha", "beta")
     rep = push_down(t, 3)
     # alpha sends v1 to v2 + v3 and v2 to v4; beta sends v3 to v5
-    alpha = rep.matrices["alpha"]
+    alpha = actions(rep)["alpha"]
     np.testing.assert_array_equal(alpha[:, 0], [0, 1, 1, 0, 0])
     np.testing.assert_array_equal(alpha[:, 1], [0, 0, 0, 1, 0])
-    np.testing.assert_array_equal(rep.matrices["beta"][:, 2], [0, 0, 0, 0, 1])
+    np.testing.assert_array_equal(actions(rep)["beta"][:, 2], [0, 0, 0, 0, 1])
     assert rep.relations_vanish()
 
 
@@ -154,7 +162,42 @@ def test_push_down_single_vertex(loop_tail_quiver):
     t = TreeOverQ(RootedTree([1], [], SINK), loop_tail_quiver, {1: "2"}, {})
     rep = push_down(t, 3)
     assert rep.dimension_vector() == {"1": 0, "2": 1}
-    assert not rep.matrices["alpha"].any()
+    assert rep.actions == {"alpha": {}, "beta": {}}
+
+
+def _dense_push_down(t, p):
+    """Reference module: zero matrices shaped by the bases, a 1 at (row of the target, column of the source) per tree arrow."""
+    q, tree = t.codomain.quiver, t.tree
+    basis = {v: [n for n in tree.vertices if t.vertex_label[n] == v] for v in q.vertices}
+    mats = {a: np.zeros((len(basis[q.target(a)]), len(basis[q.source(a)])), dtype=np.int64) for a in q.arrows}
+    for e in tree.arrows:
+        a = t.arrow_label[e]
+        mats[a][basis[q.target(a)].index(tree.arrow_target[e]), basis[q.source(a)].index(tree.arrow_source[e])] = 1
+    return basis, mats
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 199), st.sampled_from((SINK, SOURCE)), st.sampled_from((3, 5)))
+def test_push_down_entries_match_the_dense_reference(seed, orientation, p):
+    t = random_instance(seed, orientation)
+    rep = push_down(t, p)
+    basis, mats = _dense_push_down(t, p)
+    assert rep.basis == {v: tuple(vs) for v, vs in basis.items()}
+    assert rep.actions == {a: sparse(m) for a, m in mats.items()}
+    assert all(len(rep.actions[t.arrow_label[e]]) for e in t.tree.arrows)
+    for a, m in actions(rep).items():
+        np.testing.assert_array_equal(m, mats[a])
+
+
+def test_modules_and_maps_check_their_entries(sink_tree):
+    rep = push_down(sink_tree, 3)
+    with pytest.raises(ValueError, match=r"arrow 'beta' has an entry at \(3, 0\), outside its shape \(3, 2\)"):
+        ModuleRep(3, rep.codomain, rep.basis, {"beta": {(3, 0): 1}})
+    with pytest.raises(ValueError, match=r"block at '1' has an entry at \(0, -1\)"):
+        ModuleHom(rep, rep, {"1": {(0, -1): 1}})
+    # residues are reduced and zeros dropped
+    assert ModuleRep(3, rep.codomain, rep.basis, {"alpha": {(0, 1): 4, (0, 2): 3}}).actions["alpha"] == {(0, 1): 1}
+    assert ModuleHom(rep, rep, {"2": {(1, 1): -1, (0, 0): 6}}).blocks == {"1": {}, "2": {(1, 1): 2}}
 
 
 def test_push_down_rejects_bad_primes(sink_tree):
@@ -294,3 +337,18 @@ def test_validation_reads_all_relations_in_one_walk(orientation):
     report = validate_tree_over_q(bad)
     assert report == _per_leaf_report(bad)
     assert report.witness[1] == ("alpha",) * 5 + ("beta",)
+
+
+@pytest.mark.parametrize("orientation", [SINK, SOURCE])
+def test_each_bound_quiver_builds_each_relation_table_once(monkeypatch, sink_document, source_document_factory, orientation):
+    built = []
+    automaton = algebra.relation_automaton
+    monkeypatch.setattr(algebra, "relation_automaton", lambda words: built.append(1) or automaton(words))
+    text = sink_document if orientation == SINK else source_document_factory("alpha", "beta", "alpha", "beta")
+    t = parse_document(text).tree
+    for _ in range(3):
+        push_down(t, 3)
+        assert validate_tree_over_q(t).ok
+        assert check_locally_bound(t.codomain).ok
+    # a source tree reads its relations forward, as the locally-bound check does; a sink tree reads them reversed
+    assert len(built) == (1 if orientation == SOURCE else 2)
