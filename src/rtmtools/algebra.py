@@ -8,9 +8,8 @@ contiguous-subword test on arrow sequences.  One multi-pattern
 string-matching automaton of the relations (`relation_automaton`) answers
 every such question: ideal membership, relation-free path enumeration, the
 locally-bound check ("only finitely many relation-free paths exist") and,
-in `trees`, the validation of a labelled tree.  Each `BoundQuiver` builds
-it at most once, on first use, and once more over the reversed relations
-(`BoundQuiver.automaton`).
+in `trees`, the validation of a labelled tree.  Each `BoundQuiver` builds it
+once, on first use, and once over the reversed relations (`automaton`).
 
 Conventions: arrow sequences are stored in traversal order, i.e. the first
 arrow walked comes first.  Algebraic composition (right-to-left) is never

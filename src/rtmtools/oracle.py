@@ -7,12 +7,10 @@ isomorphisms are verified by rank.  Arithmetic is exact integer arithmetic
 modulo an odd prime below 2**24; inverses are Python's `pow(x, -1, p)`.  No
 floating point is used anywhere.
 
-Modules and maps arrive as the nonzero entries of their arrow actions and
-blocks (`trees.ModuleRep`, `trees.ModuleHom`): the Hom system is written
-from those entries, and an isomorphism is checked on them with no numpy
-call.  Dense int64 arrays hold only the flat rows of a Hom basis, which the
-idempotent scan multiplies in batches, and the input and output of the
-dense wrappers `rref` and `nullspace`.
+Modules and maps arrive as the nonzero entries of their actions and blocks:
+the Hom system is written from them, and an isomorphism is checked on them
+with no numpy call.  Dense int64 arrays hold only the flat rows of a Hom
+basis, for the idempotent scan, and the matrices of `rref` and `nullspace`.
 
 Every elimination is one sparse Gauss-Jordan, `_gauss_jordan`, on rows
 {column: nonzero residue} of Python ints: the Hom system and the rank of
@@ -219,9 +217,9 @@ def hom_space(m1: ModuleRep, m2: ModuleRep) -> HomBasis:
     Unknowns are all entries of the per-vertex blocks, in `trees.hom_layout`;
     for every quiver arrow the equation X_target A1 - A2 X_source = 0
     contributes one row per entry (i, j), built straight from the entries of
-    the actions A1 and A2.  The solve stops at forward elimination, which gives the
-    dimension; the `HomBasis` builds its basis from the echelon form only
-    when the basis is first read.
+    the actions A1 and A2.  The solve stops at forward elimination, which
+    gives the dimension; the `HomBasis` builds its basis from the echelon
+    form only when the basis is first read.
     """
     if m1.prime != m2.prime:
         raise ValueError("modules use different primes")

@@ -278,9 +278,8 @@ def is_tree_module(t: TreeOverQ) -> bool:
 
 
 # Products of two residues mod p < 2**24, summed over fewer than 2**15 terms
-# (the idempotent scan's batched products of flat rows), stay below 2**63.  A
-# dense int64 block with 2**15 rows already takes 8 GB, so the arithmetic
-# stays exact.  Sparse products run on Python ints.
+# (the idempotent scan's products of flat rows), stay below 2**63.  A dense
+# int64 block with 2**15 rows already takes 8 GB, so the arithmetic stays exact.
 PRIME_BOUND = 2**24
 
 
@@ -297,10 +296,9 @@ def is_odd_prime(n: int) -> bool:
 
 def _residues(entries: dict, shape: tuple[int, int], p: int, what: str) -> dict:
     """`entries` {(row, column): value} reduced mod p, zeros dropped; an index outside `shape` raises ValueError."""
-    rows, cols = shape
     out = {}
     for (i, j), x in entries.items():
-        if not (0 <= i < rows and 0 <= j < cols):
+        if not (0 <= i < shape[0] and 0 <= j < shape[1]):
             raise ValueError(f"{what} has an entry at ({i}, {j}), outside its shape {shape}")
         if x := int(x) % p:
             out[i, j] = x
@@ -328,13 +326,7 @@ class ModuleRep:
     accepted, not only the 1s of a tree; an arrow left out acts by zero.
     """
 
-    def __init__(
-        self,
-        prime: int,
-        codomain: BoundQuiver,
-        basis: dict[str, tuple[int, ...]],
-        actions: dict[str, dict],
-    ):
+    def __init__(self, prime: int, codomain: BoundQuiver, basis: dict[str, tuple[int, ...]], actions: dict[str, dict]):
         self.prime = prime
         self.codomain = codomain
         q = codomain.quiver

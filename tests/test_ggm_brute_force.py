@@ -15,7 +15,7 @@ drops duplicates.
 
 from itertools import combinations
 
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from rtmtools import (
@@ -188,5 +188,11 @@ def test_enumeration_matches_seeding_every_vertex(seed, orientation, max_vertice
     t = random_instance(seed, orientation, **shape)
     u = random_instance(seed + 1000, orientation, codomain=t.codomain, **shape)
     a, b = {"self": (t, t), "to-partner": (t, u), "from-partner": (u, t)}[pairing]
+    # The number of network pairs predicts the listing.  Over every seed in both orientations with 16
+    # vertices, depth 2, 3 or 5 and 2 to 4 children (10,800 pairs of trees), the networks of at most 64
+    # pairs held at most 2,962 maps, and every edge-class size (1 to 4) occurs among them; above that
+    # many held over 20,000, and the self-pair of seed 101 (source, depth 2, 4 children), 116 pairs,
+    # held over 370,000.
+    assume(len(pullback_network(a, b).vertices) <= 64)
     want = [(s.vertices, s.arrows, s.edges) for s in _seed_every_vertex_and_deduplicate(a, b)]
     assert [(g.vertices, g.arrows, g.edges) for g in enumerate_ggms(a, b)] == want
