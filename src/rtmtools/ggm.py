@@ -335,7 +335,7 @@ def _cells(m1: ModuleRep, m2: ModuleRep) -> dict:
 
 
 def ggm_matrix(g: GeneralizedGraphMap, m1: ModuleRep, m2: ModuleRep) -> ModuleHom:
-    """The homomorphism induced by a graph map between the modules of its trees: v_n maps to the signed sum of partners (see `_cells`)."""
+    """The homomorphism induced by a graph map between the modules of its trees: v_n maps to the signed sum of partners."""
     label = g.cover.base.t1.vertex_label
     blocks: dict = {}
     for n, m, s in g.vertices:

@@ -243,7 +243,8 @@ def _verified_witness(t: TreeOverQ, rep: ModuleRep, cut: list[str], columns: dic
     actions = {a: dict(entries) for a, entries in rep.actions.items()}
     for arrow in cut:
         a = t.arrow_label[arrow]
-        del actions[a][rep.basis_index(q.target(a), tree.arrow_target[arrow]), rep.basis_index(q.source(a), tree.arrow_source[arrow])]
+        row = rep.basis_index(q.target(a), tree.arrow_target[arrow])
+        del actions[a][row, rep.basis_index(q.source(a), tree.arrow_source[arrow])]
     blocks = {qv: {(i, i): 1 for i in range(rep.dim(qv))} for qv in rep.basis}
     for n, column in columns.items():
         qv = t.vertex_label[n]

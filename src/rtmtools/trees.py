@@ -429,15 +429,16 @@ class ModuleHom:
         return ModuleHom(self.domain, self.codomain, {q: {k: -x for k, x in b.items()} for q, b in self.blocks.items()})
 
     def add(self, other: "ModuleHom") -> "ModuleHom":
-        return ModuleHom(
-            self.domain,
-            self.codomain,
-            {q: {k: b.get(k, 0) + other.blocks[q].get(k, 0) for k in b.keys() | other.blocks[q].keys()} for q, b in self.blocks.items()},
-        )
+        blocks = {}
+        for q, b in self.blocks.items():
+            c = other.blocks[q]
+            blocks[q] = {k: b.get(k, 0) + c.get(k, 0) for k in b.keys() | c.keys()}
+        return ModuleHom(self.domain, self.codomain, blocks)
 
     def compose(self, first: "ModuleHom") -> "ModuleHom":
         """self after first."""
-        return ModuleHom(first.domain, self.codomain, {q: _sparse_product(b, first.blocks[q], self.prime) for q, b in self.blocks.items()})
+        blocks = {q: _sparse_product(b, first.blocks[q], self.prime) for q, b in self.blocks.items()}
+        return ModuleHom(first.domain, self.codomain, blocks)
 
     def equal(self, other: "ModuleHom") -> bool:
         return self.blocks == other.blocks
