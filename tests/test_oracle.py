@@ -148,6 +148,10 @@ def test_verify_iso(sink_tree):
     zero = zero.add(zero.negate())
     assert zero.is_zero() and not any(b.any() for b in blocks(zero).values())
     assert not verify_iso(zero)
+    simple = push_down(TreeOverQ(RootedTree([1], [], SINK), sink_tree.codomain, {1: "2"}, {}), 3)
+    # blocks that are not square: 1x3 and 0x2 one way, 3x1 and 2x0 the other, with a nonzero in row 2 of 3
+    assert not verify_iso(ModuleHom(rep, simple, {"2": {(0, 0): 1}}))
+    assert not verify_iso(ModuleHom(simple, rep, {"2": {(2, 0): 1}}))
     endo = find_nonidentity_idempotent(sink_tree)
     assert verify_iso(split(sink_tree, endo, 3).witness)
 
