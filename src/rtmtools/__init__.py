@@ -12,8 +12,6 @@ from .algebra import (
     Quiver,
     StructureError,
     check_locally_bound,
-    enumerate_paths_from,
-    path_in_ideal,
 )
 from .trees import (
     SINK,
@@ -23,9 +21,6 @@ from .trees import (
     ModuleRep,
     RootedTree,
     TreeOverQ,
-    branch,
-    identity_hom,
-    is_tree_module,
     push_down,
     validate_tree_over_q,
 )
@@ -34,7 +29,6 @@ from .network import (
     Triangle,
     TwoCover,
     maximal_r_free_traversals,
-    pullback_network,
     to_dot,
     triangles,
     two_cover,
@@ -42,11 +36,9 @@ from .network import (
 from .ggm import (
     GeneralizedGraphMap,
     Subnetwork,
-    branch_morphism_from_ggm,
     enumerate_ggms,
     ggm_matrix,
     hom_span,
-    is_complete,
 )
 from .structure import (
     Cor2Report,

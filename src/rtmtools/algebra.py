@@ -4,12 +4,12 @@ A bound quiver is a finite quiver together with a set of relations, each a
 composable path of length >= 2.  The quotient of the path algebra by the
 ideal these relations generate is a zero-relation algebra.  Because the
 ideal is generated by paths, membership of a path in the ideal is exactly a
-contiguous-subword test on arrow sequences.  One multi-pattern
-string-matching automaton of the relations (`relation_automaton`) answers
-every such question: ideal membership, relation-free path enumeration, the
-locally-bound check ("only finitely many relation-free paths exist") and,
-in `trees`, the validation of a labelled tree.  Each `BoundQuiver` builds it
-once, on first use, and once over the reversed relations (`automaton`).
+contiguous-subword test on arrow sequences (`first_relation` finds the
+first relation in a word).  One multi-pattern string-matching automaton of
+the relations (`relation_automaton`) answers the locally-bound check ("only
+finitely many relation-free paths exist") and, in `trees`, the validation
+of a labelled tree.  Each `BoundQuiver` builds it once, on first use, and
+once over the reversed relations (`automaton`).
 
 Conventions: arrow sequences are stored in traversal order, i.e. the first
 arrow walked comes first.  Algebraic composition (right-to-left) is never
@@ -19,7 +19,6 @@ exposed; callers compose by concatenating traversal words.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate
 from typing import Iterable, Optional, Sequence
 
 
@@ -172,17 +171,6 @@ def relation_automaton(words: Iterable[Sequence[str]]) -> tuple[list[dict[str, i
     return step, dead
 
 
-def path_in_ideal(bq: BoundQuiver, path: Path) -> bool:
-    """Whether the path lies in the ideal generated by the relations.
-
-    For monomial ideals this is exact: a path is in the ideal iff some
-    relation occurs in it as a contiguous subword.
-    """
-    bq.quiver.path(path.source, path.arrows)  # structural re-check
-    step, dead = bq.automaton()
-    return any(dead[s] for s in accumulate(path.arrows, lambda s, x: step[s].get(x, 0), initial=0))
-
-
 def first_relation(bq: BoundQuiver, word: tuple[str, ...]) -> Optional[tuple[int, tuple[str, ...]]]:
     """(position, relation) of the first relation found as a contiguous subword of `word`, or None.
 
@@ -259,35 +247,3 @@ def check_locally_bound(bq: BoundQuiver) -> LocallyBoundReport:
                 color[state] = BLACK
                 stack.pop()
     return LocallyBoundReport(True)
-
-
-def automaton_state_count(bq: BoundQuiver) -> int:
-    """Number of reachable product-automaton states; caps path lengths when bound."""
-    return len(_reachable_states(bq))
-
-
-def enumerate_paths_from(bq: BoundQuiver, vertex: str, max_len: int) -> list[Path]:
-    """All relation-free paths starting at `vertex` of length <= max_len.
-
-    Returned in length-then-lexicographic order on arrow words.  Extensions
-    of a relation-containing path also contain the relation, so the walk
-    prunes as soon as a relation completes.
-    """
-    quiver = bq.quiver
-    if vertex not in quiver.vertex_set:
-        raise StructureError(f"unknown vertex {vertex!r}")
-    step, dead = bq.automaton()
-    out = [quiver.path(vertex)]
-    frontier = [(out[0], 0)]  # (path, automaton state after its word)
-    for _ in range(max_len):
-        nxt = []
-        for p, state in frontier:
-            for arrow in quiver.arrows_from(p.target):
-                after = step[state].get(arrow, 0)
-                if not dead[after]:
-                    nxt.append((Path(vertex, quiver.target(arrow), p.arrows + (arrow,)), after))
-        if not nxt:
-            break
-        frontier = nxt
-        out.extend(p for p, _ in nxt)
-    return out

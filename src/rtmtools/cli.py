@@ -31,7 +31,7 @@ class _Unreadable(Exception):
 
 def _load(path: str) -> InputDocument:
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8-sig")  # a leading byte-order mark is dropped
     except (OSError, UnicodeDecodeError) as exc:
         raise _Unreadable(exc) from exc
     return parse_document(text)

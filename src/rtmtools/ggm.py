@@ -7,12 +7,14 @@ Each one induces a homomorphism between the two tree modules: the basis
 vector of a domain tree vertex is sent to the signed sum of its partners.
 For rooted-tree pairs these maps span the whole Hom-space.
 
-Completeness is read off the network's two coordinates: a vertex must
-witness every tree child of its child-side coordinate (by an arrow from a
-pullback child) and, unless it is a root, the tree parent of its
-parent-side coordinate (by the arrow to its pullback parent or an edge).
-The network decides which coordinate is which, so nothing here depends on
-the orientation.
+The completeness obligations are read off the network's two coordinates:
+a vertex must witness every tree child of its child-side coordinate (by an
+arrow from a pullback child) and, unless it is a root, the tree parent of
+its parent-side coordinate (by the arrow to its pullback parent or an
+edge).  The network decides which coordinate is which, so nothing here
+depends on the orientation.  The search below meets them as it grows a
+map and never blocks a triangle or holds a sign flip, so no map it emits
+is checked again against the definition.
 
 Enumeration works by obligation closure.  Inside a hypothetical graph map,
 every completeness obligation has a unique witness (a second witness would
@@ -35,12 +37,11 @@ checked.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional
 
 from .network import Edge, NetArrow, PullbackNetwork, TwoCover, _edge, _lift, two_cover
 from .oracle import _eliminate
-from .trees import BranchMorphism, ModuleHom, ModuleRep, TreeOverQ, hom_layout
+from .trees import ModuleHom, ModuleRep, TreeOverQ, hom_layout
 
 
 class Subnetwork:
@@ -75,44 +76,6 @@ class Subnetwork:
         sub.edges = frozenset(edges)
         return sub
 
-    def signed_pairs(self) -> dict:
-        return {(n, m): s for (n, m, s) in self.vertices}
-
-    def is_involution_free(self) -> bool:
-        pairs = [v[:2] for v in self.vertices]
-        return len(set(pairs)) == len(pairs)
-
-    def _far_ends(self) -> dict:
-        """The far end of each link at each vertex."""
-        ends: dict = {v: [] for v in self.vertices}
-        for u, w in [(a.source, a.target) for a in self.arrows] + list(self.edges):
-            ends[u].append(w)
-            ends[w].append(u)
-        return ends
-
-    def is_connected(self) -> bool:
-        if not self.vertices:
-            return True
-        ends = self._far_ends()
-        seen = set()
-        stack = [next(iter(self.vertices))]
-        while stack:
-            v = stack.pop()
-            if v in seen:
-                continue
-            seen.add(v)
-            stack.extend(ends[v])
-        return seen == set(self.vertices)
-
-    def is_r_free(self) -> bool:
-        """No two incident links of the subnetwork project through a triangle: their far ends are not linked."""
-        linked = self.cover.base.linked
-        for ends in self._far_ends().values():
-            for i, u in enumerate(ends):
-                if any((u[:2], w[:2]) in linked for w in ends[i + 1 :]):
-                    return False
-        return True
-
     def negate(self) -> "Subnetwork":
         return self._built(self.cover, *_flip(self.vertices, self.arrows, self.edges))
 
@@ -131,13 +94,6 @@ def _flip(vertices: Iterable, arrows: Iterable[NetArrow], edges: Iterable[Edge])
         (NetArrow(flip(a.source), flip(a.target), a.label[:2] + (-a.label[2],)) for a in arrows),
         (_edge(flip(e[0]), flip(e[1])) for e in edges),
     )
-
-
-@dataclass(frozen=True)
-class CompletenessReport:
-    ok: bool
-    vertex: tuple = ()
-    reason: str = ""
 
 
 class _Obligations(dict):
@@ -267,25 +223,6 @@ class GeneralizedGraphMap(Subnetwork):
     """A complete, connected, unblocked, involution-free subnetwork."""
 
 
-def is_complete(sub: Subnetwork) -> CompletenessReport:
-    """Check every completeness obligation, reporting the first failure."""
-    base = sub.cover.base
-    table = _Obligations(base)
-    links = sub.arrows | sub.edges
-    for vertex in sorted(sub.vertices):
-        for obligation, witnesses in table[vertex]:
-            if _met(witnesses, links):
-                continue
-            if obligation[0] == "child":
-                side = ("domain", "codomain")[base.child_side]
-                arrow = base.trees[base.child_side].tree.child_arrow[obligation[1]]
-                reason = f"no witness for {side} arrow {arrow} of child {obligation[1]}"
-            else:
-                reason = "no witness for the parent-side arrow"
-            return CompletenessReport(False, vertex, reason)
-    return CompletenessReport(True)
-
-
 def _stream(cover: TwoCover) -> Iterator[GeneralizedGraphMap]:
     """Every canonical graph map, seeded from the deepest vertex pair up.
 
@@ -373,33 +310,3 @@ def hom_span(
             inverse = pow(row[c], -1, p)
             basis[c] = {k: v * inverse % p for k, v in row.items()}
     return sorted(maps, key=Subnetwork.sort_key), len(basis)
-
-
-def branch_morphism_from_ggm(g: GeneralizedGraphMap, pair: tuple) -> BranchMorphism:
-    """Extract the branch-to-branch morphism rooted at a graph-map vertex.
-
-    It maps the branch of the child-side coordinate of `pair` into the
-    branch of the parent-side one: the domain branch into the codomain
-    branch for sink trees, the other way round for source trees.  Each
-    inductive step follows the unique witness arrow inside the graph map;
-    uniqueness is asserted, as it is what the unblocked condition grants.
-    """
-    if pair not in g.signed_pairs():
-        raise ValueError(f"{pair} is not a vertex pair of the graph map")
-    base = g.cover.base
-    c, p = base.child_side, base.parent_side
-    tc = base.trees[c].tree
-    morphism = BranchMorphism(pair[c], pair[p], {pair[c]: pair[p]}, {})
-    queue = [pair]
-    for v in queue:  # the queue grows while it is read
-        for x in tc.children(v[c]):
-            arrow = tc.child_arrow[x]
-            witnesses = [a for a in g.arrows if a.label[c] == arrow and v in (a.source[:2], a.target[:2])]
-            if len(witnesses) != 1:
-                raise AssertionError(f"witness for child {x} not unique: {witnesses}")
-            a = witnesses[0]
-            w = (a.source if a.target[:2] == v else a.target)[:2]
-            morphism.vertex_map[x] = w[p]
-            morphism.arrow_map[arrow] = a.label[p]
-            queue.append(w)
-    return morphism

@@ -235,10 +235,6 @@ class TwoCover:
         return frozenset(self.edges)
 
 
-def pullback_network(t1: TreeOverQ, t2: TreeOverQ) -> PullbackNetwork:
-    return PullbackNetwork(t1, t2)
-
-
 def two_cover(net: PullbackNetwork) -> TwoCover:
     return TwoCover(net)
 

@@ -415,15 +415,6 @@ def verify_iso(h: ModuleHom) -> bool:
     return h.intertwines()
 
 
-def end_dimensions(t: TreeOverQ, primes: tuple[int, ...] = (3, 5)) -> dict[int, int]:
-    """Dimension of the endomorphism space at each requested prime."""
-    out = {}
-    for p in primes:
-        rep = push_down(t, p)
-        out[p] = hom_space(rep, rep).dimension
-    return out
-
-
 class GenerationExhausted(RuntimeError):
     """The rejection sampler ran out of attempts."""
 
@@ -506,8 +497,10 @@ def _sample_attempt(
     if not validate_tree_over_q(t).ok:
         return None
     if end_dim_cap is not None:
-        if any(d > end_dim_cap for d in end_dimensions(t).values()):
-            return None
+        for p in (3, 5):  # the End dimension at each prime
+            rep = push_down(t, p)
+            if hom_space(rep, rep).dimension > end_dim_cap:
+                return None
     return t
 
 
@@ -554,7 +547,6 @@ __all__ = [
     "GenerationExhausted",
     "HomBasis",
     "IdempotentSearch",
-    "end_dimensions",
     "has_nontrivial_idempotent",
     "hom_space",
     "nullspace",

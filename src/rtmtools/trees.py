@@ -15,8 +15,8 @@ module (Ringel, Exceptional modules are tree modules, 1998).
 
 This module owns the flat coordinates of a homomorphism: `hom_layout`
 places each per-vertex block, row-major, in sorted quiver-vertex order, and
-`ModuleHom.flatten` and `ModuleHom.from_flat` convert between the two forms.
-The oracle's unknowns and the graph maps' rows use the same layout.
+`ModuleHom.from_flat` reads a map back from a flat row.  The oracle's
+unknowns and the graph maps' rows use the same layout.
 """
 
 from __future__ import annotations
@@ -256,27 +256,6 @@ def restrict(t: TreeOverQ, vertices: tuple[int, ...]) -> TreeOverQ:
     )
 
 
-def branch(t: TreeOverQ, vertex: int) -> TreeOverQ:
-    """The branch of `vertex` with the restricted labelling, rooted at `vertex`."""
-    if vertex not in t.tree.height:
-        raise StructureError(f"unknown tree vertex {vertex}")
-    return restrict(t, t.tree.branch_vertices(vertex))
-
-
-def is_tree_module(t: TreeOverQ) -> bool:
-    """No two tree arrows sharing a source or a target have the same label."""
-    by_source: dict[int, set[str]] = {}
-    by_target: dict[int, set[str]] = {}
-    for a in t.tree.arrows:
-        lab = t.arrow_label[a]
-        src, tgt = t.tree.arrow_source[a], t.tree.arrow_target[a]
-        if lab in by_source.setdefault(src, set()) or lab in by_target.setdefault(tgt, set()):
-            return False
-        by_source[src].add(lab)
-        by_target[tgt].add(lab)
-    return True
-
-
 # Products of two residues mod p < 2**24, summed over fewer than 2**15 terms
 # (the idempotent scan's products of flat rows), stay below 2**63.  A dense
 # int64 block with 2**15 rows already takes 8 GB, so the arithmetic stays exact.
@@ -340,25 +319,8 @@ class ModuleRep:
     def dim(self, qvertex: str) -> int:
         return len(self.basis[qvertex])
 
-    @property
-    def total_dim(self) -> int:
-        return sum(len(v) for v in self.basis.values())
-
-    def dimension_vector(self) -> dict[str, int]:
-        return {q: len(v) for q, v in self.basis.items()}
-
     def basis_index(self, qvertex: str, tree_vertex: int) -> int:
         return self._index[qvertex][tree_vertex]
-
-    def relation_product(self, relation: tuple[str, ...]) -> dict:
-        """Entries of the composite action along a relation word (first-traversed arrow acts first)."""
-        out = self.actions[relation[0]]
-        for a in relation[1:]:
-            out = _sparse_product(self.actions[a], out, self.prime)
-        return out
-
-    def relations_vanish(self) -> bool:
-        return not any(self.relation_product(r) for r in self.codomain.relations)
 
 
 def push_down(t: TreeOverQ, prime: int = 3) -> ModuleRep:
@@ -416,44 +378,9 @@ class ModuleHom:
             for a in q.arrows
         )
 
-    def is_zero(self) -> bool:
-        return not any(self.blocks.values())
-
-    def is_identity(self) -> bool:
-        return all(
-            self.codomain.dim(q) == self.domain.dim(q) == len(b) and all(i == j and x == 1 for (i, j), x in b.items())
-            for q, b in self.blocks.items()
-        )
-
-    def negate(self) -> "ModuleHom":
-        return ModuleHom(self.domain, self.codomain, {q: {k: -x for k, x in b.items()} for q, b in self.blocks.items()})
-
-    def add(self, other: "ModuleHom") -> "ModuleHom":
-        blocks = {}
-        for q, b in self.blocks.items():
-            c = other.blocks[q]
-            blocks[q] = {k: b.get(k, 0) + c.get(k, 0) for k in b.keys() | c.keys()}
-        return ModuleHom(self.domain, self.codomain, blocks)
-
-    def compose(self, first: "ModuleHom") -> "ModuleHom":
-        """self after first."""
-        blocks = {q: _sparse_product(b, first.blocks[q], self.prime) for q, b in self.blocks.items()}
-        return ModuleHom(first.domain, self.codomain, blocks)
-
-    def equal(self, other: "ModuleHom") -> bool:
-        return self.blocks == other.blocks
-
-    def flatten(self) -> np.ndarray:
-        """Row vector of all block entries, in the `hom_layout` of the pair."""
-        layout = hom_layout(self.domain, self.codomain)
-        flat = np.zeros(sum(rows * cols for _, _, rows, cols in layout), dtype=np.int64)
-        cells = {off + i * cols + j: x for q, off, _, cols in layout for (i, j), x in self.blocks[q].items()}
-        flat[list(cells)] = list(cells.values())
-        return flat
-
     @classmethod
     def from_flat(cls, domain: ModuleRep, codomain: ModuleRep, vec: np.ndarray) -> "ModuleHom":
-        """The homomorphism whose `flatten` is `vec`: its nonzeros, read by one `np.flatnonzero`."""
+        """The homomorphism whose block entries, laid out by `hom_layout`, are `vec`: its nonzeros, read by one `np.flatnonzero`."""
         layout = hom_layout(domain, codomain)
         starts = [off for _, off, _, _ in layout]
         blocks: dict = {q: {} for q, _, _, _ in layout}
@@ -477,10 +404,6 @@ def hom_layout(m1: ModuleRep, m2: ModuleRep) -> list[tuple[str, int, int, int]]:
         layout.append((q, offset, rows, cols))
         offset += rows * cols
     return layout
-
-
-def identity_hom(rep: ModuleRep) -> ModuleHom:
-    return ModuleHom(rep, rep, {q: {(i, i): 1 for i in range(rep.dim(q))} for q in rep.basis})
 
 
 @dataclass

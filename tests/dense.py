@@ -45,3 +45,8 @@ def module(prime, codomain, basis, matrices: dict) -> ModuleRep:
 def hom(domain: ModuleRep, codomain: ModuleRep, matrices: dict) -> ModuleHom:
     """The map whose blocks are the dense `matrices`."""
     return ModuleHom(domain, codomain, {q: sparse(m) for q, m in matrices.items()})
+
+
+def identity_map(rep: ModuleRep) -> ModuleHom:
+    """The identity map of `rep`."""
+    return hom(rep, rep, {q: np.eye(rep.dim(q), dtype=np.int64) for q in rep.basis})

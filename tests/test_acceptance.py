@@ -8,11 +8,14 @@ seeds, both orientations, at most 8 tree vertices) once per session.
 import re
 from itertools import product
 
+import numpy as np
 import pytest
+from dense import blocks
 
 from rtmtools import (
     SINK,
     SOURCE,
+    PullbackNetwork,
     Quiver,
     BoundQuiver,
     check_locally_bound,
@@ -26,7 +29,6 @@ from rtmtools import (
     is_indecomposable,
     maximal_r_free_traversals,
     module_idempotent,
-    pullback_network,
     push_down,
     random_instance,
     split,
@@ -61,7 +63,7 @@ EXPECTED_GGM_VERTEX_SETS = {
 
 
 def test_criterion_1_five_vertex_example_fidelity(sink_tree):
-    net = pullback_network(sink_tree, sink_tree)
+    net = PullbackNetwork(sink_tree, sink_tree)
     roots_ok = set(net.forest_roots) == {(1, 1), (1, 4), (1, 2), (4, 1), (2, 1)}
     census_ok = maximal_r_free_traversals(net) == 13
     ggms = enumerate_ggms(sink_tree, sink_tree)
@@ -193,7 +195,7 @@ def test_criterion_6_structural_property_suites(instances):
     checked = {"census": 0, "ggm": 0, "idem": 0, "split": 0}
     for t in instances:
         orientation = t.orientation
-        net = pullback_network(t, t)
+        net = PullbackNetwork(t, t)
         assert _forest_ok(net)
         edge_set, moves = set(net.edges), links_at(net)
         for e1 in net.edges:
@@ -215,8 +217,9 @@ def test_criterion_6_structural_property_suites(instances):
 
         for g in enumerate_ggms(t, t):
             h = ggm_matrix(g, rep, rep)
-            assert h.intertwines() and not h.is_zero()
-            assert ggm_matrix(g.negate(), rep, rep).equal(h.negate())
+            assert h.intertwines() and any(h.blocks.values())
+            flipped = blocks(ggm_matrix(g.negate(), rep, rep))
+            assert all(np.array_equal(flipped[q], -b % 3) for q, b in blocks(h).items())
             for (n, m, _) in g.vertices:
                 if orientation == SINK:
                     assert branch_height(n) <= branch_height(m)
@@ -226,7 +229,7 @@ def test_criterion_6_structural_property_suites(instances):
         endo = find_nonidentity_idempotent(t)
         if endo is not None:
             ide = module_idempotent(t, endo, 3)
-            assert ide.compose(ide).equal(ide) and ide.intertwines()
+            assert all(np.array_equal(b @ b % 3, b) for b in blocks(ide).values()) and ide.intertwines()
             checked["idem"] += 1
             dec = split(t, endo, 3)
             assert verify_iso(dec.witness)
@@ -235,9 +238,9 @@ def test_criterion_6_structural_property_suites(instances):
             assert all(is_indecomposable(p) for p in pieces)
             total: dict = {}
             for p in pieces:
-                for q, d in push_down(p, 3).dimension_vector().items():
-                    total[q] = total.get(q, 0) + d
-            assert total == rep.dimension_vector()
+                for q, vs in push_down(p, 3).basis.items():
+                    total[q] = total.get(q, 0) + len(vs)
+            assert total == {q: rep.dim(q) for q in rep.basis}
     _report(
         6,
         all(v > 0 for v in checked.values()),

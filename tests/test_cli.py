@@ -1,10 +1,13 @@
 """Document parsing, round-trips, and the command surface."""
 
+import ast
 import dataclasses
 import functools
+import importlib
 import sys
 import time
 from math import comb
+from pathlib import Path
 
 import pytest
 
@@ -616,6 +619,55 @@ def test_input_that_is_not_utf8_cannot_be_read(tmp_path, capsys, sink_document, 
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("cannot read input: 'utf-8' codec can't decode byte 0xff in position 0")
+
+
+ROOT = Path(__file__).parent.parent
+
+
+def _readme_document() -> str:
+    """The example document of the README's input-format section."""
+    return "QUIVER\n" + (ROOT / "README.md").read_text(encoding="utf-8").split("```\nQUIVER\n", 1)[1].split("```", 1)[0]
+
+
+@pytest.mark.parametrize("command", ["validate", "indec"])
+def test_a_byte_order_mark_is_read_as_the_plain_document(tmp_path, capsys, command):
+    text = _readme_document()
+    plain = _write(tmp_path, "plain.rtm", text)
+    marked = tmp_path / "bom.rtm"
+    marked.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+    assert main([command, plain]) == 0
+    want = capsys.readouterr()
+    assert main([command, str(marked)]) == 0
+    assert capsys.readouterr() == want
+
+
+def test_readme_session_example_runs_as_printed():
+    # Each expression's value is the literal in its comment; each hom_span line lists and ranks as its comment says.
+    block = (ROOT / "README.md").read_text(encoding="utf-8").split("```python\n", 1)[1].split("```", 1)[0]
+    lines = block.splitlines()
+    namespace: dict = {}
+    values, spans = [], []
+    for node in ast.parse(block).body:
+        comment = lines[node.end_lineno - 1].partition("#")[2].strip()
+        if isinstance(node, ast.Expr):
+            values.append((eval(compile(ast.Expression(node.value), "README.md", "eval"), namespace), ast.literal_eval(comment)))
+            continue
+        exec(compile(ast.Module([node], type_ignores=[]), "README.md", "exec"), namespace)
+        if isinstance(node, ast.Assign) and ast.unparse(node.value).startswith("hom_span("):
+            listed, rank = (namespace[name.id] for name in node.targets[0].elts)
+            spans.append((len(listed), rank, comment))
+    assert values == [(False, False), ([(1, 2, 3, 5), (4,)], [(1, 2, 3, 5), (4,)])]
+    assert spans == [(5, 4, "5 graph maps of rank 4"), (4, 4, "stops at rank 4, after 4 of the 5 maps")]
+
+
+def test_every_benchmark_tracer_target_resolves():
+    # `benchmarks/run.py --trace 1` wraps each target, looked up by name; a missing one fails the traced run.
+    path = ROOT / "benchmarks" / "tracing.py"
+    tracing = {"__name__": "tracing"}
+    exec(compile(path.read_text(encoding="utf-8"), str(path), "exec"), tracing)  # read, never imported: no bytecode is written
+    assert len(tracing["TARGETS"]) == 20
+    for module_name, attr, _, _ in tracing["TARGETS"]:
+        assert callable(getattr(importlib.import_module(f"rtmtools.{module_name}"), attr, None)), f"{module_name}.{attr}"
 
 
 @pytest.mark.parametrize("k, dim", [(7, 50), (8, 65)])

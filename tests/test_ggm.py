@@ -2,23 +2,22 @@
 
 import numpy as np
 import pytest
-from dense import blocks
+from dense import blocks, identity_map
+from reference import branch_morphism_from_ggm, flat, is_complete, is_connected, is_involution_free, is_r_free
 
 from rtmtools import (
     SINK,
     SOURCE,
     BoundQuiver,
+    PullbackNetwork,
     Quiver,
     RootedTree,
     Subnetwork,
     TreeOverQ,
-    branch_morphism_from_ggm,
     enumerate_ggms,
     ggm_matrix,
     hom_space,
     hom_span,
-    is_complete,
-    pullback_network,
     push_down,
     random_instance,
     rref,
@@ -74,7 +73,7 @@ def test_closure_stream_emits_each_map_once_from_its_least_pair():
     trees = [random_instance(seed, o) for seed in range(200) for o in (SINK, SOURCE)]
     trees += [_star(k, o) for k in (3, 4, 5) for o in (SINK, SOURCE)]
     for t in trees:
-        cover = two_cover(pullback_network(t, t))
+        cover = two_cover(PullbackNetwork(t, t))
         table = _Obligations(cover.base)
         raw = [(pair, g) for pair in cover.base.vertices for g in _closures(cover, table, pair + (1,))]
         assert len({g.vertices for _, g in raw}) == len(raw)
@@ -84,7 +83,7 @@ def test_closure_stream_emits_each_map_once_from_its_least_pair():
 
 
 def test_completeness_reports_first_failure(sink_tree):
-    cover = two_cover(pullback_network(sink_tree, sink_tree))
+    cover = two_cover(PullbackNetwork(sink_tree, sink_tree))
     lonely = Subnetwork(cover, [(1, 4, 1)])
     report = is_complete(lonely)
     assert not report.ok
@@ -93,14 +92,14 @@ def test_completeness_reports_first_failure(sink_tree):
     assert is_complete(Subnetwork(cover, [])).ok  # vacuously complete
     for g in enumerate_ggms(sink_tree, sink_tree, with_signs=True):
         assert is_complete(g).ok
-        assert g.is_connected() and g.is_involution_free() and g.is_r_free()
+        assert is_connected(g) and is_involution_free(g) and is_r_free(g)
 
 
 def test_induced_matrices_of_sink_example(sink_tree):
     rep = push_down(sink_tree, 3)
     ggms = {g.vertices: g for g in enumerate_ggms(sink_tree, sink_tree)}
     identity = ggm_matrix(ggms[DIAGONAL], rep, rep)
-    assert identity.is_identity()
+    assert identity.blocks == identity_map(rep).blocks
     edge_map = ggm_matrix(ggms[EDGE_ONLY], rep, rep)
     # v4 goes to v2 - v4; everything else dies
     col = blocks(edge_map)["2"][:, rep.basis_index("2", 4)]
@@ -112,8 +111,8 @@ def test_induced_matrices_of_sink_example(sink_tree):
         blocks(lone_map)["2"][:, rep.basis_index("2", 4)], [1, 0, 0]
     )
     shifted = ggm_matrix(ggms[SHIFTED], rep, rep)
-    assert shifted.equal(identity.add(edge_map))
-    np.testing.assert_array_equal(blocks(shifted)["2"], (blocks(identity)["2"] + blocks(edge_map)["2"]) % 3)
+    for q in rep.basis:
+        np.testing.assert_array_equal(blocks(shifted)[q], (blocks(identity)[q] + blocks(edge_map)[q]) % 3)
 
 
 def test_span_rank_matches_oracle_on_sink_example(sink_tree):
@@ -128,14 +127,15 @@ def test_all_induced_maps_intertwine_and_are_nonzero(sink_tree):
     for g in enumerate_ggms(sink_tree, sink_tree, with_signs=True):
         h = ggm_matrix(g, rep, rep)
         assert h.intertwines()
-        assert not h.is_zero()
+        assert any(h.blocks.values())
 
 
 def test_sign_antisymmetry(sink_tree):
     rep = push_down(sink_tree, 3)
     for g in enumerate_ggms(sink_tree, sink_tree):
-        assert ggm_matrix(g.negate(), rep, rep).equal(ggm_matrix(g, rep, rep).negate())
-        np.testing.assert_array_equal(blocks(ggm_matrix(g.negate(), rep, rep))["2"], -blocks(ggm_matrix(g, rep, rep))["2"] % 3)
+        flipped, h = blocks(ggm_matrix(g.negate(), rep, rep)), blocks(ggm_matrix(g, rep, rep))
+        for q in rep.basis:
+            np.testing.assert_array_equal(flipped[q], -h[q] % 3)
 
 
 def test_branch_morphism_examples(sink_tree):
@@ -229,7 +229,7 @@ def test_induced_maps_and_span_rank_follow_the_signed_pairs():
         for p in (3, 5):
             m1, m2 = push_down(t1, p), push_down(t2, p)
             ggms = enumerate_ggms(t1, t2)
-            flat = []
+            rows = []
             for g in ggms:
                 want = {q: np.zeros((m2.dim(q), m1.dim(q)), dtype=np.int64) for q in m1.basis}
                 for n, m, s in g.vertices:
@@ -240,23 +240,23 @@ def test_induced_maps_and_span_rank_follow_the_signed_pairs():
                 assert got.keys() == want.keys()
                 for q in want:
                     np.testing.assert_array_equal(got[q], want[q])
-                flat.append(h.flatten())
+                rows.append(flat(h))
             maps, rank = hom_span(t1, t2, m1, m2)
             assert [g.vertices for g in maps] == [g.vertices for g in ggms]
-            assert rank == (rref(np.stack(flat), p)[1] if flat and flat[0].size else 0)
+            assert rank == (rref(np.stack(rows), p)[1] if rows and rows[0].size else 0)
 
 
 def test_hom_span_stops_at_the_target_rank():
     for t1, t2 in _random_pairs():
-        stream = list(_stream(two_cover(pullback_network(t1, t2))))
+        stream = list(_stream(two_cover(PullbackNetwork(t1, t2))))
         for p in (3, 5):
             m1, m2 = push_down(t1, p), push_down(t2, p)
             full, rank = hom_span(t1, t2, m1, m2)
             dim = hom_space(m1, m2).dimension
             assert rank == dim
             # the shortest prefix of the stream whose induced maps reach rank dim
-            flat = [ggm_matrix(g, m1, m2).flatten() for g in stream]
-            stop = next(k for k in range(len(flat) + 1) if (rref(np.stack(flat[:k]), p)[1] if k else 0) == dim)
+            rows = [flat(ggm_matrix(g, m1, m2)) for g in stream]
+            stop = next(k for k in range(len(rows) + 1) if (rref(np.stack(rows[:k]), p)[1] if k else 0) == dim)
             maps, streamed_rank = hom_span(t1, t2, m1, m2, target=dim)
             assert streamed_rank == dim
             assert [g.vertices for g in maps] == [g.vertices for g in sorted(stream[:stop], key=Subnetwork.sort_key)]
@@ -279,7 +279,7 @@ def test_enumeration_matches_the_lexicographic_reverse_search():
     # Seeds in pair order, refusing lexicographically smaller pairs: every map from its least pair, signed +1 there.
     for t1, t2 in _random_pairs():
         for u1, u2 in ((t1, t2), (_reversed_ids(t1), _reversed_ids(t2))):
-            cover = two_cover(pullback_network(u1, u2))
+            cover = two_cover(PullbackNetwork(u1, u2))
             table = _Obligations(cover.base)
             want = [g for pair in cover.base.vertices for g in _closures(cover, table, pair + (1,))]
             want.sort(key=Subnetwork.sort_key)
@@ -314,7 +314,7 @@ def test_a_tree_that_fails_validation_still_reports_a_vertex_outside_the_cover(o
 
 
 def test_a_subnetwork_built_from_outside_is_checked(sink_tree):
-    cover = two_cover(pullback_network(sink_tree, sink_tree))
+    cover = two_cover(PullbackNetwork(sink_tree, sink_tree))
     with pytest.raises(ValueError, match="vertex outside the cover"):
         Subnetwork(cover, [(1, 3, 1)])
     arrow = next(a for a in cover.arrows if a.source[2] > 0)

@@ -11,11 +11,11 @@ from rtmtools import (
     SINK,
     SOURCE,
     BoundQuiver,
+    PullbackNetwork,
     Quiver,
     RootedTree,
     TreeOverQ,
     maximal_r_free_traversals,
-    pullback_network,
     random_instance,
     to_dot,
     triangles,
@@ -82,7 +82,7 @@ def census_keys(net):
 
 
 def test_network_of_sink_example(sink_tree):
-    net = pullback_network(sink_tree, sink_tree)
+    net = PullbackNetwork(sink_tree, sink_tree)
     assert len(net.vertices) == 13
     assert (5, 5) in net.vertices and (2, 4) in net.vertices and (4, 1) in net.vertices
     assert len(net.arrows) == 8
@@ -96,7 +96,7 @@ def test_network_of_sink_example(sink_tree):
 
 def test_single_vertex_pair(loop_tail_quiver):
     t = TreeOverQ(RootedTree([1], [], SINK), loop_tail_quiver, {1: "2"}, {})
-    net = pullback_network(t, t)
+    net = PullbackNetwork(t, t)
     assert net.vertices == ((1, 1),)
     assert not net.arrows and not net.edges
     assert maximal_r_free_traversals(net) == 1
@@ -106,18 +106,18 @@ def test_single_vertex_pair(loop_tail_quiver):
 def test_orientation_mismatch_rejected(sink_tree, loop_tail_quiver):
     as_source = TreeOverQ(RootedTree([1], [], SOURCE), loop_tail_quiver, {1: "2"}, {})
     with pytest.raises(ValueError, match="orientation"):
-        pullback_network(sink_tree, as_source)
+        PullbackNetwork(sink_tree, as_source)
 
 
 def test_codomain_mismatch_rejected(sink_tree, loop_tail_quiver):
     other = BoundQuiver(loop_tail_quiver.quiver, [])
     t2 = TreeOverQ(RootedTree([1], [], SINK), other, {1: "2"}, {})
     with pytest.raises(ValueError, match="bound quiver"):
-        pullback_network(sink_tree, t2)
+        PullbackNetwork(sink_tree, t2)
 
 
 def test_two_cover_doubles_everything(sink_tree):
-    net = pullback_network(sink_tree, sink_tree)
+    net = PullbackNetwork(sink_tree, sink_tree)
     cover = two_cover(net)
     assert len(cover.vertices) == 2 * len(net.vertices)
     assert len(cover.arrows) == 2 * len(net.arrows)
@@ -133,13 +133,13 @@ def test_two_cover_doubles_everything(sink_tree):
 def test_empty_cover(loop_tail_quiver):
     t1 = TreeOverQ(RootedTree([1], [], SINK), loop_tail_quiver, {1: "1"}, {})
     t2 = TreeOverQ(RootedTree([1], [], SINK), loop_tail_quiver, {1: "2"}, {})
-    net = pullback_network(t1, t2)
+    net = PullbackNetwork(t1, t2)
     assert not net.vertices
     assert not two_cover(net).vertices
 
 
 def test_triangles_of_sink_example(sink_tree):
-    net = pullback_network(sink_tree, sink_tree)
+    net = PullbackNetwork(sink_tree, sink_tree)
     tris = triangles(net)
     assert len(tris) == 2
     assert all(t.kind == "1-edge" for t in tris)
@@ -151,7 +151,7 @@ def test_no_edges_means_no_triangles(loop_tail_quiver):
     t = TreeOverQ(
         tree, loop_tail_quiver, {1: "2", 2: "2", 3: "1"}, {"a2": "alpha", "a3": "beta"}
     )
-    net = pullback_network(t, t)
+    net = PullbackNetwork(t, t)
     assert not net.edges
     assert not triangles(net)
 
@@ -162,7 +162,7 @@ def test_three_edge_triangle_in_source_case():
     star = RootedTree([1, 2, 3, 4], [("a2", 1, 2), ("a3", 1, 3), ("a4", 1, 4)], SOURCE)
     t1 = TreeOverQ(star, bq, {n: "1" for n in range(1, 5)}, {a: "alpha" for a in star.arrows})
     t2 = TreeOverQ(RootedTree([1], [], SOURCE), bq, {1: "1"}, {})
-    net = pullback_network(t1, t2)
+    net = PullbackNetwork(t1, t2)
     tris = triangles(net)
     assert len(tris) == 1
     assert tris[0].kind == "3-edge"
@@ -170,7 +170,7 @@ def test_three_edge_triangle_in_source_case():
 
 
 def test_census_of_sink_example(sink_tree):
-    net = pullback_network(sink_tree, sink_tree)
+    net = PullbackNetwork(sink_tree, sink_tree)
     keys = census_keys(net)
     assert len(keys) == 13
     assert ((2, 4), (2, 2), (5, 5)) in keys  # descend then cross the edge
@@ -182,7 +182,7 @@ def test_census_of_sink_example(sink_tree):
 
 
 def test_census_counts_up_to_inversion(sink_tree):
-    net = pullback_network(sink_tree, sink_tree)
+    net = PullbackNetwork(sink_tree, sink_tree)
     walks, cover_walks = reference_walks(net), reference_walks(two_cover(net))
     assert maximal_r_free_traversals(net) == len(walks) == 13
     assert len(cover_walks) == 2 * 13
@@ -191,7 +191,7 @@ def test_census_counts_up_to_inversion(sink_tree):
 
 
 def test_projection_preserves_r_freeness(sink_tree):
-    net = pullback_network(sink_tree, sink_tree)
+    net = PullbackNetwork(sink_tree, sink_tree)
     cover = two_cover(net)
     links = {(a.source, a.target) for a in net.arrows} | {(a.target, a.source) for a in net.arrows}
     links |= set(net.edges) | {(v, u) for u, v in net.edges}
@@ -213,7 +213,7 @@ def test_structural_invariants_on_random_instances():
             t2 = random_instance(
                 seed + 500, orientation, max_vertices=8, end_dim_cap=None, codomain=t1.codomain
             )
-            net = pullback_network(t1, t2)
+            net = PullbackNetwork(t1, t2)
             edge_set, moves = set(net.edges), links_at(net)
             for v in net.vertices:
                 ups = [m for m in moves[v] if m[0] == ("f" if orientation == SINK else "b")]
@@ -241,9 +241,9 @@ def test_structural_invariants_on_random_instances():
 
 
 def test_dot_output_is_stable(sink_tree):
-    net = pullback_network(sink_tree, sink_tree)
+    net = PullbackNetwork(sink_tree, sink_tree)
     dot = to_dot(net)
-    assert dot == to_dot(pullback_network(sink_tree, sink_tree))
+    assert dot == to_dot(PullbackNetwork(sink_tree, sink_tree))
     assert '"2,2" -> "1,1"' in dot
     assert "style=dashed" in dot
     cover_dot = to_dot(two_cover(net))
@@ -260,7 +260,7 @@ def test_census_count_matches_the_search_on_random_instances(orientation, shape)
         t = random_instance(seed, orientation, end_dim_cap=None, **shape)
         u = random_instance(seed + 1000, orientation, end_dim_cap=None, codomain=t.codomain, **shape)
         for t1, t2 in ((t, t), (t, u), (u, t)):
-            assert_counts_match_the_references(pullback_network(t1, t2))
+            assert_counts_match_the_references(PullbackNetwork(t1, t2))
 
 
 def assert_counts_match_the_references(net):
@@ -317,4 +317,4 @@ def test_counts_match_the_references_on_arbitrary_trees(trees):
     # any parent array, with unbounded fan-out (random_instance gives at most 3 children)
     t1, t2 = trees
     for a, b in ((t1, t2), (t1, t1)):
-        assert_counts_match_the_references(pullback_network(a, b))
+        assert_counts_match_the_references(PullbackNetwork(a, b))

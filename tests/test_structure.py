@@ -7,7 +7,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from dense import actions, blocks
+from dense import actions, blocks, identity_map
 
 from rtmtools import (
     SINK,
@@ -18,7 +18,6 @@ from rtmtools import (
     Quiver,
     RootedTree,
     TreeOverQ,
-    branch,
     cor2_report,
     decompose_fully,
     embeds,
@@ -34,6 +33,7 @@ from rtmtools import (
 )
 from rtmtools import oracle, structure
 from rtmtools.structure import first_certificate
+from rtmtools.trees import restrict
 
 
 def test_embeds_examples(sink_tree):
@@ -118,14 +118,15 @@ def test_module_idempotent_sink(sink_tree):
         blocks(ide)["2"][:, rep.basis_index("2", 4)],
         np.eye(3, dtype=int)[:, rep.basis_index("2", 2)],
     )
-    assert ide.compose(ide).equal(ide)
+    assert all(np.array_equal(b @ b % 3, b) for b in blocks(ide).values())
     assert ide.intertwines()
-    assert not ide.is_identity() and not ide.is_zero()
+    assert ide.blocks != identity_map(rep).blocks and any(ide.blocks.values())
 
 
 def test_module_idempotent_identity_map(sink_tree):
     identity = IdempotentEndo(sink_tree, {n: n for n in sink_tree.tree.vertices})
-    assert module_idempotent(sink_tree, identity, 3).is_identity()
+    ide = module_idempotent(sink_tree, identity, 3)
+    assert ide.blocks == identity_map(ide.domain).blocks
 
 
 def test_module_idempotent_source(source_tree_factory):
@@ -137,7 +138,7 @@ def test_module_idempotent_source(source_tree_factory):
     np.testing.assert_array_equal(block[:, rep.basis_index("1", 1)], [1, 0, 0, 0, 0])
     np.testing.assert_array_equal(block[:, rep.basis_index("1", 3)], [0, 1, 1, 0, 0])
     assert not block[:, rep.basis_index("1", 2)].any()
-    assert ide.compose(ide).equal(ide)
+    assert all(np.array_equal(b @ b % 3, b) for b in blocks(ide).values())
     assert ide.intertwines()
 
 
@@ -169,7 +170,7 @@ def test_split_is_the_direct_sum_of_the_summands_in_the_basis_of_the_tree(random
         for s in dec.summands[1:]:
             top = s.tree.root
             assert top not in fixed and t.tree.parent[top] in fixed
-            want = branch(t, top)
+            want = restrict(t, t.tree.branch_vertices(top))
             assert (s.tree.vertices, s.tree.arrow_source, s.tree.arrow_target) == (
                 want.tree.vertices,
                 want.tree.arrow_source,
@@ -210,7 +211,7 @@ def test_split_along_several_tops(two_loop_quiver, orientation):
         dec = split(t, IdempotentEndo(t, vertex_map), 3)
         assert [s.tree.vertices for s in dec.summands] == parts
         for s in dec.summands[1:]:
-            want = branch(t, s.tree.root)
+            want = restrict(t, t.tree.branch_vertices(s.tree.root))
             assert _shape(s) == _shape(want)
         assert verify_iso(dec.witness)
 
@@ -469,9 +470,9 @@ def test_dimension_conservation(sink_tree):
     pieces = decompose_fully(sink_tree, 3)
     summed: dict = {}
     for p in pieces:
-        for q, d in push_down(p, 3).dimension_vector().items():
-            summed[q] = summed.get(q, 0) + d
-    assert summed == rep.dimension_vector()
+        for q, vs in push_down(p, 3).basis.items():
+            summed[q] = summed.get(q, 0) + len(vs)
+    assert summed == {q: rep.dim(q) for q in rep.basis}
 
 
 def test_cor2_reports(source_tree_factory):
