@@ -665,7 +665,7 @@ def test_every_benchmark_tracer_target_resolves():
     path = ROOT / "benchmarks" / "tracing.py"
     tracing = {"__name__": "tracing"}
     exec(compile(path.read_text(encoding="utf-8"), str(path), "exec"), tracing)  # read, never imported: no bytecode is written
-    assert len(tracing["TARGETS"]) == 20
+    assert tracing["TARGETS"]
     for module_name, attr, _, _ in tracing["TARGETS"]:
         assert callable(getattr(importlib.import_module(f"rtmtools.{module_name}"), attr, None)), f"{module_name}.{attr}"
 

@@ -189,8 +189,8 @@ def test_verify_iso_rejects_a_singular_block_that_intertwines(random_splits):
         first = set(dec.summands[0].tree.vertices)
         summed = dec.witness.domain if t.orientation == SINK else dec.witness.codomain
         projection = hom(summed, summed, {q: np.diag([int(n in first) for n in vs]).reshape(len(vs), len(vs)) for q, vs in summed.basis.items()})
-        first, then = (projection, dec.witness) if t.orientation == SINK else (dec.witness, projection)
-        h = hom(first.domain, then.codomain, {q: blocks(then)[q] @ blocks(first)[q] for q in summed.basis})
+        inner, outer = (projection, dec.witness) if t.orientation == SINK else (dec.witness, projection)
+        h = hom(inner.domain, outer.codomain, {q: blocks(outer)[q] @ blocks(inner)[q] for q in summed.basis})
         assert _dense_intertwines(h) and not _dense_is_iso(h)
         assert not verify_iso(h)
 
