@@ -8,18 +8,21 @@ vector of a domain tree vertex is sent to the signed sum of its partners.
 For rooted-tree pairs these maps span the whole Hom-space.
 
 The completeness obligations are read off the network's two coordinates:
-a vertex must witness every tree child of its child-side coordinate (by an
+a pair must witness every tree child of its child-side coordinate (by an
 arrow from a pullback child) and, unless it is a root, the tree parent of
 its parent-side coordinate (by the arrow to its pullback parent or an
 edge).  The network decides which coordinate is which, so nothing here
-depends on the orientation.  The search below meets them as it grows a
-map and never blocks a triangle or holds a sign flip, so no map it emits
-is checked again against the definition.
+depends on the orientation.  They are listed per pair, with the sign as a
+label: an arrow of the double cover keeps it, an edge flips it.  The
+search meets them as it grows a map and never blocks a triangle or holds
+a pair with both signs, so no map it emits is checked again.  A map is
+its signed pairs; its links are read off the cover (see the lemma of
+`GeneralizedGraphMap`).
 
 Enumeration works by obligation closure.  Inside a hypothetical graph map,
 every completeness obligation has a unique witness (a second witness would
 create a blocked triangle), so each graph map is the closure of any one of
-its vertices; a depth-first search that branches over every admissible
+its pairs; a depth-first search that branches over every admissible
 witness is therefore exhaustive.  Seeding it from each vertex pair with
 sign +1 and refusing smaller pairs finds every map exactly once, from its
 least pair, then signed with +1 at its lexicographically least pair.
@@ -37,6 +40,7 @@ checked.
 from __future__ import annotations
 
 from collections import defaultdict
+from functools import cached_property
 from typing import Iterable, Iterator, Optional
 
 from .network import Edge, NetArrow, PullbackNetwork, TwoCover, _edge, _lift, two_cover
@@ -63,112 +67,114 @@ class Subnetwork:
             if e[0] not in self.vertices or e[1] not in self.vertices:
                 raise ValueError(f"edge {e} not supported by subnetwork vertices")
 
-    @classmethod
-    def _built(cls, cover: TwoCover, vertices: Iterable, arrows: Iterable[NetArrow], edges: Iterable[Edge]):
-        """A subnetwork whose links are known to lie in the cover, between its vertices.
-
-        For maps this module built, and their sign flips; skips the checks of `__init__`.
-        """
-        sub = cls.__new__(cls)
-        sub.cover = cover
-        sub.vertices = frozenset(vertices)
-        sub.arrows = frozenset(arrows)
-        sub.edges = frozenset(edges)
-        return sub
-
     def negate(self) -> "Subnetwork":
-        return self._built(self.cover, *_flip(self.vertices, self.arrows, self.edges))
+        """The sign flip, checked like any input: the cover holds both signs of every vertex, arrow and edge."""
+        flip = {v: (v[0], v[1], -v[2]) for v in self.vertices}
+        arrows = [NetArrow(flip[a.source], flip[a.target], a.label[:2] + (-a.label[2],)) for a in self.arrows]
+        return Subnetwork(self.cover, flip.values(), arrows, [_edge(flip[u], flip[w]) for u, w in self.edges])
 
     def sort_key(self) -> tuple:
         return (len(self.vertices), tuple(sorted(self.vertices)))
 
 
-def _flip(vertices: Iterable, arrows: Iterable[NetArrow], edges: Iterable[Edge]) -> tuple:
-    """The sign flips of a subnetwork's vertices, arrows and edges; the cover holds both signs of each."""
+class GeneralizedGraphMap(Subnetwork):
+    """A complete, connected, unblocked, involution-free subnetwork, kept as its signed pairs.
 
-    def flip(v):
-        return (v[0], v[1], -v[2])
-
-    return (
-        map(flip, vertices),
-        (NetArrow(flip(a.source), flip(a.target), a.label[:2] + (-a.label[2],)) for a in arrows),
-        (_edge(flip(e[0]), flip(e[1])) for e in edges),
-    )
-
-
-class _Obligations(dict):
-    """Completeness obligations of signed vertices, computed on first use.
-
-    Maps a signed vertex to its list of (obligation, [(witness vertex,
-    link), ...]); an obligation is ("child", x) for a tree child x of the
-    child-side coordinate, or ("parent",).  An obligation is met exactly
-    when one of its witness links is present.  Witnesses are read from the
-    trees, so on a tree that fails validation a witness may fall outside
-    the network; the closure then reports it.
+    Lemma: a graph map holds every link of the cover between two of its
+    vertices, so its arrows and edges are read off the cover when asked
+    for.  Proof.  Each obligation has exactly one witness in a map, as two
+    would close a triangle.  Take an edge class C, a lone pair being a
+    class of one.  The only links between the pullback subtrees under C and
+    the rest of the network are the arrows from C's members up to their
+    shared pullback parent P, and the child obligation of P admits exactly
+    those arrows.  So a map holds at most one of them, from some member v,
+    and v then holds no edge of C.  Every other held member of C meets its
+    parent obligation by one edge of C, so the held edges of C pair off
+    the held members other than v, and each pair, with its subtrees, is
+    cut off from the rest of the map.  So a connected map holds of C either
+    v alone or the two ends of one held edge and nothing outside their
+    subtrees: an edge of C between held pairs is held, and an arrow u -> P
+    between held pairs has u = v.  A held link fixes the signs of its ends.
     """
 
-    def __init__(self, base: PullbackNetwork):
-        super().__init__()
-        self.base = base
+    def __init__(self, cover: TwoCover, vertices: Iterable):
+        self.cover = cover
+        self.vertices = frozenset(vertices)
 
-    def __missing__(self, vertex) -> list:
-        base = self.base
-        c, p = base.child_side, base.parent_side
-        tc, tp = base.trees[c], base.trees[p]
-        v, s = vertex[:2], vertex[2]
+    @cached_property
+    def arrows(self) -> frozenset:
+        ups = ((self.cover.base.up(v[:2]), v[2]) for v in self.vertices)
+        return frozenset(_lift(up[1], s) for up, s in ups if up is not None and up[0] + (s,) in self.vertices)
+
+    @cached_property
+    def edges(self) -> frozenset:
+        ends = ((v, w + (-v[2],)) for v in self.vertices for w in self.cover.base.partners(v[:2]))
+        return frozenset(_edge(v, w) for v, w in ends if w in self.vertices)
+
+    def negate(self) -> "GeneralizedGraphMap":
+        return GeneralizedGraphMap(self.cover, [(n, m, -s) for n, m, s in self.vertices])
+
+
+def _obligation_table(base: PullbackNetwork) -> dict:
+    """The completeness obligations of every network pair, keyed by pair.
+
+    Each obligation lists its (witness pair, link, sign factor) and is met
+    when one of its links is held.  An arrow, keyed by its child pair, keeps
+    the sign (+1); an edge, keyed as in `_edge`, flips it (-1).  Witnesses
+    are read from the trees, so on a tree that fails validation one may
+    fall outside the network; the closure then reports it.
+    """
+    c, p = base.child_side, base.parent_side
+    tc, tp = base.trees[c], base.trees[p]
+    table = {}
+    for v in base.vertices:
         obligations = []
         for x in tc.tree.children(v[c]):
-            witnesses = []
-            for y in tp.tree.children(v[p]):
-                if tp.child_label(y) == tc.child_label(x):
-                    w = (x, y) if c == 0 else (y, x)
-                    witnesses.append((w + (s,), _lift(base.up(w)[1], s)))
-            obligations.append((("child", x), witnesses))
+            label = tc.child_label(x)
+            pairs = [(x, y) if c == 0 else (y, x) for y in tp.tree.children(v[p]) if tp.child_label(y) == label]
+            obligations.append([(w, w, 1) for w in pairs])
         if v[p] != tp.tree.root:
-            up = base.up(v)
-            witnesses = [] if up is None else [(up[0] + (s,), _lift(up[1], s))]
-            for w in base.partners(v):
-                witnesses.append((w + (-s,), _edge(vertex, w + (-s,))))
-            obligations.append((("parent",), witnesses))
-        self[vertex] = obligations
-        return obligations
-
-
-def _met(witnesses: list, links) -> bool:
-    return any(link in links for _, link in witnesses)
+            up = base.pullback_parent.get(v)
+            witnesses = [] if up is None else [(up, v, 1)]
+            witnesses += [(w, _edge(v, w), -1) for w in base.partners(v)]
+            obligations.append(witnesses)
+        table[v] = obligations
+    return table
 
 
 def _closures(
-    cover: TwoCover, table: _Obligations, seed, position: Optional[dict] = None
-) -> Iterator["GeneralizedGraphMap"]:
-    """Every graph map whose least vertex pair is the seed's, canonically signed.
+    cover: TwoCover, table: dict, seed: tuple, position: Optional[dict] = None
+) -> Iterator[GeneralizedGraphMap]:
+    """Every graph map whose least vertex pair is the seed, canonically signed.
 
     Pairs rank by `position`, by default lexicographically.  A depth-first
-    search over witness choices that grows one state in place.  Vertices
-    and links are kept in order of addition, so going back to a choice
-    point truncates them to the lengths it saved; only an obligation with
-    two or more admissible witnesses leaves a choice point.  Pairs ranked
-    below the seed's are refused, so a map is found only from its least
-    pair.  Two branches differ in a witness link at one vertex, and a map
-    holding both links would be blocked, so no map is found twice.  Maps
-    are yielded with +1 at their lexicographically least pair.
+    search over witness choices that grows one state in place, on the
+    network's pairs with one sign per pair: a witness takes the sign of its
+    pair times the factor of its link.  Pairs and links are kept in order
+    of addition, so going back to a choice point truncates them to the
+    lengths it saved; only an obligation with two or more admissible
+    witnesses leaves a choice point.  Pairs ranked below the seed are
+    refused, so a map is found only from its least pair.  Two branches
+    differ in a witness link at one pair, and a map holding both links
+    would be blocked, so no map is found twice.  The seed has sign +1, and
+    every map is yielded with +1 at its lexicographically least pair.
     """
     if position is None:
         position = {pair: i for i, pair in enumerate(cover.base.vertices)}
-    floor, linked = position[seed[:2]], cover.base.linked
-    signs = {seed[:2]: seed[2]}
+    floor, linked = position[seed], cover.base.linked
+    signs = {seed: 1}
     vertices = [seed]  # in order of addition
-    links: dict = {}  # link -> (vertex, witness), in order of addition
-    neighbours: dict = defaultdict(list)  # vertex -> far ends of its links
-    choices: list = []  # (vertex count, link count, cursor, untried admissible witnesses)
+    links: dict = {}  # link -> (pair, witness pair), in order of addition
+    neighbours: dict = defaultdict(list)  # pair -> far ends of its links
+    choices: list = []  # (pair count, link count, cursor, untried admissible witnesses)
 
-    def admissible(vertex, witness) -> bool:
-        # a pair outside the network (an invalid tree) is admitted, for the map to report
-        if position.get(witness[:2], floor) < floor or signs.get(witness[:2], witness[2]) != witness[2]:
-            return False  # a pair below the seed's, or the sign flip of a vertex held
-        for shared, far in ((vertex, witness), (witness, vertex)):
+    def admissible(pair, witness, sign) -> bool:
+        # a pair outside the network (an invalid tree) is admitted, to be reported when added
+        if position.get(witness, floor) < floor or signs.get(witness, sign) != sign:
+            return False  # a pair below the seed, or held with the other sign
+        for shared, far in ((pair, witness), (witness, pair)):
             for other in neighbours.get(shared, ()):
-                if (other[:2], far[:2]) in linked:  # the new link and one held at `shared` close a triangle
+                if (other, far) in linked:  # the new link and one held at `shared` close a triangle
                     return False
         return True
 
@@ -176,26 +182,22 @@ def _closures(
     while True:
         options: list = []
         if i < len(vertices):
-            vertex = vertices[i]
-            obligations = table[vertex]
+            pair = vertices[i]
+            obligations = table[pair]
             if k == len(obligations):
                 i, k = i + 1, 0
                 continue
-            witnesses = obligations[k][1]
-            if _met(witnesses, links):
+            witnesses = obligations[k]
+            if any(link in links for _, link, _ in witnesses):
                 k += 1
                 continue
-            options = [(w, link) for w, link in witnesses if admissible(vertex, w)]
+            sign = signs[pair]
+            options = [(w, link, sign * f) for w, link, f in witnesses if admissible(pair, w, sign * f)]
             if len(options) > 1:
                 choices.append((len(vertices), len(links), i, k, options))
         else:
-            arrows = [link for link in links if isinstance(link, NetArrow)]
-            edges = [link for link in links if not isinstance(link, NetArrow)]
-            if not cover.vertex_set.issuperset(vertices):  # a tree that fails validation
-                raise ValueError("subnetwork vertex outside the cover")
-            # every link joins two held vertices, and lies in the cover when they do
-            parts = (vertices, arrows, edges)
-            yield GeneralizedGraphMap._built(cover, *(parts if min(vertices)[2] > 0 else _flip(*parts)))
+            flip = signs[min(vertices)]
+            yield GeneralizedGraphMap(cover, [(n, m, s * flip) for (n, m), s in signs.items()])
         if not options:  # closed or dead end: resume the latest choice point
             if not choices:
                 return
@@ -205,22 +207,20 @@ def _closures(
                 neighbours[u].pop()
                 neighbours[w].pop()
             while len(vertices) > n_vertices:
-                del signs[vertices.pop()[:2]]
+                del signs[vertices.pop()]
             if len(options) == 1:
                 choices.pop()
-        witness, link = options.pop()
-        vertex = vertices[i]
-        if witness[:2] not in signs:
-            signs[witness[:2]] = witness[2]
+        witness, link, sign = options.pop()
+        pair = vertices[i]
+        if witness not in signs:
+            if witness not in position:  # a tree that fails validation
+                raise ValueError("subnetwork vertex outside the cover")
+            signs[witness] = sign
             vertices.append(witness)
-        links[link] = (vertex, witness)
-        neighbours[vertex].append(witness)
-        neighbours[witness].append(vertex)
+        links[link] = (pair, witness)
+        neighbours[pair].append(witness)
+        neighbours[witness].append(pair)
         k += 1
-
-
-class GeneralizedGraphMap(Subnetwork):
-    """A complete, connected, unblocked, involution-free subnetwork."""
 
 
 def _stream(cover: TwoCover) -> Iterator[GeneralizedGraphMap]:
@@ -230,15 +230,16 @@ def _stream(cover: TwoCover) -> Iterator[GeneralizedGraphMap]:
     1996).  Pairs rank by the depths of their domain and codomain vertices,
     which unlike vertex ids survive relabelling, so a map whose least pair
     is deep holds only deep pairs: the first maps out are small and their
-    induced maps mostly independent.
+    induced maps mostly independent.  One obligation table serves every
+    seed.
     """
     base = cover.base
     depth1, depth2 = base.t1.tree.height, base.t2.tree.height
     order = sorted(base.vertices, key=lambda v: (depth1[v[0]], depth2[v[1]]))
     position = {pair: i for i, pair in enumerate(order)}
-    table = _Obligations(base)
+    table = _obligation_table(base)
     for pair in reversed(order):
-        yield from _closures(cover, table, pair + (1,), position)
+        yield from _closures(cover, table, pair, position)
 
 
 def enumerate_ggms(t1: TreeOverQ, t2: TreeOverQ, with_signs: bool = False) -> list[GeneralizedGraphMap]:

@@ -32,7 +32,7 @@ from functools import cached_property
 from math import comb
 from typing import NamedTuple, Optional
 
-from .trees import SINK, TreeOverQ
+from .trees import SINK, TreeOverQ, top_down
 
 
 class NetArrow(NamedTuple):
@@ -282,9 +282,7 @@ def maximal_r_free_traversals(net: PullbackNetwork) -> int:
     children: dict = {v: [] for v in net.vertices}
     for v, w in net.pullback_parent.items():
         children[w].append(v)
-    order = list(net.forest_roots)
-    for v in order:  # the list grows while it is read: parents before children
-        order += children[v]
+    order = [v for r in net.forest_roots for v in top_down(children, r)]  # parents before children
     leaves: dict = {}
     for v in reversed(order):
         leaves[v] = sum(leaves[c] for c in children[v]) or 1

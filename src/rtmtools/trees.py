@@ -107,11 +107,8 @@ class RootedTree:
         # reaches exactly the vertices whose parent chain ends at the root; a
         # vertex it misses lies on a cycle or below one.
         self.height: dict[int, int] = {self.root: 0}
-        queue = [self.root]
-        for v in queue:  # the queue grows while it is read
-            for c in children[v]:
-                self.height[c] = self.height[v] + 1
-                queue.append(c)
+        for v in top_down(children, self.root)[1:]:
+            self.height[v] = self.height[self.parent[v]] + 1
         if len(self.height) != len(self.vertices):
             raise StructureError("underlying graph is not connected")
 

@@ -16,7 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from rtmtools.algebra import BoundQuiver, Path, StructureError, _reachable_states
-from rtmtools.ggm import GeneralizedGraphMap, Subnetwork, _met, _Obligations
+from rtmtools.ggm import GeneralizedGraphMap, Subnetwork
+from rtmtools.network import PullbackNetwork, _edge, _lift
 from rtmtools.trees import BranchMorphism, ModuleHom, hom_layout
 
 
@@ -71,22 +72,57 @@ class CompletenessReport:
 
 
 def is_complete(sub: Subnetwork) -> CompletenessReport:
-    """Check every completeness obligation, reporting the first failure."""
+    """Check every completeness obligation from the definition, reporting the first failure.
+
+    Each tree child x of a vertex's child-side coordinate needs an arrow of
+    the subnetwork from a pair at x; a non-root parent-side coordinate
+    needs the arrow up to its tree parent, or an edge.
+    """
     base = sub.cover.base
-    table = _Obligations(base)
-    links = sub.arrows | sub.edges
+    c, p = base.child_side, base.parent_side
+    tc, tp = base.trees[c].tree, base.trees[p].tree
+    arrow_ends: dict = {v: [] for v in sub.vertices}  # far ends of the arrows at each vertex
+    for a in sub.arrows:
+        arrow_ends[a.source].append(a.target)
+        arrow_ends[a.target].append(a.source)
+    edged = {v for e in sub.edges for v in e}
     for vertex in sorted(sub.vertices):
-        for obligation, witnesses in table[vertex]:
-            if _met(witnesses, links):
-                continue
-            if obligation[0] == "child":
-                side = ("domain", "codomain")[base.child_side]
-                arrow = base.trees[base.child_side].tree.child_arrow[obligation[1]]
-                reason = f"no witness for {side} arrow {arrow} of child {obligation[1]}"
-            else:
-                reason = "no witness for the parent-side arrow"
-            return CompletenessReport(False, vertex, reason)
+        for x in tc.children(vertex[c]):
+            if not any(w[c] == x for w in arrow_ends[vertex]):
+                side = ("domain", "codomain")[c]
+                return CompletenessReport(False, vertex, f"no witness for {side} arrow {tc.child_arrow[x]} of child {x}")
+        x = vertex[p]
+        if x != tp.root and vertex not in edged and not any(w[p] == tp.parent[x] for w in arrow_ends[vertex]):
+            return CompletenessReport(False, vertex, "no witness for the parent-side arrow")
     return CompletenessReport(True)
+
+
+def signed_obligations(base: PullbackNetwork, vertex: tuple) -> list:
+    """The completeness obligations of a signed vertex of the double cover.
+
+    A list with one entry per obligation, each the list of its (witness
+    vertex, link of the cover) options; an obligation is met exactly when
+    one of its links is present.  The reference for the search, which
+    lists the obligations once per pair, with the sign as a label.
+    """
+    c, p = base.child_side, base.parent_side
+    tc, tp = base.trees[c], base.trees[p]
+    v, s = vertex[:2], vertex[2]
+    obligations = []
+    for x in tc.tree.children(v[c]):
+        witnesses = []
+        for y in tp.tree.children(v[p]):
+            if tp.child_label(y) == tc.child_label(x):
+                w = (x, y) if c == 0 else (y, x)
+                witnesses.append((w + (s,), _lift(base.up(w)[1], s)))
+        obligations.append(witnesses)
+    if v[p] != tp.tree.root:
+        up = base.up(v)
+        witnesses = [] if up is None else [(up[0] + (s,), _lift(up[1], s))]
+        for w in base.partners(v):
+            witnesses.append((w + (-s,), _edge(vertex, w + (-s,))))
+        obligations.append(witnesses)
+    return obligations
 
 
 def branch_morphism_from_ggm(g: GeneralizedGraphMap, pair: tuple) -> BranchMorphism:

@@ -24,7 +24,7 @@ from rtmtools import (
     to_dot,
     two_cover,
 )
-from rtmtools.ggm import _closures, _Obligations, _stream
+from rtmtools.ggm import _closures, _obligation_table, _stream
 
 DIAGONAL = frozenset({(1, 1, 1), (2, 2, 1), (3, 3, 1), (4, 4, 1), (5, 5, 1)})
 SHIFTED = frozenset({(1, 1, 1), (2, 2, 1), (3, 3, 1), (4, 2, 1), (5, 5, 1)})
@@ -74,8 +74,9 @@ def test_closure_stream_emits_each_map_once_from_its_least_pair():
     trees += [_star(k, o) for k in (3, 4, 5) for o in (SINK, SOURCE)]
     for t in trees:
         cover = two_cover(PullbackNetwork(t, t))
-        table = _Obligations(cover.base)
-        raw = [(pair, g) for pair in cover.base.vertices for g in _closures(cover, table, pair + (1,))]
+        table = _obligation_table(cover.base)
+        assert list(table) == list(cover.base.vertices)  # one entry per network pair, the sign a label
+        raw = [(pair, g) for pair in cover.base.vertices for g in _closures(cover, table, pair)]
         assert len({g.vertices for _, g in raw}) == len(raw)
         for pair, g in raw:
             assert min(v[:2] for v in g.vertices) == pair and pair + (1,) in g.vertices
@@ -280,8 +281,8 @@ def test_enumeration_matches_the_lexicographic_reverse_search():
     for t1, t2 in _random_pairs():
         for u1, u2 in ((t1, t2), (_reversed_ids(t1), _reversed_ids(t2))):
             cover = two_cover(PullbackNetwork(u1, u2))
-            table = _Obligations(cover.base)
-            want = [g for pair in cover.base.vertices for g in _closures(cover, table, pair + (1,))]
+            table = _obligation_table(cover.base)
+            want = [g for pair in cover.base.vertices for g in _closures(cover, table, pair)]
             want.sort(key=Subnetwork.sort_key)
             got = enumerate_ggms(u1, u2)
             assert [(g.vertices, g.arrows, g.edges) for g in got] == [(g.vertices, g.arrows, g.edges) for g in want]
@@ -289,7 +290,7 @@ def test_enumeration_matches_the_lexicographic_reverse_search():
 
 @pytest.mark.parametrize("orientation", [SINK, SOURCE])
 def test_built_maps_and_their_flips_pass_the_validating_constructor(orientation):
-    # The search and `negate` build maps without the checks of `Subnetwork.__init__`.
+    # A graph map skips the checks of `Subnetwork.__init__`: its links are read off the cover between its vertices.
     for seed in range(200):
         t = random_instance(seed, orientation)
         u = random_instance(seed + 1000, orientation, codomain=t.codomain)

@@ -8,16 +8,21 @@ exhaustive.  This certifies both the enumeration and, by dropping the
 involution-freeness condition, the no-ghost property: every non-empty
 complete connected unblocked subnetwork induces a nonzero map.
 
-On larger random pairs the enumeration is compared with the search it
-replaced, which seeds every vertex, copies its state at every step and
-drops duplicates.
+On larger pairs the enumeration is compared with the search it replaced,
+which seeds every vertex, copies its state at every step, records the
+links it chooses and drops duplicates.  The enumeration keeps only each
+map's signed pairs and reads its arrows and edges off the cover, so these
+comparisons also check that a graph map holds every link of the cover
+between two of its vertices.
 """
 
-from itertools import combinations
+from itertools import combinations, product
 
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from reference import far_ends, is_complete, is_connected, is_involution_free, is_r_free
+from reference import far_ends, is_complete, is_connected, is_involution_free, is_r_free, signed_obligations
+from test_ggm import _star
 
 from rtmtools import (
     SINK,
@@ -31,7 +36,6 @@ from rtmtools import (
     triangles,
     two_cover,
 )
-from rtmtools.ggm import _met, _Obligations
 from rtmtools.network import NetArrow
 
 
@@ -143,14 +147,14 @@ def _seed_every_vertex_and_deduplicate(t1, t2):
     """The closure of every network pair with sign +1, brought to canonical
     sign, duplicates dropped: a reference for the pruned enumeration."""
     cover = two_cover(PullbackNetwork(t1, t2))
-    table = _Obligations(cover.base)
+    table = {v: signed_obligations(cover.base, v) for v in cover.vertices}
     blocked = {t.vertices for t in triangles(cover.base)}
 
     def search(state):
         while state.pending:
             vertex = state.pending[-1]
-            for _, witnesses in table[vertex]:
-                if not _met(witnesses, state.links):
+            for witnesses in table[vertex]:
+                if not any(link in state.links for _, link in witnesses):
                     break
             else:
                 state.pending.pop()
@@ -196,3 +200,23 @@ def test_enumeration_matches_seeding_every_vertex(seed, orientation, max_vertice
     assume(len(PullbackNetwork(a, b).vertices) <= 64)
     want = [(s.vertices, s.arrows, s.edges) for s in _seed_every_vertex_and_deduplicate(a, b)]
     assert [(g.vertices, g.arrows, g.edges) for g in enumerate_ggms(a, b)] == want
+
+
+FIXED_INPUTS = (
+    [pytest.param("star", (k, o), id=f"star{k}-{o}") for k in (3, 4) for o in (SINK, SOURCE)]
+    + [pytest.param("sink example", (), id="five-vertex-sink")]
+    + [pytest.param("source", labels, id="source-" + "-".join(labels)) for labels in product(("alpha", "beta"), repeat=4)]
+)
+
+
+@pytest.mark.parametrize("kind, args", FIXED_INPUTS)
+def test_enumeration_matches_seeding_every_vertex_on_fixed_inputs(kind, args, sink_tree, source_tree_factory):
+    if kind == "star":
+        t = _star(*args)
+    elif kind == "source":
+        t = source_tree_factory(*args)
+    else:
+        t = sink_tree
+    want = [(s.vertices, s.arrows, s.edges) for s in _seed_every_vertex_and_deduplicate(t, t)]
+    assert want
+    assert [(g.vertices, g.arrows, g.edges) for g in enumerate_ggms(t, t)] == want
