@@ -95,6 +95,8 @@ class GeneralizedGraphMap(Subnetwork):
     v alone or the two ends of one held edge and nothing outside their
     subtrees: an edge of C between held pairs is held, and an arrow u -> P
     between held pairs has u = v.  A held link fixes the signs of its ends.
+    The pairs are taken as the search built them, unchecked; `Subnetwork`
+    checks a selection made outside.
     """
 
     def __init__(self, cover: TwoCover, vertices: Iterable):

@@ -4,9 +4,10 @@ The commands reach graph maps only through their search, which meets every
 condition of the definition by construction, and reach Hom-spaces only
 through the flat rows of `trees.hom_layout`.  The tests check those paths
 against the predicates and conversions kept here: the defining conditions
-of a graph map, the branch morphism at one of its vertices, relation-free
-path enumeration on the relations' automaton, and the flat row of a map,
-the inverse of `ModuleHom.from_flat`.
+of a graph map, the obligations of each signed vertex of the double cover,
+the branch morphism at one of its vertices, relation-free path enumeration
+on the relations' automaton, and the flat row of a map, the inverse of
+`ModuleHom.from_flat`.
 """
 
 from __future__ import annotations
