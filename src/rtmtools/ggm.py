@@ -12,10 +12,10 @@ a pair must witness every tree child of its child-side coordinate (by an
 arrow from a pullback child) and, unless it is a root, the tree parent of
 its parent-side coordinate (by the arrow to its pullback parent or an
 edge).  The network decides which coordinate is which, so nothing here
-depends on the orientation.  They are listed per pair, with the sign as a
-label: an arrow of the double cover keeps it, an edge flips it.  The
-search meets them as it grows a map and never blocks a triangle or holds
-a pair with both signs, so no map it emits is checked again.  A map is
+depends on the orientation.  Each is the tuple of its witness pairs; the
+pairs of an edge class share their parent-side one.  The search meets them
+as it grows a map and never blocks a triangle or holds a pair with both
+signs, so no map it emits is checked again.  A map is
 its signed pairs; its links are read off the cover (see the lemma of
 `GeneralizedGraphMap`).
 
@@ -56,9 +56,9 @@ class Subnetwork:
         self.vertices = frozenset(vertices)
         self.arrows = frozenset(arrows)
         self.edges = frozenset(edges)
-        if not self.vertices <= cover.vertex_set:
+        if not self.vertices <= cover.vertices:
             raise ValueError("subnetwork vertex outside the cover")
-        if not self.arrows <= cover.arrow_set or not self.edges <= cover.edge_set:
+        if not self.arrows <= cover.arrows or not self.edges <= cover.edges:
             raise ValueError("subnetwork link outside the cover")
         for a in self.arrows:
             if a.source not in self.vertices or a.target not in self.vertices:
@@ -110,7 +110,8 @@ class GeneralizedGraphMap(Subnetwork):
 
     @cached_property
     def edges(self) -> frozenset:
-        ends = ((v, w + (-v[2],)) for v in self.vertices for w in self.cover.base.partners(v[:2]))
+        # the class of a pair holds the pair, whose sign flip no graph map holds
+        ends = ((v, w + (-v[2],)) for v in self.vertices for w in self.cover.base.edge_class.get(v[:2], ()))
         return frozenset(_edge(v, w) for v, w in ends if w in self.vertices)
 
     def negate(self) -> "GeneralizedGraphMap":
@@ -120,26 +121,27 @@ class GeneralizedGraphMap(Subnetwork):
 def _obligation_table(base: PullbackNetwork) -> dict:
     """The completeness obligations of every network pair, keyed by pair.
 
-    Each obligation lists its (witness pair, link, sign factor) and is met
-    when one of its links is held.  An arrow, keyed by its child pair, keeps
-    the sign (+1); an edge, keyed as in `_edge`, flips it (-1).  Witnesses
-    are read from the trees, so on a tree that fails validation one may
-    fall outside the network; the closure then reports it.
+    Each obligation is the tuple of its witness pairs.  A child obligation
+    lists the pullback children over one tree child; the members of an edge
+    class C share one parent obligation, `(P,) + C` with P their pullback
+    parent if any, and the search skips the pair itself.  Witnesses are read
+    from the trees, so on a tree that fails validation one may fall outside
+    the network; the closure then reports it.
     """
     c, p = base.child_side, base.parent_side
     tc, tp = base.trees[c], base.trees[p]
-    table = {}
+    table, shared = {}, {}
     for v in base.vertices:
         obligations = []
         for x in tc.tree.children(v[c]):
             label = tc.child_label(x)
-            pairs = [(x, y) if c == 0 else (y, x) for y in tp.tree.children(v[p]) if tp.child_label(y) == label]
-            obligations.append([(w, w, 1) for w in pairs])
+            pairs = ((x, y) if c == 0 else (y, x) for y in tp.tree.children(v[p]) if tp.child_label(y) == label)
+            obligations.append(tuple(pairs))
         if v[p] != tp.tree.root:
-            up = base.pullback_parent.get(v)
-            witnesses = [] if up is None else [(up, v, 1)]
-            witnesses += [(w, _edge(v, w), -1) for w in base.partners(v)]
-            obligations.append(witnesses)
+            up, cls = base.pullback_parent.get(v), base.edge_class.get(v, ())
+            if (up, cls) not in shared:
+                shared[up, cls] = cls if up is None else (up,) + cls
+            obligations.append(shared[up, cls])
         table[v] = obligations
     return table
 
@@ -151,23 +153,25 @@ def _closures(
 
     Pairs rank by `position`, by default lexicographically.  A depth-first
     search over witness choices that grows one state in place, on the
-    network's pairs with one sign per pair: a witness takes the sign of its
-    pair times the factor of its link.  Pairs and links are kept in order
-    of addition, so going back to a choice point truncates them to the
-    lengths it saved; only an obligation with two or more admissible
-    witnesses leaves a choice point.  Pairs ranked below the seed are
-    refused, so a map is found only from its least pair.  Two branches
-    differ in a witness link at one pair, and a map holding both links
-    would be blocked, so no map is found twice.  The seed has sign +1, and
-    every map is yielded with +1 at its lexicographically least pair.
+    network's pairs with one sign per pair: a witness across an edge, which
+    keeps the pair's child-side coordinate as no arrow does, takes the other
+    sign.  An obligation is met when a held neighbour of the pair is one of
+    its witnesses.  Pairs and held links are kept in order of addition, so
+    going back to a choice point truncates them to the lengths it saved;
+    only an obligation with two or more admissible witnesses leaves a choice
+    point.  Pairs ranked below the seed are refused, so a map is found only
+    from its least pair.  Two branches differ in a witness link at one pair,
+    and a map holding both links would be blocked, so no map is found twice.
+    The seed has sign +1, and every map is yielded with +1 at its
+    lexicographically least pair.
     """
     if position is None:
         position = {pair: i for i, pair in enumerate(cover.base.vertices)}
-    floor, linked = position[seed], cover.base.linked
+    floor, linked, c = position[seed], cover.base.linked, cover.base.child_side
     signs = {seed: 1}
     vertices = [seed]  # in order of addition
-    links: dict = {}  # link -> (pair, witness pair), in order of addition
-    neighbours: dict = defaultdict(list)  # pair -> far ends of its links
+    links: list = []  # held links as (pair, witness), in order of addition
+    neighbours: dict = defaultdict(list)  # pair -> far ends of its held links
     choices: list = []  # (pair count, link count, cursor, untried admissible witnesses)
 
     def admissible(pair, witness, sign) -> bool:
@@ -175,8 +179,8 @@ def _closures(
         if position.get(witness, floor) < floor or signs.get(witness, sign) != sign:
             return False  # a pair below the seed, or held with the other sign
         for shared, far in ((pair, witness), (witness, pair)):
-            for other in neighbours.get(shared, ()):
-                if (other, far) in linked:  # the new link and one held at `shared` close a triangle
+            for other in neighbours[shared]:
+                if linked(other, far):  # the new link and one held at `shared` close a triangle
                     return False
         return True
 
@@ -190,11 +194,12 @@ def _closures(
                 i, k = i + 1, 0
                 continue
             witnesses = obligations[k]
-            if any(link in links for _, link, _ in witnesses):
+            if any(w in witnesses for w in neighbours[pair]):
                 k += 1
                 continue
             sign = signs[pair]
-            options = [(w, link, sign * f) for w, link, f in witnesses if admissible(pair, w, sign * f)]
+            options = [(w, sign if w[c] != pair[c] else -sign) for w in witnesses if w != pair]
+            options = [(w, s) for w, s in options if admissible(pair, w, s)]
             if len(options) > 1:
                 choices.append((len(vertices), len(links), i, k, options))
         else:
@@ -205,21 +210,21 @@ def _closures(
                 return
             n_vertices, n_links, i, k, options = choices[-1]
             while len(links) > n_links:
-                _, (u, w) = links.popitem()
+                u, w = links.pop()
                 neighbours[u].pop()
                 neighbours[w].pop()
             while len(vertices) > n_vertices:
                 del signs[vertices.pop()]
             if len(options) == 1:
                 choices.pop()
-        witness, link, sign = options.pop()
+        witness, sign = options.pop()
         pair = vertices[i]
         if witness not in signs:
             if witness not in position:  # a tree that fails validation
                 raise ValueError("subnetwork vertex outside the cover")
             signs[witness] = sign
             vertices.append(witness)
-        links[link] = (pair, witness)
+        links.append((pair, witness))
         neighbours[pair].append(witness)
         neighbours[witness].append(pair)
         k += 1

@@ -16,12 +16,12 @@ Traversals are non-backtracking walks along links (arrows, reversed arrows,
 edges).  A traversal is blocked as soon as two consecutive links visit three
 vertices that induce a triangle; the census of maximal unblocked traversals
 is the combinatorial skeleton behind Hom-space computations.  Both are read
-off the shape of the network, never listed: two links u-v-w pass through a
-triangle exactly when u and w are linked (`PullbackNetwork.linked`), the
-triangles are counted per edge class (`PullbackNetwork.triangle_count`), and
-the census from the number of pullback-forest leaves under each vertex
-(`maximal_r_free_traversals`).  `triangles` lists the triangles, as a
-reference for the tests.
+off the pullback forest and the edge classes, the only stored form of the
+links: two links u-v-w pass through a triangle exactly when u and w are
+linked (`PullbackNetwork.linked`), the triangles are counted per edge class
+(`PullbackNetwork.triangle_count`), and the census from the number of
+pullback-forest leaves under each vertex (`maximal_r_free_traversals`).
+`triangles` lists the triangles, as a reference for the tests.
 """
 
 from __future__ import annotations
@@ -116,7 +116,6 @@ class PullbackNetwork:
                 classes.setdefault((v[self.child_side], tp.tree.parent[x], tp.child_label(x)), []).append(v)
         self.edge_classes = tuple(tuple(c) for c in classes.values() if len(c) > 1)
         self.edge_class = {v: c for c in self.edge_classes for v in c}
-        self.edges = tuple(sorted((u, w) for c in self.edge_classes for i, u in enumerate(c) for w in c[i + 1 :]))
 
     def up(self, pair) -> Optional[tuple]:
         """The parent pair of `pair` and the arrow joining the two, or None.
@@ -136,21 +135,21 @@ class PullbackNetwork:
         )
         return (tree1.parent[n], tree2.parent[m]), arrow
 
-    def partners(self, pair) -> list:
-        """Network vertices joined to `pair` by an edge: the rest of its edge class."""
-        return [w for w in self.edge_class.get(pair, ()) if w != pair]
-
     @cached_property
-    def linked(self) -> frozenset:
-        """The pairs of vertices joined by an arrow or an edge, in both orders.
+    def edges(self) -> tuple:
+        """The edges, listed and sorted, each as (u, w) with u < w: every two pairs of one edge class."""
+        return tuple(sorted((u, w) for c in self.edge_classes for i, u in enumerate(c) for w in c[i + 1 :]))
+
+    def linked(self, u, w) -> bool:
+        """Whether an arrow or an edge joins u and w: one is the other's pullback parent, or both lie in one class.
 
         Two links u-v and v-w, u != w, pass through a triangle exactly when
-        (u, w) is linked: no two links join the same two vertices, so three
+        u and w are linked: no two links join the same two vertices, so three
         vertices carry three links exactly when each two of them are linked.
         This is the blocking test of graph maps and traversals.
         """
-        pairs = [(a.source, a.target) for a in self.arrows] + list(self.edges)
-        return frozenset(pairs + [(w, u) for u, w in pairs])
+        parent, cls = self.pullback_parent.get, self.edge_class.get(u)
+        return parent(u) == w or parent(w) == u or (u != w and cls is not None and cls is self.edge_class.get(w))
 
     @property
     def triangle_count(self) -> int:
@@ -211,28 +210,25 @@ class TwoCover:
 
     Vertices and arrows are doubled with a sign; each undirected edge lifts
     to the two sign-crossing edges.  Dropping the sign projects the cover
-    onto `base`, where its blocking is decided.
+    onto `base`, where its blocking is decided.  Only `base` is stored: the
+    vertices, arrows and edges are sets built when first read.
     """
 
     def __init__(self, base: PullbackNetwork):
         self.base = base
-        lifts = {v: (v + (-1,), v + (1,)) for v in base.vertices}
-        self.vertices = tuple(x for v in base.vertices for x in lifts[v])  # sorted, as base.vertices is
-        self.arrows = tuple(sorted(_lift(a, s) for a in base.arrows for s in (-1, 1)))
+
+    @cached_property
+    def vertices(self) -> frozenset:
+        return frozenset(v + (s,) for v in self.base.vertices for s in (-1, 1))
+
+    @cached_property
+    def arrows(self) -> frozenset:
+        return frozenset(_lift(a, s) for a in self.base.arrows for s in (-1, 1))
+
+    @cached_property
+    def edges(self) -> frozenset:
         # u < w, so each lift of the edge (u, w) starts at its end over u
-        self.edges = tuple(sorted((lifts[u][i], lifts[w][1 - i]) for u, w in base.edges for i in (0, 1)))
-
-    @cached_property
-    def vertex_set(self) -> frozenset:
-        return frozenset(self.vertices)
-
-    @cached_property
-    def arrow_set(self) -> frozenset:
-        return frozenset(self.arrows)
-
-    @cached_property
-    def edge_set(self) -> frozenset:
-        return frozenset(self.edges)
+        return frozenset((u + (s,), w + (-s,)) for u, w in self.base.edges for s in (-1, 1))
 
 
 def two_cover(net: PullbackNetwork) -> TwoCover:

@@ -474,23 +474,17 @@ def _sample_attempt(
     vertex_label: dict[int, str] = {1: rng.choice(sorted(quiver.vertices))}
     arrow_label: dict[str, str] = {}
     tree_arrows = []
+    parent_end, child_end = (quiver.target, quiver.source) if orientation == SINK else (quiver.source, quiver.target)
     for v in sorted(parent):
         par = parent[v]
-        if orientation == SINK:
-            options = sorted(a for a in quiver.arrows if quiver.target(a) == vertex_label[par])
-        else:
-            options = sorted(a for a in quiver.arrows if quiver.source(a) == vertex_label[par])
+        options = sorted(a for a in quiver.arrows if parent_end(a) == vertex_label[par])
         if not options:
             return None
         lab = rng.choice(options)
         name = f"a{v}"
         arrow_label[name] = lab
-        if orientation == SINK:
-            vertex_label[v] = quiver.source(lab)
-            tree_arrows.append((name, v, par))
-        else:
-            vertex_label[v] = quiver.target(lab)
-            tree_arrows.append((name, par, v))
+        vertex_label[v] = child_end(lab)
+        tree_arrows.append((name, v, par) if orientation == SINK else (name, par, v))
 
     tree = RootedTree(sorted(depth), tree_arrows, orientation)
     t = TreeOverQ(tree, bq, vertex_label, arrow_label)

@@ -60,7 +60,7 @@ def is_r_free(sub: Subnetwork) -> bool:
     linked = sub.cover.base.linked
     for ends in far_ends(sub).values():
         for i, u in enumerate(ends):
-            if any((u[:2], w[:2]) in linked for w in ends[i + 1 :]):
+            if any(linked(u[:2], w[:2]) for w in ends[i + 1 :]):
                 return False
     return True
 
@@ -103,8 +103,9 @@ def signed_obligations(base: PullbackNetwork, vertex: tuple) -> list:
 
     A list with one entry per obligation, each the list of its (witness
     vertex, link of the cover) options; an obligation is met exactly when
-    one of its links is present.  The reference for the search, which
-    lists the obligations once per pair, with the sign as a label.
+    one of its links is present.  The reference for the search, which keeps
+    each obligation as the tuple of its witness pairs, with the sign as a
+    label.
     """
     c, p = base.child_side, base.parent_side
     tc, tp = base.trees[c], base.trees[p]
@@ -120,8 +121,7 @@ def signed_obligations(base: PullbackNetwork, vertex: tuple) -> list:
     if v[p] != tp.tree.root:
         up = base.up(v)
         witnesses = [] if up is None else [(up[0] + (s,), _lift(up[1], s))]
-        for w in base.partners(v):
-            witnesses.append((w + (-s,), _edge(vertex, w + (-s,))))
+        witnesses += [(w + (-s,), _edge(vertex, w + (-s,))) for w in base.edge_class.get(v, ()) if w != v]
         obligations.append(witnesses)
     return obligations
 

@@ -25,6 +25,7 @@ from rtmtools import (
     two_cover,
 )
 from rtmtools.ggm import _closures, _obligation_table, _stream
+from rtmtools.network import TwoCover
 
 DIAGONAL = frozenset({(1, 1, 1), (2, 2, 1), (3, 3, 1), (4, 4, 1), (5, 5, 1)})
 SHIFTED = frozenset({(1, 1, 1), (2, 2, 1), (3, 3, 1), (4, 2, 1), (5, 5, 1)})
@@ -76,11 +77,33 @@ def test_closure_stream_emits_each_map_once_from_its_least_pair():
         cover = two_cover(PullbackNetwork(t, t))
         table = _obligation_table(cover.base)
         assert list(table) == list(cover.base.vertices)  # one entry per network pair, the sign a label
+        for c in cover.base.edge_classes:  # the members of an edge class share one parent obligation
+            assert len({id(table[v][-1]) for v in c}) == 1
         raw = [(pair, g) for pair in cover.base.vertices for g in _closures(cover, table, pair)]
         assert len({g.vertices for _, g in raw}) == len(raw)
         for pair, g in raw:
             assert min(v[:2] for v in g.vertices) == pair and pair + (1,) in g.vertices
     assert len(raw) == 3180  # star k=5, both orientations alike
+
+
+def test_the_search_lists_no_links(monkeypatch, sink_tree):
+    # The search reads the pullback forest and the edge classes: the edge list and the cover's lists are never built.
+    pairs = [(sink_tree, sink_tree)] + [(_star(k, o), _star(k, o)) for k in (3, 4, 5) for o in (SINK, SOURCE)]
+    for seed in range(5):
+        for orientation in (SINK, SOURCE):
+            t = random_instance(seed, orientation)
+            pairs += [(t, t), (t, random_instance(seed + 1000, orientation, codomain=t.codomain))]
+
+    def listed(self):
+        raise AssertionError("a list of links was built")
+
+    for cls, name in ((PullbackNetwork, "edges"), (TwoCover, "vertices"), (TwoCover, "arrows"), (TwoCover, "edges")):
+        monkeypatch.setattr(cls, name, property(listed))
+    for t1, t2 in pairs:
+        m1, m2 = push_down(t1, 3), push_down(t2, 3)
+        dim = hom_space(m1, m2).dimension
+        assert hom_span(t1, t2, m1, m2, target=dim)[1] == dim
+        assert len(enumerate_ggms(t1, t2, with_signs=True)) == 2 * len(hom_span(t1, t2, m1, m2)[0])
 
 
 def test_completeness_reports_first_failure(sink_tree):
@@ -266,6 +289,17 @@ def test_hom_span_stops_at_the_target_rank():
             maps, short_rank = hom_span(t1, t2, m1, m2, target=dim + 1)
             assert short_rank == rank
             assert [g.vertices for g in maps] == [g.vertices for g in full]
+
+
+@pytest.mark.parametrize("orientation", [SINK, SOURCE])
+def test_hom_span_stops_after_a_pinned_number_of_maps_on_stars(orientation):
+    # The stop depends on the stream order, which these counts pin: star k has Hom dimension k**2 + 1.
+    for k, streamed in ((3, 13), (4, 29), (5, 56), (6, 97), (8, 233), (10, 461), (25, 7526)):
+        t = _star(k, orientation)
+        m = push_down(t, 3)
+        maps, rank = hom_span(t, t, m, m, target=k * k + 1)
+        assert (rank, len(maps)) == (k * k + 1, streamed)
+        assert hom_space(m, m).dimension == rank
 
 
 def _reversed_ids(t):

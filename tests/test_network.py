@@ -22,6 +22,7 @@ from rtmtools import (
     two_cover,
 )
 from rtmtools.network import _edge
+from test_ggm import _star
 
 
 def links_at(net):
@@ -240,6 +241,22 @@ def test_structural_invariants_on_random_instances():
                 assert SHAPES[orientation].fullmatch(word), (seed, orientation, word)
 
 
+def test_linked_is_membership_in_the_listed_links():
+    # the predicate on the pullback forest and the edge classes, against both orders of every listed arrow and edge
+    nets = [PullbackNetwork(s, s) for s in (_star(k, o) for k in (3, 4, 5) for o in (SINK, SOURCE))]
+    for seed in range(100):
+        for orientation in (SINK, SOURCE):
+            t = random_instance(seed, orientation)
+            u = random_instance(seed + 1000, orientation, codomain=t.codomain)
+            nets += [PullbackNetwork(a, b) for a, b in ((t, t), (t, u), (u, t))]
+    for net in nets:
+        pairs = [(a.source, a.target) for a in net.arrows] + list(net.edges)
+        listed = set(pairs) | {(w, u) for u, w in pairs}
+        for u, w in product(net.vertices, repeat=2):
+            if u != w:
+                assert net.linked(u, w) == ((u, w) in listed)
+
+
 def test_dot_output_is_stable(sink_tree):
     net = PullbackNetwork(sink_tree, sink_tree)
     dot = to_dot(net)
@@ -276,7 +293,7 @@ def assert_counts_match_the_references(net):
         for _, _, u in moves:
             for _, _, w in moves:
                 if u < w:
-                    assert ((u, w) in net.linked) == (frozenset((u, v, w)) in blocked)
+                    assert net.linked(u, w) == (frozenset((u, v, w)) in blocked)
 
 
 def _tree_from_parents(parents, labels, orientation, bq):
