@@ -474,7 +474,8 @@ def _sample_attempt(
     vertex_label: dict[int, str] = {1: rng.choice(sorted(quiver.vertices))}
     arrow_label: dict[str, str] = {}
     tree_arrows = []
-    parent_end, child_end = (quiver.target, quiver.source) if orientation == SINK else (quiver.source, quiver.target)
+    sink = orientation == SINK  # a sink tree's arrows run from child to parent
+    parent_end, child_end = (quiver.target, quiver.source) if sink else (quiver.source, quiver.target)
     for v in sorted(parent):
         par = parent[v]
         options = sorted(a for a in quiver.arrows if parent_end(a) == vertex_label[par])
@@ -484,7 +485,7 @@ def _sample_attempt(
         name = f"a{v}"
         arrow_label[name] = lab
         vertex_label[v] = child_end(lab)
-        tree_arrows.append((name, v, par) if orientation == SINK else (name, par, v))
+        tree_arrows.append((name, v, par) if sink else (name, par, v))
 
     tree = RootedTree(sorted(depth), tree_arrows, orientation)
     t = TreeOverQ(tree, bq, vertex_label, arrow_label)
