@@ -13,6 +13,7 @@ import argparse
 import functools
 import sys
 from itertools import groupby
+from math import comb
 from pathlib import Path
 
 from . import ggm as ggm_mod
@@ -65,7 +66,7 @@ def _network_report(net: PullbackNetwork, cover: bool) -> None:
     sheets = 2 if cover else 1
     print(f"vertices: {sheets * len(net.vertices)}")
     print(f"arrows: {sheets * len(net.arrows)}")
-    print(f"edges: {sheets * len(net.edges)}")
+    print(f"edges: {sheets * sum(comb(len(c), 2) for c in net.edge_classes)}")  # counted, not listed
     if cover:  # every traversal lifts to exactly two of the cover (see maximal_r_free_traversals)
         print(f"maximal R[2]-free traversals: {2 * census}")
     else:

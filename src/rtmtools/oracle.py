@@ -12,12 +12,12 @@ the Hom system is written from them, and an isomorphism is checked on them
 with no numpy call.  Dense int64 arrays hold only the flat rows of a Hom
 basis, for the idempotent scan, and the matrices of `rref` and `nullspace`.
 
-Every elimination is one sparse Gauss-Jordan, `_gauss_jordan`, on rows
-{column: nonzero residue} of Python ints: the Hom system and the rank of
-each block of a claimed isomorphism by forward elimination only (a
-dimension or a rank needs no reduced form), the Hom basis by
-back-substitution only when it is read, and the dense wrappers `rref` and
-`nullspace`.  `ggm.hom_span` reduces its rows with the same step,
+Every elimination is one forward sparse elimination, `_gauss_jordan`, on
+rows {column: nonzero residue} of Python ints; that alone gives the Hom
+dimension and the rank of each block of a claimed isomorphism.  A reduced
+form, for the Hom basis (only when it is read) and the dense wrappers
+`rref` and `nullspace`, is one `_back_substitute` of the echelon, last
+pivot first.  `ggm.hom_span` reduces its rows with the same step,
 `_eliminate`.  Columns go in ascending order and the pivot is the
 sparsest eligible row (Markowitz's rule), so the intertwining systems of
 tree modules cost about their nonzeros and fill-in; the reduced form, hence
@@ -28,7 +28,7 @@ unknowns are the flat coordinates of a homomorphism, laid out by
 The idempotent scan works in coordinates of the endomorphism basis, never on
 candidate matrices.  A vector in the span has its coordinates at the free
 columns of the solve, and structure constants gamma (B_k B_l = sum_m
-gamma_klm B_m) come from one batched product per quiver vertex; a basis
+gamma_klm B_m) come from one batched product per block size; a basis
 whose span is not closed under composition raises ValueError.  The
 scan then evaluates e**2 - e on coefficient vectors, in the same ascending
 order as a scan of every combination, so it returns the same witness.
@@ -39,6 +39,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from itertools import groupby
 from typing import Iterator, Optional
 
 import numpy as np
@@ -78,18 +79,17 @@ def _eliminate(row: dict, pivot: dict, c: int, p: int) -> tuple[list[int], list[
     return filled, cancelled
 
 
-def _gauss_jordan(rows: list[dict], p: int, reduced: bool = True) -> list[tuple[int, dict]]:
-    """Reduced row-echelon form of sparse rows over GF(p): (pivot column, row) pairs, ascending.
+def _gauss_jordan(rows: list[dict], p: int) -> list[tuple[int, dict]]:
+    """Forward echelon form of sparse rows over GF(p): (pivot column, row) pairs, ascending.
 
     Columns are taken in ascending order.  The pivot is the row not yet
-    used with the fewest nonzeros in that column (Markowitz's rule), and
-    the column is cleared from every other row; an index column -> rows
-    sends each step only to the rows with a nonzero there.  The RREF does
-    not depend on which pivot row is chosen.  With `reduced` False the
-    column is cleared only from the rows not yet used, with no
-    back-substitution: the pivot rows are an echelon form, which gives the
-    rank; run again on them, the elimination only substitutes back.  `rows`
-    is reduced in place.
+    used with the fewest nonzeros in that column (Markowitz's rule), scaled
+    to 1 there, and the column is cleared from the rows not yet used; an
+    index column -> rows sends each step only to the rows with a nonzero
+    there.  So a pivot row has no nonzero before its pivot column, and the
+    pivot columns are those of the reduced form: the echelon gives the rank,
+    and `_back_substitute` turns it into the RREF.  `rows` is reduced in
+    place.
     """
     where: dict = {}  # column -> indices of the rows with a nonzero there
     for i, row in enumerate(rows):
@@ -98,8 +98,7 @@ def _gauss_jordan(rows: list[dict], p: int, reduced: bool = True) -> list[tuple[
     used = set()
     pivots = []
     for c in sorted(where):
-        hit = where[c]
-        free = [i for i in hit if i not in used]
+        free = [i for i in where[c] if i not in used]
         if not free:
             continue
         i = min(free, key=lambda i: (len(rows[i]), i)) if len(free) > 1 else free[0]
@@ -108,7 +107,7 @@ def _gauss_jordan(rows: list[dict], p: int, reduced: bool = True) -> list[tuple[
             inverse = pow(pivot[c], -1, p)
             for k, v in pivot.items():
                 pivot[k] = v * inverse % p
-        for k in [k for k in (hit if reduced else free) if k != i]:
+        for k in [k for k in free if k != i]:
             filled, cancelled = _eliminate(rows[k], pivot, c, p)
             for col in filled:
                 where[col].add(k)
@@ -116,6 +115,22 @@ def _gauss_jordan(rows: list[dict], p: int, reduced: bool = True) -> list[tuple[
                 where[col].discard(k)
         used.add(i)
         pivots.append((c, pivot))
+    return pivots
+
+
+def _back_substitute(pivots: list[tuple[int, dict]], p: int) -> list[tuple[int, dict]]:
+    """The RREF of a forward echelon form from `_gauss_jordan`, reduced in place and returned.
+
+    Last pivot first, each row is cleared of the later pivot columns it
+    holds by their reduced rows, which hold only their pivot and free
+    columns: fill lands only at free columns, and a row of n nonzeros
+    takes at most n - 1 steps.
+    """
+    reduced: dict = {}  # pivot column -> its reduced row
+    for c, row in reversed(pivots):
+        for k in [k for k in row if k in reduced]:
+            _eliminate(row, reduced[k], k, p)
+        reduced[c] = row
     return pivots
 
 
@@ -160,11 +175,11 @@ def _null_rows(pivots: list[tuple[int, dict]], cols: int, p: int) -> np.ndarray:
 def rref(mat: np.ndarray, p: int) -> tuple[np.ndarray, int, tuple[int, ...]]:
     """Reduced row-echelon form over GF(p): (reduced matrix, rank, pivot columns).
 
-    Dense in and out: the nonzeros of the matrix go through the sparse
-    Gauss-Jordan of `_gauss_jordan` on Python ints, so the result is exact.
+    Dense in and out: the nonzeros of the matrix go through `_gauss_jordan`
+    and `_back_substitute` on Python ints, so the result is exact.
     """
     rows = _dense_rows(mat, p)
-    pivots = _gauss_jordan(rows, p)
+    pivots = _back_substitute(_gauss_jordan(rows, p), p)
     reduced = np.zeros((len(rows), np.shape(mat)[1]), dtype=np.int64)
     for r, (_, row) in enumerate(pivots):
         reduced[r, list(row)] = list(row.values())
@@ -173,7 +188,7 @@ def rref(mat: np.ndarray, p: int) -> tuple[np.ndarray, int, tuple[int, ...]]:
 
 def nullspace(mat: np.ndarray, p: int) -> np.ndarray:
     """Rows form a basis of the right nullspace over GF(p), one per free column, ascending."""
-    return _null_rows(_gauss_jordan(_dense_rows(mat, p), p), np.shape(mat)[1], p)
+    return _null_rows(_back_substitute(_gauss_jordan(_dense_rows(mat, p), p), p), np.shape(mat)[1], p)
 
 
 class HomBasis:
@@ -184,9 +199,10 @@ class HomBasis:
     `trees.hom_layout`, so `dimension` is width minus its rank.  The rest
     is built when first read: `rows`, the basis as flat rows, one per free
     column in ascending order, with 1 at that column and 0 at the other
-    free columns (back-substitution, then `_null_rows`); `free`, those
-    columns; and `basis`, the rows as maps.  So a caller that reads only
-    `dimension` substitutes back nothing and builds no map.
+    free columns (`_back_substitute` on the echelon, then `_null_rows`);
+    `free`, those columns; and `basis`, the rows as maps.  So a caller that
+    reads only `dimension` substitutes back nothing and builds no map.
+    `free` relies on the ascending column order of the forward pass, whose pivots are the RREF's.
     """
 
     def __init__(self, domain: ModuleRep, codomain: ModuleRep, echelon: list[tuple[int, dict]], width: int):
@@ -199,8 +215,7 @@ class HomBasis:
 
     @cached_property
     def rows(self) -> np.ndarray:
-        reduced = _gauss_jordan([row for _, row in self._echelon], self.prime)
-        return _null_rows(reduced, self._width, self.prime)
+        return _null_rows(_back_substitute(self._echelon, self.prime), self._width, self.prime)
 
     @cached_property
     def free(self) -> list[int]:
@@ -246,7 +261,7 @@ def hom_space(m1: ModuleRep, m2: ModuleRep) -> HomBasis:
                 row, cell = eqs[i * n_j + j], off_s + k * n_j + j
                 row[cell] = row.get(cell, 0) - x
         rows += eqs
-    echelon = _gauss_jordan([{c: x % p for c, x in row.items() if x % p} for row in rows], p, reduced=False)
+    echelon = _gauss_jordan([{c: x % p for c, x in row.items() if x % p} for row in rows], p)
     return HomBasis(m1, m2, echelon, sum(r * c for _, _, r, c in layout))
 
 
@@ -346,7 +361,8 @@ def _idempotent_indices(gamma: np.ndarray, p: int) -> Iterator[int]:
             if table is None or step < p:
                 rows = _low_rows(p, low, first, min(first + step, p))
                 table = _low_table(gamma, sym, p, rows)
-            hits = np.flatnonzero(~((rows @ weights[:, :2] + table[:, :2]) % p).any(axis=1))
+                rows_t, table_t = np.ascontiguousarray(rows.T), np.ascontiguousarray(table[:, :2].T)  # for the screen
+            hits = np.flatnonzero(~((weights[:, :2].T @ rows_t + table_t) % p).any(axis=0))
             if hits.size and dim > 2:
                 hits = hits[~((rows[hits] @ weights + table[hits]) % p).any(axis=1)]
             yield from (b * p**low + first * p ** (low - 1) + hits).tolist()
@@ -362,7 +378,7 @@ def has_nontrivial_idempotent(end_basis: HomBasis, cap: int = 10**7) -> Idempote
     significant, so the returned witness is deterministic.
 
     The scan runs on coefficient vectors, not matrices.  The products
-    B_k B_l of the basis rows, one batched product per quiver vertex, give
+    B_k B_l of the basis rows, one batched product per block size, give
     the structure constants gamma with B_k B_l = sum_m gamma[k, l, m] B_m,
     read at the free columns of the solve, and e = sum_k c_k B_k is
     idempotent iff sum_kl c_k c_l gamma[k, l] = c.  The zero vector and the
@@ -381,11 +397,14 @@ def has_nontrivial_idempotent(end_basis: HomBasis, cap: int = 10**7) -> Idempote
     if domain is not codomain and domain.basis != codomain.basis:
         raise ValueError("idempotent search needs an endomorphism basis")
     rows = end_basis.rows
-    # The basis extended by the identity, so one batched product per quiver
-    # vertex gives every B_k B_l and, as its last row, the identity.
-    layout = hom_layout(domain, codomain)
-    stacked = [np.vstack([rows[:, off : off + n * n].reshape(dim, n, n), np.eye(n, dtype=np.int64)[None]]) for _, off, n, _ in layout]
-    products = np.concatenate([(s[:, None] @ s[None]).reshape((dim + 1) ** 2, s.shape[1] ** 2) for s in stacked], axis=1) % p
+    # The basis extended by the identity, so one batched product over the n x n
+    # blocks, for each n, gives every B_k B_l and, as its last row, the identity.
+    products = np.zeros(((dim + 1) ** 2, rows.shape[1]), dtype=np.int64)
+    for n, group in groupby(sorted((n, off) for _, off, n, _ in hom_layout(domain, codomain) if n), key=lambda x: x[0]):
+        cols = np.concatenate([np.arange(off, off + n * n) for _, off in group])
+        s = rows[:, cols].reshape(dim, -1, n, n)
+        s = np.concatenate([s, np.broadcast_to(np.eye(n, dtype=np.int64), (1, *s.shape[1:]))])
+        products[:, cols] = (s[:, None] @ s[None]).reshape((dim + 1) ** 2, len(cols)) % p
     coords = products[:, end_basis.free]
     spanned = ((coords @ rows) % p == products).all(axis=1)
     if not spanned[:-1].all():
@@ -410,7 +429,7 @@ def verify_iso(h: ModuleHom) -> bool:
     """
     for qv, blk in h.blocks.items():
         n = h.domain.dim(qv)
-        if h.codomain.dim(qv) != n or len(_gauss_jordan(_sparse_rows(blk, n), h.prime, reduced=False)) != n:
+        if h.codomain.dim(qv) != n or len(_gauss_jordan(_sparse_rows(blk, n), h.prime)) != n:
             return False
     return h.intertwines()
 

@@ -119,6 +119,27 @@ def test_cmd_network_cover_doubles_counts(tmp_path, capsys, sink_document):
     assert "vertices: 26" in out and "arrows: 16" in out and "edges: 6" in out
 
 
+@pytest.mark.parametrize("k", [1, 5, 20])
+@pytest.mark.parametrize("orientation", ["SINK", "SOURCE"])
+def test_cmd_network_counts_edges_without_listing_them(tmp_path, capsys, monkeypatch, orientation, k):
+    path = _write(tmp_path, "star.rtm", _star_document(k, orientation))
+    reports = []
+    for cover in ([], ["--cover"]):
+        assert main(["network", path, path] + cover) == 0
+        reports.append(capsys.readouterr().out)
+    tree = parse_document(_star_document(k, orientation)).tree
+    edges = len(PullbackNetwork(tree, tree).edges)
+    assert f"edges: {edges}\n" in reports[0] and f"edges: {2 * edges}\n" in reports[1]
+
+    def unlisted(self):
+        raise AssertionError("the report lists the edges")
+
+    monkeypatch.setattr(PullbackNetwork, "edges", property(unlisted))
+    for cover, report in zip(([], ["--cover"]), reports):
+        assert main(["network", path, path] + cover) == 0
+        assert capsys.readouterr().out == report
+
+
 def test_cmd_network_writes_dot(tmp_path, capsys, sink_document):
     path = _write(tmp_path, "m.rtm", sink_document)
     dot_path = tmp_path / "net.dot"
@@ -499,21 +520,20 @@ def test_cmd_validate_on_a_wide_star(tmp_path, capsys, orientation):
 
 
 def _record_maps_and_back_substitutions(monkeypatch) -> tuple[list, list]:
-    """Lists that fill with every `ModuleHom` built and every `_gauss_jordan` call that substitutes back."""
+    """Lists that fill with every `ModuleHom` built and every `_back_substitute` call."""
     built, substituted = [], []
-    init, gauss_jordan = ModuleHom.__init__, oracle._gauss_jordan
+    init, back_substitute = ModuleHom.__init__, oracle._back_substitute
 
     def counting_init(self, *args, **kwargs):
         built.append(self)
         init(self, *args, **kwargs)
 
-    def counting_gauss_jordan(rows, p, reduced=True):
-        if reduced:
-            substituted.append(len(rows))
-        return gauss_jordan(rows, p, reduced)
+    def counting_back_substitute(pivots, p):
+        substituted.append(len(pivots))
+        return back_substitute(pivots, p)
 
     monkeypatch.setattr(ModuleHom, "__init__", counting_init)
-    monkeypatch.setattr(oracle, "_gauss_jordan", counting_gauss_jordan)
+    monkeypatch.setattr(oracle, "_back_substitute", counting_back_substitute)
     return built, substituted
 
 
