@@ -415,7 +415,7 @@ def test_hom_space_matches_the_kronecker_system_on_loops(pair):
         np.testing.assert_array_equal(flat(h), row)
 
 
-def _interleaved_hom_rows(m1, m2) -> np.ndarray:
+def _hom_rows_by_a_fresh_solve(m1, m2) -> np.ndarray:
     """The Hom basis as rows, by a fresh elimination of the very system `hom_space` eliminates, then `_null_rows`.
 
     The elimination runs forward, then `_back_substitute`; the `HomBasis` substitutes back in the echelon it keeps.
@@ -445,7 +445,7 @@ def test_hom_basis_from_the_forward_echelon_is_the_interleaved_basis(orientation
             for p in (3, 5):
                 m1, m2 = push_down(a, p), push_down(b, p)
                 got = hom_space(m1, m2)
-                want = _interleaved_hom_rows(m1, m2)
+                want = _hom_rows_by_a_fresh_solve(m1, m2)
                 assert got.rows.shape == want.shape and got.dimension == len(want)
                 np.testing.assert_array_equal(got.rows, want)
                 np.testing.assert_array_equal(got.rows[:, got.free], np.eye(got.dimension, dtype=np.int64))
@@ -662,7 +662,7 @@ def test_gauss_jordan_on_the_forward_echelon_is_the_rref(case):
     want, rank, pivots = _reference_rref(mat, p)
     reduced = oracle._back_substitute(echelon, p)
     assert tuple(c for c, _ in reduced) == pivots
-    assert [dict(row) for _, row in reduced] == [{k: x for k, x in enumerate(row) if x} for row in want[:rank]]
+    assert [row for _, row in reduced] == [{k: x for k, x in enumerate(row) if x} for row in want[:rank]]
 
 
 def _back_substitution_steps(m1, m2) -> tuple[int, int]:
