@@ -146,12 +146,10 @@ def _obligation_table(base: PullbackNetwork) -> dict:
     return table
 
 
-def _closures(
-    cover: TwoCover, table: dict, seed: tuple, position: Optional[dict] = None
-) -> Iterator[GeneralizedGraphMap]:
+def _closures(cover: TwoCover, table: dict, seed: tuple, position: dict) -> Iterator[GeneralizedGraphMap]:
     """Every graph map whose least vertex pair is the seed, canonically signed.
 
-    Pairs rank by `position`, by default lexicographically.  A depth-first
+    Pairs rank by `position`, one rank per network pair.  A depth-first
     search over witness choices that grows one state in place, on the
     network's pairs with one sign per pair: a witness across an edge, which
     keeps the pair's child-side coordinate as no arrow does, takes the other
@@ -165,8 +163,6 @@ def _closures(
     The seed has sign +1, and every map is yielded with +1 at its
     lexicographically least pair.
     """
-    if position is None:
-        position = {pair: i for i, pair in enumerate(cover.base.vertices)}
     floor, linked, c = position[seed], cover.base.linked, cover.base.child_side
     signs = {seed: 1}
     vertices = [seed]  # in order of addition

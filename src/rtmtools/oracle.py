@@ -438,93 +438,11 @@ class GenerationExhausted(RuntimeError):
     """The rejection sampler ran out of attempts."""
 
 
-def _sample_attempt(
-    seed: int,
-    attempt: int,
-    orientation: str,
-    max_depth: int,
-    max_children: int,
-    q_size: int,
-    rel_density: float,
-    max_vertices: int,
-    end_dim_cap: Optional[int],
-    codomain: Optional[BoundQuiver],
-) -> Optional[TreeOverQ]:
-    """One deterministic attempt; the tree shape never depends on orientation."""
-    rng = random.Random(f"{seed}:{attempt}")
-
-    if codomain is None:
-        n_qv = rng.randint(1, q_size)
-        q_vertices = [f"q{i}" for i in range(1, n_qv + 1)]
-        n_arrows = rng.randint(1, n_qv + 2)
-        q_arrows = [
-            (f"g{j}", rng.choice(q_vertices), rng.choice(q_vertices))
-            for j in range(1, n_arrows + 1)
-        ]
-        quiver = Quiver(q_vertices, q_arrows)
-        candidates = [
-            (a, b)
-            for a in quiver.arrows
-            for b in quiver.arrows
-            if quiver.target(a) == quiver.source(b)
-        ]
-        relations = [pair for pair in candidates if rng.random() < rel_density]
-        bq = BoundQuiver(quiver, relations)
-        if not check_locally_bound(bq).ok:
-            return None
-    else:
-        bq = codomain
-
-    n_vertices = rng.randint(1, max_vertices)
-    parent: dict[int, int] = {}
-    depth = {1: 0}
-    fanout = {1: 0}
-    for v in range(2, n_vertices + 1):
-        pool = [u for u in depth if depth[u] < max_depth and fanout[u] < max_children]
-        if not pool:
-            break
-        par = rng.choice(sorted(pool))
-        parent[v] = par
-        depth[v] = depth[par] + 1
-        fanout[par] = fanout[par] + 1
-        fanout[v] = 0
-
-    quiver = bq.quiver
-    vertex_label: dict[int, str] = {1: rng.choice(sorted(quiver.vertices))}
-    arrow_label: dict[str, str] = {}
-    tree_arrows = []
-    sink = orientation == SINK  # a sink tree's arrows run from child to parent
-    parent_end, child_end = (quiver.target, quiver.source) if sink else (quiver.source, quiver.target)
-    for v in sorted(parent):
-        par = parent[v]
-        options = sorted(a for a in quiver.arrows if parent_end(a) == vertex_label[par])
-        if not options:
-            return None
-        lab = rng.choice(options)
-        name = f"a{v}"
-        arrow_label[name] = lab
-        vertex_label[v] = child_end(lab)
-        tree_arrows.append((name, v, par) if sink else (name, par, v))
-
-    tree = RootedTree(sorted(depth), tree_arrows, orientation)
-    t = TreeOverQ(tree, bq, vertex_label, arrow_label)
-    if not validate_tree_over_q(t).ok:
-        return None
-    if end_dim_cap is not None:
-        for p in (3, 5):  # the End dimension at each prime
-            rep = push_down(t, p)
-            if hom_space(rep, rep).dimension > end_dim_cap:
-                return None
-    return t
-
-
 def random_instance(
     seed: int,
     orientation: str = SINK,
     max_depth: int = 3,
     max_children: int = 3,
-    q_size: int = 2,
-    rel_density: float = 0.5,
     max_vertices: int = 12,
     end_dim_cap: Optional[int] = 12,
     codomain: Optional[BoundQuiver] = None,
@@ -534,25 +452,60 @@ def random_instance(
 
     Rejection-samples until the labelled tree validates, the bound quiver is
     locally bound, and the endomorphism space is small enough for the
-    exhaustive idempotent scan to stay useful.  The same seed always yields
-    the same instance, and the tree shape of each attempt is drawn before
-    any orientation-dependent choice, so the two orientations explore
-    mirrored shapes.
+    exhaustive idempotent scan to stay useful.  Attempt k of a seed draws
+    from its own `random.Random(f"{seed}:{k}")`, so the same seed always
+    yields the same instance.  Each attempt draws its tree shape before any
+    orientation-dependent choice, so the two orientations explore mirrored
+    shapes.  Drawn quivers have one or two vertices, and each composable
+    pair of arrows is a relation with probability 1/2.
     """
     for attempt in range(budget):
-        t = _sample_attempt(
-            seed,
-            attempt,
-            orientation,
-            max_depth,
-            max_children,
-            q_size,
-            rel_density,
-            max_vertices,
-            end_dim_cap,
-            codomain,
-        )
-        if t is not None:
+        rng = random.Random(f"{seed}:{attempt}")
+        bq = codomain
+        if bq is None:
+            q_vertices = [f"q{i}" for i in range(1, rng.randint(1, 2) + 1)]
+            n_arrows = rng.randint(1, len(q_vertices) + 2)
+            quiver = Quiver(
+                q_vertices,
+                [(f"g{j}", rng.choice(q_vertices), rng.choice(q_vertices)) for j in range(1, n_arrows + 1)],
+            )
+            arrows = quiver.arrows
+            candidates = [(a, b) for a in arrows for b in arrows if quiver.target(a) == quiver.source(b)]
+            bq = BoundQuiver(quiver, [pair for pair in candidates if rng.random() < 0.5])
+            if not check_locally_bound(bq).ok:
+                continue
+
+        parent: dict[int, int] = {}
+        depth, fanout = {1: 0}, {1: 0}
+        for v in range(2, rng.randint(1, max_vertices) + 1):
+            pool = sorted(u for u in depth if depth[u] < max_depth and fanout[u] < max_children)
+            if not pool:
+                break
+            parent[v] = par = rng.choice(pool)
+            depth[v], fanout[v] = depth[par] + 1, 0
+            fanout[par] += 1
+
+        quiver = bq.quiver
+        vertex_label = {1: rng.choice(sorted(quiver.vertices))}
+        arrow_label: dict[str, str] = {}
+        tree_arrows = []
+        sink = orientation == SINK  # a sink tree's arrows run from child to parent
+        parent_end, child_end = (quiver.target, quiver.source) if sink else (quiver.source, quiver.target)
+        for v, par in parent.items():  # in ascending v
+            options = sorted(a for a in quiver.arrows if parent_end(a) == vertex_label[par])
+            if not options:
+                break
+            name = f"a{v}"
+            arrow_label[name] = rng.choice(options)
+            vertex_label[v] = child_end(arrow_label[name])
+            tree_arrows.append((name, v, par) if sink else (name, par, v))
+        if len(vertex_label) < len(depth):
+            continue  # a parent's label has no arrow at the parent's end
+        t = TreeOverQ(RootedTree(sorted(depth), tree_arrows, orientation), bq, vertex_label, arrow_label)
+        if not validate_tree_over_q(t).ok:
+            continue
+        reps = (push_down(t, p) for p in (3, 5))  # lazy: no p = 5 module once p = 3 is over the cap
+        if end_dim_cap is None or all(hom_space(rep, rep).dimension <= end_dim_cap for rep in reps):
             return t
     raise GenerationExhausted(f"no valid instance for seed {seed} in {budget} attempts")
 

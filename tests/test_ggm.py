@@ -76,10 +76,11 @@ def test_closure_stream_emits_each_map_once_from_its_least_pair():
     for t in trees:
         cover = two_cover(PullbackNetwork(t, t))
         table = _obligation_table(cover.base)
+        position = {pair: i for i, pair in enumerate(cover.base.vertices)}
         assert list(table) == list(cover.base.vertices)  # one entry per network pair, the sign a label
         for c in cover.base.edge_classes:  # the members of an edge class share one parent obligation
             assert len({id(table[v][-1]) for v in c}) == 1
-        raw = [(pair, g) for pair in cover.base.vertices for g in _closures(cover, table, pair)]
+        raw = [(pair, g) for pair in cover.base.vertices for g in _closures(cover, table, pair, position)]
         assert len({g.vertices for _, g in raw}) == len(raw)
         for pair, g in raw:
             assert min(v[:2] for v in g.vertices) == pair and pair + (1,) in g.vertices
@@ -316,7 +317,8 @@ def test_enumeration_matches_the_lexicographic_reverse_search():
         for u1, u2 in ((t1, t2), (_reversed_ids(t1), _reversed_ids(t2))):
             cover = two_cover(PullbackNetwork(u1, u2))
             table = _obligation_table(cover.base)
-            want = [g for pair in cover.base.vertices for g in _closures(cover, table, pair)]
+            position = {pair: i for i, pair in enumerate(cover.base.vertices)}
+            want = [g for pair in cover.base.vertices for g in _closures(cover, table, pair, position)]
             want.sort(key=Subnetwork.sort_key)
             got = enumerate_ggms(u1, u2)
             assert [(g.vertices, g.arrows, g.edges) for g in got] == [(g.vertices, g.arrows, g.edges) for g in want]

@@ -34,7 +34,6 @@ from rtmtools import (
 )
 from rtmtools import oracle
 from rtmtools.cli import main
-from rtmtools.oracle import _sample_attempt
 from rtmtools.textio import parse_document
 from rtmtools.trees import hom_layout
 
@@ -269,20 +268,16 @@ def test_random_instance_draws_are_pinned():
 
 
 def test_orientations_share_tree_shapes():
-    """The per-attempt sampler draws the shape before any orientation choice."""
+    """Attempt 0 draws the tree shape before any orientation-dependent choice."""
     checked = 0
-    for seed in range(60):
-        for attempt in range(4):
-            kwargs = dict(
-                max_depth=3, max_children=3, q_size=2, rel_density=0.5,
-                max_vertices=8, end_dim_cap=None, codomain=None,
-            )
-            sink = _sample_attempt(seed, attempt, SINK, **kwargs)
-            source = _sample_attempt(seed, attempt, SOURCE, **kwargs)
-            if sink is None or source is None:
-                continue
-            assert sink.tree.parent == source.tree.parent
-            checked += 1
+    for seed in range(240):
+        try:
+            sink = random_instance(seed, SINK, max_vertices=8, end_dim_cap=None, budget=1)
+            source = random_instance(seed, SOURCE, max_vertices=8, end_dim_cap=None, budget=1)
+        except GenerationExhausted:
+            continue
+        assert sink.tree.parent == source.tree.parent
+        checked += 1
     assert checked >= 10
 
 
