@@ -32,9 +32,10 @@ deepest pair up, so the first maps out are small and mostly independent.
 A map's signed pairs are the nonzero entries of its induced homomorphism
 in the flat coordinates of `trees.hom_layout`.  `hom_span` reduces them,
 one sparse row per map, into an echelon basis over GF(p) with the oracle's
-elimination step, and can stop once the rank reaches a target such as the
-Hom dimension; the maps after the stop are then never built, so never
-checked.
+elimination step, and keeps only the maps whose rows raise the rank, a
+graph-map basis of the span; listing every map is `enumerate_ggms`'s job.
+It can stop once the rank reaches a target such as the Hom dimension; the
+maps after the stop are then never built, so never checked.
 """
 
 from __future__ import annotations
@@ -288,11 +289,13 @@ def ggm_matrix(g: GeneralizedGraphMap, m1: ModuleRep, m2: ModuleRep) -> ModuleHo
 def hom_span(
     t1: TreeOverQ, t2: TreeOverQ, m1: ModuleRep, m2: ModuleRep, target: Optional[int] = None
 ) -> tuple[list[GeneralizedGraphMap], int]:
-    """Streamed canonical graph maps, in `sort_key` order, and the rank of their span.
+    """The streamed canonical graph maps whose rows raised the rank, in stream order, and the rank.
 
     `m1` and `m2` are the modules of `t1` and `t2` (see `push_down`).  Each
     map's signed pairs, a sparse row in the `hom_layout` coordinates, are
-    reduced into an echelon basis over GF(p).  The stream stops once the
+    reduced into an echelon basis over GF(p); a map is kept only when its
+    row adds a pivot, so the maps kept are a basis of the span of those
+    streamed and `len(maps) == rank`.  The stream stops once the
     rank reaches `target`; with `target=None`, or one never reached, every
     map is streamed.  Maps after the stop are never built, so never checked;
     a stop at the Hom dimension is sound because every map is a homomorphism.
@@ -306,11 +309,11 @@ def hom_span(
         g = next(stream, None)
         if g is None:
             break
-        maps.append(g)
         row = {cell[n, m]: s % p for n, m, s in g.vertices}
         while row and (c := min(row)) in basis:
             _eliminate(row, basis[c], c, p)
         if row:
+            maps.append(g)
             inverse = pow(row[c], -1, p)
             basis[c] = {k: v * inverse % p for k, v in row.items()}
-    return sorted(maps, key=Subnetwork.sort_key), len(basis)
+    return maps, len(basis)

@@ -57,9 +57,6 @@ class IdempotentEndo:
     def fixed_vertices(self) -> tuple[int, ...]:
         return tuple(sorted(n for n, v in self.vertex_map.items() if v == n))
 
-    def image_vertices(self) -> tuple[int, ...]:
-        return tuple(sorted(set(self.vertex_map.values())))
-
     def arrow_map(self) -> dict[str, str]:
         tree = self.t.tree
         return {

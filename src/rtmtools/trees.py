@@ -170,20 +170,6 @@ class TreeOverQ:
         """Quiver arrow under the child arrow of a non-root vertex."""
         return self.arrow_label[self.tree.child_arrow[vertex]]
 
-    def image_word(self, tree_vertices: list[int]) -> tuple[str, ...]:
-        """Image of the directed tree path visiting the given vertices.
-
-        The vertex list follows arrow direction: consecutive entries joined
-        by a tree arrow from the earlier to the later.
-        """
-        tree = self.tree
-        word = []
-        for a, b in zip(tree_vertices, tree_vertices[1:]):
-            arrow = tree.child_arrow[a] if tree.parent.get(a) == b else tree.child_arrow[b]
-            assert (tree.arrow_source[arrow], tree.arrow_target[arrow]) == (a, b)
-            word.append(self.arrow_label[arrow])
-        return tuple(word)
-
 
 def validate_tree_over_q(t: TreeOverQ) -> TreeValidationReport:
     """Check commuting squares and the bound condition, with a witness.
@@ -225,7 +211,8 @@ def validate_tree_over_q(t: TreeOverQ) -> TreeValidationReport:
         chain.append(tree.parent[chain[-1]])
     if leaving:
         chain.reverse()  # the arrows run from the root to the leaf
-    i, rel = first_relation(t.codomain, t.image_word(chain))
+    # the path holds the child arrow of each chain vertex but the root, so their labels in chain order are its image
+    i, rel = first_relation(t.codomain, tuple(t.child_label(v) for v in chain if v != tree.root))
     return TreeValidationReport(
         False,
         "image of a tree path lies in the relation ideal",

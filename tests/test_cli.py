@@ -1,17 +1,23 @@
 """Document parsing, round-trips, and the command surface."""
 
 import ast
+import contextlib
 import dataclasses
 import functools
 import importlib
+import io
 import sys
 import time
+from datetime import timedelta
 from math import comb
 from pathlib import Path
 
 import pytest
+from conftest import source_document
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from rtmtools import cli, oracle, push_down, structure, validate_tree_over_q
+from rtmtools import cli, ggm, oracle, push_down, structure, validate_tree_over_q
 from rtmtools.cli import main
 from rtmtools.network import PullbackNetwork, to_dot, two_cover
 from rtmtools.textio import ParseError, format_document, parse_document
@@ -661,23 +667,34 @@ def test_a_byte_order_mark_is_read_as_the_plain_document(tmp_path, capsys, comma
     assert capsys.readouterr() == want
 
 
-def test_readme_session_example_runs_as_printed():
-    # Each expression's value is the literal in its comment; each hom_span line lists and ranks as its comment says.
+def test_readme_session_example_runs_as_printed(monkeypatch):
+    # Each expression's value is the literal in its comment; each hom_span line streams, keeps and ranks as its comment says.
     block = (ROOT / "README.md").read_text(encoding="utf-8").split("```python\n", 1)[1].split("```", 1)[0]
     lines = block.splitlines()
     namespace: dict = {}
-    values, spans = [], []
+    values, spans, streamed, stream = [], [], [], ggm._stream
+
+    def counting(cover):
+        for g in stream(cover):
+            streamed.append(g)
+            yield g
+
+    monkeypatch.setattr(ggm, "_stream", counting)
     for node in ast.parse(block).body:
         comment = lines[node.end_lineno - 1].partition("#")[2].strip()
         if isinstance(node, ast.Expr):
             values.append((eval(compile(ast.Expression(node.value), "README.md", "eval"), namespace), ast.literal_eval(comment)))
             continue
+        streamed.clear()
         exec(compile(ast.Module([node], type_ignores=[]), "README.md", "exec"), namespace)
         if isinstance(node, ast.Assign) and ast.unparse(node.value).startswith("hom_span("):
-            listed, rank = (namespace[name.id] for name in node.targets[0].elts)
-            spans.append((len(listed), rank, comment))
+            kept, rank = (namespace[name.id] for name in node.targets[0].elts)
+            spans.append((len(streamed), len(kept), rank, comment))
     assert values == [(False, False), ([(1, 2, 3, 5), (4,)], [(1, 2, 3, 5), (4,)])]
-    assert spans == [(5, 4, "5 graph maps of rank 4"), (4, 4, "stops at rank 4, after 4 of the 5 maps")]
+    assert spans == [
+        (5, 4, 4, "4 of the 5 graph maps, a basis of rank 4"),
+        (4, 4, 4, "stops at rank 4, after 4 of the 5 maps"),
+    ]
 
 
 def test_every_benchmark_tracer_target_resolves():
@@ -763,3 +780,58 @@ def test_rejected_arguments_leave_the_shared_parser_intact(tmp_path, capsys, mon
         assert main(["hom", path, path]) == 0
         assert capsys.readouterr().out == reference
     assert len(built) == 1
+
+
+HEADER_WORDS = ("QUIVER", "RELATIONS", "TREE", "SINK", "SOURCE")
+
+
+@st.composite
+def _mutated_documents(draw):
+    """One token mutation of the README example, the depth-two source example or star 3 in either orientation.
+
+    A token is dropped, duplicated, or replaced by another of the document's
+    tokens, an integer or a header word; or a line is dropped, or two lines
+    swap places.
+    """
+    text = draw(st.sampled_from((
+        _readme_document(),
+        source_document("alpha", "beta", "alpha", "beta"),
+        _star_document(3, "SINK"),
+        _star_document(3, "SOURCE"),
+    )))
+    lines = [line.split() for line in text.splitlines()]
+    kind = draw(st.sampled_from(("drop", "duplicate", "replace", "drop line", "swap lines")))
+    if "line" in kind:
+        i, j = (draw(st.integers(0, len(lines) - 1)) for _ in range(2))
+        if kind == "drop line":
+            del lines[i]
+        else:
+            lines[i], lines[j] = lines[j], lines[i]
+    else:
+        i, j = draw(st.sampled_from([(i, j) for i, line in enumerate(lines) for j in range(len(line))]))
+        if kind == "drop":
+            del lines[i][j]
+        elif kind == "duplicate":
+            lines[i].insert(j, lines[i][j])
+        else:
+            tokens = sorted({token for line in lines for token in line})
+            lines[i][j] = draw(st.one_of(st.sampled_from(tokens), st.integers(-3, 10**6).map(str), st.sampled_from(HEADER_WORDS)))
+    return "".join(" ".join(line) + "\n" for line in lines)
+
+
+@settings(
+    settings.get_profile("ci"),
+    max_examples=150,
+    deadline=timedelta(seconds=10),
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(_mutated_documents())
+def test_every_command_answers_a_mutated_document_with_an_exit_code(tmp_path, text):
+    # Aim 3's error contract: a malformed or invalid document gets an exit code from 0 to 4 and no traceback.
+    path = _write(tmp_path, "mutated.rtm", text)
+    for argv in (["validate", path], ["indec", path], ["decompose", path]) + tuple(
+        [command, path, path] for command in ("network", "ggms", "hom")
+    ):
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            code = main(argv)
+        assert code in range(5), (argv[0], text)

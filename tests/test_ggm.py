@@ -15,6 +15,7 @@ from rtmtools import (
     Subnetwork,
     TreeOverQ,
     enumerate_ggms,
+    ggm,
     ggm_matrix,
     hom_space,
     hom_span,
@@ -50,6 +51,29 @@ def test_no_graph_map_projects_to_the_forbidden_pairs(sink_tree):
     projected = {v[:2] for g in ggms for v in g.vertices}
     assert (2, 4) not in projected
     assert (1, 4) not in projected
+
+
+def _counted_span(t1, t2, m1, m2, target=None):
+    """`hom_span`'s maps and rank, with the maps its stream yielded, counted through a wrapper on `ggm._stream`."""
+    streamed, stream = [], ggm._stream
+
+    def counting(cover):
+        for g in stream(cover):
+            streamed.append(g)
+            yield g
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ggm, "_stream", counting)
+        maps, rank = hom_span(t1, t2, m1, m2, target=target)
+    return maps, rank, streamed
+
+
+def _assert_a_graph_map_basis(maps, rank, m1, m2, listed):
+    """The kept maps number the rank, their induced maps are independent over GF(p), and each is a listed map."""
+    assert len(maps) == rank
+    rows = [flat(ggm_matrix(g, m1, m2)) for g in maps]
+    assert (rref(np.stack(rows), m1.prime)[1] if rows else 0) == len(maps)
+    assert {g.vertices for g in maps} <= {g.vertices for g in listed}
 
 
 def test_single_vertex_pair_has_one_graph_map(loop_tail_quiver):
@@ -104,7 +128,10 @@ def test_the_search_lists_no_links(monkeypatch, sink_tree):
         m1, m2 = push_down(t1, 3), push_down(t2, 3)
         dim = hom_space(m1, m2).dimension
         assert hom_span(t1, t2, m1, m2, target=dim)[1] == dim
-        assert len(enumerate_ggms(t1, t2, with_signs=True)) == 2 * len(hom_span(t1, t2, m1, m2)[0])
+        maps, rank, streamed = _counted_span(t1, t2, m1, m2)
+        listed = enumerate_ggms(t1, t2, with_signs=True)
+        assert len(listed) == 2 * len(streamed)
+        _assert_a_graph_map_basis(maps, rank, m1, m2, listed)
 
 
 def test_completeness_reports_first_failure(sink_tree):
@@ -142,9 +169,10 @@ def test_induced_matrices_of_sink_example(sink_tree):
 
 def test_span_rank_matches_oracle_on_sink_example(sink_tree):
     rep = push_down(sink_tree, 3)
-    maps, rank = hom_span(sink_tree, sink_tree, rep, rep)
-    assert len(maps) == 5 and rank == 4
+    maps, rank, streamed = _counted_span(sink_tree, sink_tree, rep, rep)
+    assert (len(streamed), len(maps), rank) == (5, 4, 4)
     assert hom_space(rep, rep).dimension == 4
+    _assert_a_graph_map_basis(maps, rank, rep, rep, enumerate_ggms(sink_tree, sink_tree))
 
 
 def test_all_induced_maps_intertwine_and_are_nonzero(sink_tree):
@@ -266,30 +294,35 @@ def test_induced_maps_and_span_rank_follow_the_signed_pairs():
                 for q in want:
                     np.testing.assert_array_equal(got[q], want[q])
                 rows.append(flat(h))
-            maps, rank = hom_span(t1, t2, m1, m2)
-            assert [g.vertices for g in maps] == [g.vertices for g in ggms]
+            maps, rank, streamed = _counted_span(t1, t2, m1, m2)
+            assert [g.vertices for g in sorted(streamed, key=Subnetwork.sort_key)] == [g.vertices for g in ggms]
             assert rank == (rref(np.stack(rows), p)[1] if rows and rows[0].size else 0)
+            _assert_a_graph_map_basis(maps, rank, m1, m2, ggms)
 
 
 def test_hom_span_stops_at_the_target_rank():
     for t1, t2 in _random_pairs():
         stream = list(_stream(two_cover(PullbackNetwork(t1, t2))))
+        listed = enumerate_ggms(t1, t2)
         for p in (3, 5):
             m1, m2 = push_down(t1, p), push_down(t2, p)
-            full, rank = hom_span(t1, t2, m1, m2)
             dim = hom_space(m1, m2).dimension
-            assert rank == dim
-            # the shortest prefix of the stream whose induced maps reach rank dim
+            # the rank of each prefix of the stream's induced maps, and the maps that raise it, in stream order
             rows = [flat(ggm_matrix(g, m1, m2)) for g in stream]
-            stop = next(k for k in range(len(rows) + 1) if (rref(np.stack(rows[:k]), p)[1] if k else 0) == dim)
-            maps, streamed_rank = hom_span(t1, t2, m1, m2, target=dim)
-            assert streamed_rank == dim
-            assert [g.vertices for g in maps] == [g.vertices for g in sorted(stream[:stop], key=Subnetwork.sort_key)]
-            assert {g.vertices for g in maps} <= {g.vertices for g in full}
+            ranks = [0] + [rref(np.stack(rows[:k]), p)[1] for k in range(1, len(rows) + 1)]
+            raised = [g.vertices for g, before, after in zip(stream, ranks, ranks[1:]) if after > before]
+            full, rank, streamed = _counted_span(t1, t2, m1, m2)
+            assert rank == dim == ranks[-1] and len(streamed) == len(stream)
+            assert [g.vertices for g in full] == raised
+            _assert_a_graph_map_basis(full, rank, m1, m2, listed)
+            # the stream stops after the shortest prefix whose induced maps reach rank dim
+            maps, streamed_rank, streamed = _counted_span(t1, t2, m1, m2, target=dim)
+            assert streamed_rank == dim and len(streamed) == ranks.index(dim)
+            assert [g.vertices for g in maps] == raised
             # a target beyond the span, as when rank and dimension disagree, streams every map
-            maps, short_rank = hom_span(t1, t2, m1, m2, target=dim + 1)
-            assert short_rank == rank
-            assert [g.vertices for g in maps] == [g.vertices for g in full]
+            maps, short_rank, streamed = _counted_span(t1, t2, m1, m2, target=dim + 1)
+            assert short_rank == rank and len(streamed) == len(stream)
+            assert [g.vertices for g in maps] == raised
 
 
 @pytest.mark.parametrize("orientation", [SINK, SOURCE])
@@ -298,9 +331,11 @@ def test_hom_span_stops_after_a_pinned_number_of_maps_on_stars(orientation):
     for k, streamed in ((3, 13), (4, 29), (5, 56), (6, 97), (8, 233), (10, 461), (25, 7526)):
         t = _star(k, orientation)
         m = push_down(t, 3)
-        maps, rank = hom_span(t, t, m, m, target=k * k + 1)
-        assert (rank, len(maps)) == (k * k + 1, streamed)
+        maps, rank, stream = _counted_span(t, t, m, m, target=k * k + 1)
+        assert (rank, len(stream)) == (k * k + 1, streamed)
         assert hom_space(m, m).dimension == rank
+        # listing every map is cheap up to star 5 (3,180 maps); beyond it the kept maps are checked against the stream
+        _assert_a_graph_map_basis(maps, rank, m, m, enumerate_ggms(t, t) if k <= 5 else stream)
 
 
 def _reversed_ids(t):

@@ -230,13 +230,16 @@ def _per_leaf_report(t):
         lab = t.arrow_label[a]
         if q.source(lab) != t.vertex_label[tree.arrow_source[a]] or q.target(lab) != t.vertex_label[tree.arrow_target[a]]:
             return TreeValidationReport(False, f"labels do not commute at tree arrow {a!r}", (a, lab))
+    arrow_between = {(tree.arrow_source[a], tree.arrow_target[a]): a for a in tree.arrows}
     for leaf in tree.leaves():
         chain = [leaf]
         while chain[-1] != tree.root:
             chain.append(tree.parent[chain[-1]])
         if leaf != tree.root and tree.arrow_target[tree.child_arrow[leaf]] == leaf:
             chain.reverse()
-        hit = first_relation(t.codomain, t.image_word(chain))
+        # the image word, read from the tree arrow that runs from each chain vertex to the next
+        word = tuple(t.arrow_label[arrow_between[a, b]] for a, b in zip(chain, chain[1:]))
+        hit = first_relation(t.codomain, word)
         if hit is not None:
             i, rel = hit
             return TreeValidationReport(False, "image of a tree path lies in the relation ideal", (tuple(chain[i : i + len(rel) + 1]), rel))
