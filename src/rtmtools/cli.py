@@ -3,7 +3,7 @@
 Exit codes: 0 ok, 1 validation failure or an output that cannot be
 written, 2 parse error or an input that cannot be read, 3 oracle
 unavailable, 4 disagreement between the combinatorial decision and the
-oracle, or a decomposition that fails its own check (treated as a defect).
+oracle, or a split or a certificate that fails its own check (a defect).
 Every output file or directory is prepared before the first line of stdout.
 """
 
@@ -132,23 +132,27 @@ def cmd_indec(args) -> int:
     t = doc.tree
     rep = push_down(t, args.prime)
     cert = structure.first_certificate(t)
-    if cert is None:
-        print("theorem: INDECOMPOSABLE")
-    else:
-        parent, n1, n2, _ = cert
-        print(
-            f"theorem: DECOMPOSABLE; certificate: siblings {n1},{n2} "
-            f"under {parent}, label {t.child_label(n1)}"
-        )
+    if cert is not None:  # the certificate's idempotent, checked exactly: no Hom solve, no scan
+        parent, n1, n2, witness = cert
+        try:
+            if not oracle.verify_idempotent(structure.module_idempotent(t, witness.vertex_map, rep)):
+                raise AssertionError("the certificate's idempotent failed verification")
+        except AssertionError as exc:
+            print(f"idempotent check failed: {exc}", file=sys.stderr)
+            return DISAGREEMENT
+        print(f"theorem: DECOMPOSABLE; certificate: siblings {n1},{n2} under {parent}, label {t.child_label(n1)}")
+        print(f"oracle (p={args.prime}): DECOMPOSABLE")
+        print("verdict: AGREE")
+        return OK
+    print("theorem: INDECOMPOSABLE")
     search = oracle.has_nontrivial_idempotent(oracle.hom_space(rep, rep), cap=args.cap)
     if not search.available:
         print(f"oracle unavailable: {search.reason}")
         return ORACLE_UNAVAILABLE
-    oracle_decomposable = search.status == "found"
-    print(f"oracle (p={args.prime}): {'DECOMPOSABLE' if oracle_decomposable else 'INDECOMPOSABLE'}")
-    agree = oracle_decomposable == (cert is not None)
-    print(f"verdict: {'AGREE' if agree else 'DISAGREE'}")
-    return OK if agree else DISAGREEMENT
+    found = search.status == "found"
+    print(f"oracle (p={args.prime}): {'DECOMPOSABLE' if found else 'INDECOMPOSABLE'}")
+    print(f"verdict: {'DISAGREE' if found else 'AGREE'}")
+    return DISAGREEMENT if found else OK
 
 
 def cmd_decompose(args) -> int:

@@ -2,15 +2,16 @@
 
 Everything here is deliberately oblivious to the combinatorics implemented
 elsewhere: Hom-spaces are computed by solving the intertwining equations,
-idempotents are found by exhaustively scanning the endomorphism space, and
-isomorphisms are verified by rank.  Arithmetic is exact integer arithmetic
-modulo an odd prime below 2**24; inverses are Python's `pow(x, -1, p)`.  No
-floating point is used anywhere.
+idempotents are found by exhaustively scanning the endomorphism space or
+checked as given, and isomorphisms are verified by rank.  Arithmetic is
+exact integer arithmetic modulo an odd prime below 2**24; inverses are
+Python's `pow(x, -1, p)`.  No floating point is used anywhere.
 
 Modules and maps arrive as the nonzero entries of their actions and blocks:
-the Hom system is written from them, and an isomorphism is checked on them
-with no numpy call.  Dense int64 arrays hold only the flat rows of a Hom
-basis, for the idempotent scan, and the matrices of `rref` and `nullspace`.
+the Hom system is written from them, and an isomorphism or an idempotent is
+checked on them with no numpy call.  Dense int64 arrays hold only the flat
+rows of a Hom basis, for the idempotent scan, and the matrices of `rref`
+and `nullspace`.
 
 Every elimination is one forward sparse elimination, `_gauss_jordan`, on
 rows {column: nonzero residue} of Python ints; that alone gives the Hom
@@ -51,6 +52,7 @@ from .trees import (
     ModuleRep,
     RootedTree,
     TreeOverQ,
+    _sparse_product,
     hom_layout,
     push_down,
     validate_tree_over_q,
@@ -434,6 +436,23 @@ def verify_iso(h: ModuleHom) -> bool:
     return h.intertwines()
 
 
+def verify_idempotent(e: ModuleHom) -> bool:
+    """True iff e is an idempotent endomorphism other than 0 and 1.
+
+    Its domain is its codomain, it intertwines, e @ e = e in every block,
+    some block is nonzero and some block is not the identity.  As in
+    `verify_iso`, only block entries are multiplied: no numpy call.
+    """
+    dom, p = e.domain, e.prime
+    return (
+        (dom.basis, dom.actions) == (e.codomain.basis, e.codomain.actions)
+        and e.intertwines()
+        and all(_sparse_product(b, b, p) == b for b in e.blocks.values())
+        and any(e.blocks.values())
+        and any(b != {(i, i): 1 for i in range(dom.dim(q))} for q, b in e.blocks.items())
+    )
+
+
 class GenerationExhausted(RuntimeError):
     """The rejection sampler ran out of attempts."""
 
@@ -519,5 +538,6 @@ __all__ = [
     "nullspace",
     "random_instance",
     "rref",
+    "verify_idempotent",
     "verify_iso",
 ]

@@ -162,20 +162,20 @@ def is_indecomposable(t: TreeOverQ) -> bool:
     return first_certificate(t) is None
 
 
-def module_idempotent(t: TreeOverQ, endo: IdempotentEndo, prime: int = 3) -> ModuleHom:
-    """The induced idempotent endomorphism of the materialized module.
+def module_idempotent(t: TreeOverQ, vertex_map: dict[int, int], rep: ModuleRep) -> ModuleHom:
+    """The endomorphism of `rep`, the module of t, induced by `vertex_map` with the identity elsewhere.
 
     Sink orientation sends v_n to the vector of the image vertex; source
     orientation uses the transpose, sending v_n to the sum over the fiber
-    of n.
+    of n.  `oracle.verify_idempotent` checks the result; an image with
+    another label raises AssertionError.
     """
-    if endo.t is not t:
-        IdempotentEndo(t, endo.vertex_map)  # revalidate against this tree
-    rep = push_down(t, prime)
     blocks: dict = {q: {} for q in rep.basis}
-    for n, m in endo.vertex_map.items():
+    for n in t.tree.vertices:
+        m, q = vertex_map.get(n, n), t.vertex_label[n]
+        if t.vertex_label.get(m) != q:
+            raise AssertionError(f"vertex {n} and its image {m} carry different labels")
         i, j = (n, m) if t.orientation == SOURCE else (m, n)
-        q = t.vertex_label[n]
         blocks[q][rep.basis_index(q, i), rep.basis_index(q, j)] = 1
     return ModuleHom(rep, rep, blocks)
 

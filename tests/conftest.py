@@ -112,6 +112,17 @@ def source_document(a2: str, a3: str, a4: str, a5: str) -> str:
     )
 
 
+def uniserial_document(length: int, orientation: str) -> str:
+    """A chain of `length` alpha-arrows over a loop with alpha**(length + 1) = 0: indecomposable, End of dimension length + 1."""
+    ends = (lambda n: (n, n - 1)) if orientation.upper() == "SINK" else (lambda n: (n - 1, n))
+    return (
+        "QUIVER\nvertex 1\narrow alpha 1 1\nRELATIONS\nrel" + " alpha" * (length + 1) + "\n"
+        + f"TREE {orientation.upper()}\n"
+        + "".join(f"node {n} 1\n" for n in range(1, length + 2))
+        + "".join("arrow a{} {} {} alpha\n".format(n, *ends(n)) for n in range(2, length + 2))
+    )
+
+
 @pytest.fixture
 def source_document_factory():
     return source_document

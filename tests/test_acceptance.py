@@ -228,7 +228,7 @@ def test_criterion_6_structural_property_suites(instances):
             checked["ggm"] += 1
         endo = find_nonidentity_idempotent(t)
         if endo is not None:
-            ide = module_idempotent(t, endo, 3)
+            ide = module_idempotent(t, endo.vertex_map, push_down(t, 3))
             assert all(np.array_equal(b @ b % 3, b) for b in blocks(ide).values()) and ide.intertwines()
             checked["idem"] += 1
             dec = split(t, endo, 3)

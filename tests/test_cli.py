@@ -13,7 +13,7 @@ from math import comb
 from pathlib import Path
 
 import pytest
-from conftest import source_document
+from conftest import source_document, uniserial_document
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -229,10 +229,42 @@ def test_cmd_indec_indecomposable_source(tmp_path, capsys, source_document_facto
     assert "theorem: INDECOMPOSABLE" in out and "verdict: AGREE" in out
 
 
-def test_cmd_indec_oracle_cap(tmp_path, capsys, sink_document):
+def test_cmd_indec_oracle_cap(tmp_path, capsys):
+    # an indecomposable: the scan is the oracle's only exact answer, and past the cap it says why it has none
+    for orientation in ("SINK", "SOURCE"):
+        path = _write(tmp_path, f"chain2-{orientation}.rtm", uniserial_document(2, orientation))
+        assert main(["indec", path, "--cap", "10"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == (
+            "theorem: INDECOMPOSABLE\n"
+            "oracle unavailable: endomorphism space too large for the scan (3**3 candidates > cap 10)\n"
+        )
+        assert captured.err == ""
+
+
+def _forbid_hom_solves(monkeypatch):
+    """Make the Hom solve and the idempotent scan raise an error that no command catches."""
+
+    def forbidden(*args, **kwargs):
+        raise RuntimeError("a Hom solve or a scan ran")
+
+    monkeypatch.setattr(oracle, "hom_space", forbidden)
+    monkeypatch.setattr(oracle, "has_nontrivial_idempotent", forbidden)
+
+
+@pytest.mark.parametrize("cap", [[], ["--cap", "10"]], ids=["default cap", "cap 10"])
+def test_cmd_indec_checks_the_certificate_without_a_hom_solve(tmp_path, capsys, monkeypatch, sink_document, cap):
+    # 3**4 candidates are over a cap of 10, but the certificate's idempotent needs no scan
+    _forbid_hom_solves(monkeypatch)
     path = _write(tmp_path, "m.rtm", sink_document)
-    assert main(["indec", path, "--cap", "10"]) == 3
-    assert "oracle unavailable" in capsys.readouterr().out
+    assert main(["indec", path] + cap) == 0
+    captured = capsys.readouterr()
+    assert captured.out == (
+        "theorem: DECOMPOSABLE; certificate: siblings 4,2 under 1, label alpha\n"
+        "oracle (p=3): DECOMPOSABLE\n"
+        "verdict: AGREE\n"
+    )
+    assert captured.err == ""
 
 
 def test_cmd_decompose(tmp_path, capsys, sink_document):
@@ -504,14 +536,16 @@ def test_cmd_indec_deep_twin_chain(tmp_path, capsys, orientation):
 
 
 @pytest.mark.parametrize("orientation", ["SINK", "SOURCE"])
-def test_cmd_indec_on_a_large_star_reads_only_the_dimension(tmp_path, capsys, orientation):
-    # star 120 used to allocate a dense 14,641**2 int64 Hom system (1.7 GB)
+def test_cmd_indec_on_a_large_star_solves_no_hom_system(tmp_path, capsys, monkeypatch, orientation):
+    # star 120 used to allocate a dense 14,641**2 int64 Hom system (1.7 GB), and later solved its
+    # 14,641 unknowns sparsely only to find 3**14401 candidates over the scan's cap (exit 3)
+    _forbid_hom_solves(monkeypatch)
     path = _write(tmp_path, "star.rtm", _star_document(120, orientation))
     start = time.perf_counter()
-    assert main(["indec", path]) == 3
+    assert main(["indec", path]) == 0
     assert time.perf_counter() - start < 10.0
     captured = capsys.readouterr()
-    assert "3**14401 candidates > cap 10000000" in captured.out
+    assert captured.out.endswith("oracle (p=3): DECOMPOSABLE\nverdict: AGREE\n")
     assert captured.err == ""
 
 
@@ -545,9 +579,13 @@ def _record_maps_and_back_substitutions(monkeypatch) -> tuple[list, list]:
 
 @pytest.mark.parametrize("argv", [["hom"], ["indec", "--cap", "10"]], ids=" ".join)
 def test_commands_that_read_only_the_hom_dimension_build_no_map(tmp_path, capsys, monkeypatch, sink_document, argv):
+    # indec reads the dimension only for an indecomposable past the cap: a decomposable one solves nothing
     built, substituted = _record_maps_and_back_substitutions(monkeypatch)
-    path = _write(tmp_path, "m.rtm", sink_document)
-    files = [path, path] if argv[0] == "hom" else [path]
+    if argv[0] == "hom":
+        path = _write(tmp_path, "m.rtm", sink_document)
+        files = [path, path]
+    else:
+        files = [_write(tmp_path, "chain2.rtm", uniserial_document(2, "SINK"))]
     assert main(argv[:1] + files + argv[1:]) == (0 if argv[0] == "hom" else 3)
     assert "oracle" in capsys.readouterr().out
     assert built == [] and substituted == []
@@ -578,6 +616,50 @@ def test_cmd_hom_pushes_each_tree_down_once(tmp_path, capsys, monkeypatch, sink_
     assert main(["hom", path, path]) == 0
     assert "AGREE" in capsys.readouterr().out
     assert len(calls) == 2
+
+
+@pytest.mark.parametrize("document", ["star4", "chain2"])
+@pytest.mark.parametrize("orientation", ["SINK", "SOURCE"])
+def test_cmd_indec_pushes_the_tree_down_and_validates_it_once(tmp_path, capsys, monkeypatch, orientation, document):
+    # the certificate's idempotent is built on the module the command pushed down; the scan reads the same module
+    calls: dict = {push_down: [], validate_tree_over_q: []}
+
+    def counting(fn):
+        def wrapper(*args, **kwargs):
+            calls[fn].append(args[0])
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    wrappers = {fn: counting(fn) for fn in calls}
+    for name, module in list(sys.modules.items()):
+        if name.startswith("rtmtools"):
+            for key, value in list(vars(module).items()):
+                for fn, wrapper in wrappers.items():
+                    if value is fn:
+                        monkeypatch.setattr(module, key, wrapper)
+    text = _star_document(4, orientation) if document == "star4" else uniserial_document(2, orientation)
+    assert main(["indec", _write(tmp_path, "m.rtm", text)]) == 0
+    assert capsys.readouterr().out.endswith("verdict: AGREE\n")
+    assert [len(c) for c in calls.values()] == [1, 1]
+
+
+@pytest.mark.parametrize("fault", ["identity", "label"])
+def test_cmd_indec_exits_4_when_the_certificate_fails_its_check(tmp_path, capsys, monkeypatch, sink_document, fault):
+    # the witness {4: 2} moved to 4 itself makes e the identity; vertex 3 carries label 1, vertex 4 label 2
+    first = structure.first_certificate
+
+    def corrupted(*args):
+        parent, n1, n2, w = first(*args)
+        return parent, n1, n2, dataclasses.replace(w, vertex_map={n1: n1 if fault == "identity" else 3})
+
+    monkeypatch.setattr(structure, "first_certificate", corrupted)
+    path = _write(tmp_path, "m.rtm", sink_document)
+    assert main(["indec", path]) == 4
+    captured = capsys.readouterr()
+    reason = "the certificate's idempotent failed verification" if fault == "identity" else "vertex 4 and its image 3 carry different labels"
+    assert captured.out == ""
+    assert captured.err == f"idempotent check failed: {reason}\n"
 
 
 @pytest.mark.parametrize("orientation", ["SINK", "SOURCE"])

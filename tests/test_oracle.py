@@ -5,6 +5,7 @@ import sys
 
 import numpy as np
 import pytest
+from conftest import uniserial_document
 from dense import actions, blocks, hom, identity_map, module
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
@@ -25,6 +26,7 @@ from rtmtools import (
     find_nonidentity_idempotent,
     has_nontrivial_idempotent,
     hom_space,
+    module_idempotent,
     nullspace,
     push_down,
     random_instance,
@@ -32,8 +34,9 @@ from rtmtools import (
     split,
     verify_iso,
 )
-from rtmtools import oracle
+from rtmtools import oracle, structure
 from rtmtools.cli import main
+from rtmtools.structure import first_certificate
 from rtmtools.textio import parse_document
 from rtmtools.trees import hom_layout
 
@@ -210,6 +213,86 @@ def test_verify_iso_rejects_an_invertible_map_that_does_not_intertwine(random_sp
         h = next(h for h in changes if not _dense_intertwines(h))
         assert all(_reference_rref(blk, h.prime)[1] == len(blk) for blk in blocks(h).values())
         assert not verify_iso(h)
+
+
+def _dense_is_nontrivial_idempotent(e) -> bool:
+    """`verify_idempotent` by dense products of whole blocks."""
+    b = blocks(e)
+    return (
+        _dense_intertwines(e)
+        and all(np.array_equal(m @ m % e.prime, m) for m in b.values())
+        and any(m.any() for m in b.values())
+        and not all(np.array_equal(m, np.eye(len(m), dtype=np.int64)) for m in b.values())
+    )
+
+
+def test_verify_idempotent(sink_tree):
+    rep = push_down(sink_tree, 3)
+    e = module_idempotent(sink_tree, {4: 2}, rep)
+    assert oracle.verify_idempotent(e) and _dense_is_nontrivial_idempotent(e)
+    assert oracle.verify_idempotent(has_nontrivial_idempotent(hom_space(rep, rep)).idempotent)
+    assert not oracle.verify_idempotent(identity_map(rep))
+    assert not oracle.verify_idempotent(ModuleHom(rep, rep, {}))
+    # 1 - e is an idempotent other than 0 and 1 too; 2e intertwines but is not idempotent
+    assert oracle.verify_idempotent(hom(rep, rep, {q: (np.eye(len(b), dtype=np.int64) - b) % 3 for q, b in blocks(e).items()}))
+    assert not oracle.verify_idempotent(hom(rep, rep, {q: 2 * b for q, b in blocks(e).items()}))
+    # the same blocks as a map from the module with the arrow above vertex 4 cut: no endomorphism
+    summed = split(sink_tree, find_nonidentity_idempotent(sink_tree), 3).witness.domain
+    assert summed.basis == rep.basis and summed.actions != rep.actions
+    assert not oracle.verify_idempotent(ModuleHom(summed, rep, e.blocks))
+
+
+@pytest.mark.parametrize("orientation", (SINK, SOURCE))
+def test_indec_exits_4_exactly_when_one_changed_entry_breaks_the_idempotent(
+    tmp_path, capsys, monkeypatch, sink_document, source_document_factory, orientation
+):
+    # every entry of the certificate's idempotent, set to each other residue in turn
+    text = sink_document if orientation == SINK else source_document_factory("alpha", "alpha", "alpha", "alpha")
+    path = tmp_path / "m.rtm"
+    path.write_text(text, encoding="utf-8")
+    t = parse_document(text).tree
+    e = module_idempotent(t, first_certificate(t)[-1].vertex_map, push_down(t, 3))
+    assert _dense_is_nontrivial_idempotent(e)
+    codes = []
+    for q, block in blocks(e).items():
+        for (i, j), x in np.ndenumerate(block):
+            for y in {0, 1, 2} - {x}:
+                changed = block.copy()
+                changed[i, j] = y
+                h = _with_block(e, q, changed)
+                monkeypatch.setattr(structure, "module_idempotent", lambda *args, h=h: h)
+                codes.append(main(["indec", str(path)]))
+                captured = capsys.readouterr()
+                ok = _dense_is_nontrivial_idempotent(h)
+                assert oracle.verify_idempotent(h) == ok
+                if ok:
+                    assert codes[-1] == 0 and captured.out.endswith("verdict: AGREE\n")
+                else:
+                    assert codes[-1] == 4 and captured.out == ""
+                    assert captured.err == "idempotent check failed: the certificate's idempotent failed verification\n"
+    assert (len(codes), codes.count(0)) == ((26, 2) if orientation == SINK else (50, 2))  # both outcomes occur
+
+
+@pytest.mark.parametrize("p", (3, 5, 7))
+def test_certificate_check_agrees_with_the_scan_on_random_instances(p):
+    # Within the cap the certificate's idempotent passes exactly when the scan finds one; past it,
+    # the scan never answers "none" where the theorem holds a certificate.
+    outcomes: dict = {}
+    for orientation in (SINK, SOURCE):
+        for seed in range(200):
+            t = random_instance(seed, orientation)
+            rep = push_down(t, p)
+            cert = first_certificate(t)
+            passes = cert is not None and oracle.verify_idempotent(module_idempotent(t, cert[-1].vertex_map, rep))
+            scan = has_nontrivial_idempotent(hom_space(rep, rep))
+            if scan.available:
+                assert passes == (scan.status == "found"), (seed, orientation)
+            assert passes == (cert is not None), (seed, orientation)
+            assert scan.status != ("none" if passes else "found"), (seed, orientation)
+            outcomes[passes, scan.status] = outcomes.get((passes, scan.status), 0) + 1
+    # the 96 decomposable draws, some past the cap at p = 5 and 7, and the 304 indecomposable ones
+    over = {3: 0, 5: 1, 7: 17}[p]
+    assert outcomes == {(True, "found"): 96 - over, (False, "none"): 304} | ({(True, "unavailable"): over} if over else {})
 
 
 def test_random_instance_is_deterministic():
@@ -569,17 +652,6 @@ def _star(k, orientation):
     ).tree
 
 
-def _uniserial_document(length, orientation):
-    """A chain of `length` alpha-arrows over a loop with alpha**(length + 1) = 0."""
-    ends = (lambda n: (n, n - 1)) if orientation == SINK else (lambda n: (n - 1, n))
-    return (
-        "QUIVER\nvertex 1\narrow alpha 1 1\nRELATIONS\nrel" + " alpha" * (length + 1) + "\n"
-        + f"TREE {orientation.upper()}\n"
-        + "".join(f"node {n} 1\n" for n in range(1, length + 2))
-        + "".join("arrow a{} {} {} alpha\n".format(n, *ends(n)) for n in range(2, length + 2))
-    )
-
-
 def _twin_chain(n, orientation):
     """Two same-labelled chains of length n under one root, over A_(n+1)."""
     down = orientation == SINK
@@ -606,7 +678,7 @@ def scan_cases(draw):
     elif family == "twin":
         t = _twin_chain(draw(st.integers(1, 7)), orientation)
     else:
-        t = parse_document(_uniserial_document(draw(st.integers(1, 7)), orientation)).tree
+        t = parse_document(uniserial_document(draw(st.integers(1, 7)), orientation)).tree
     return t, draw(st.sampled_from((3, 5, 7)))
 
 
@@ -660,7 +732,7 @@ def test_idempotent_scan_without_the_identity_in_the_span(p):
 def test_indec_on_uniserial_chain_ten(tmp_path, capsys, orientation):
     # End dimension 11 at p = 3: all 177,147 combinations are scanned.
     path = tmp_path / "chain10.rtm"
-    path.write_text(_uniserial_document(10, orientation), encoding="utf-8")
+    path.write_text(uniserial_document(10, orientation), encoding="utf-8")
     assert main(["indec", str(path)]) == 0
     out = capsys.readouterr().out
     assert out == "theorem: INDECOMPOSABLE\noracle (p=3): INDECOMPOSABLE\nverdict: AGREE\n"

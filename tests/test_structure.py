@@ -110,7 +110,7 @@ def test_idempotence_is_checked_on_a_morphism(loop_tail_quiver):
 
 def test_module_idempotent_sink(sink_tree):
     endo = find_nonidentity_idempotent(sink_tree)
-    ide = module_idempotent(sink_tree, endo, 3)
+    ide = module_idempotent(sink_tree, endo.vertex_map, push_down(sink_tree, 3))
     rep = ide.domain
     # identity except v4 -> v2
     np.testing.assert_array_equal(
@@ -124,14 +124,14 @@ def test_module_idempotent_sink(sink_tree):
 
 def test_module_idempotent_identity_map(sink_tree):
     identity = IdempotentEndo(sink_tree, {n: n for n in sink_tree.tree.vertices})
-    ide = module_idempotent(sink_tree, identity, 3)
+    ide = module_idempotent(sink_tree, identity.vertex_map, push_down(sink_tree, 3))
     assert ide.blocks == identity_map(ide.domain).blocks
 
 
 def test_module_idempotent_source(source_tree_factory):
     t = source_tree_factory("alpha", "alpha", "alpha", "alpha")
     endo = IdempotentEndo(t, {1: 1, 2: 3, 3: 3, 4: 5, 5: 5})
-    ide = module_idempotent(t, endo, 3)
+    ide = module_idempotent(t, endo.vertex_map, push_down(t, 3))
     rep = ide.domain
     block = blocks(ide)["1"]
     np.testing.assert_array_equal(block[:, rep.basis_index("1", 1)], [1, 0, 0, 0, 0])
