@@ -4,6 +4,7 @@ import ast
 import contextlib
 import dataclasses
 import functools
+import hashlib
 import importlib
 import io
 import sys
@@ -205,6 +206,23 @@ def test_cmd_ggms_dot_dir(tmp_path, capsys, sink_document):
     assert main(["ggms", path, path, "--dot-dir", str(out_dir)]) == 0
     files = sorted(f.name for f in out_dir.iterdir())
     assert files == [f"ggm_{i:02d}.dot" for i in range(1, 6)]
+
+
+@pytest.mark.parametrize(
+    "orientation, flags, first, digest",
+    [
+        ("SINK", [], "3180 GGMs", "06ed0b9aab22761b46878efb85b25ddd12bec4242835748c65505a2ae47de472"),
+        ("SOURCE", [], "3180 GGMs", "ab7ccedebc4465350890194c02885e1975911d6d736180754fc3c9b95e79f688"),
+        ("SINK", ["--signs"], "6360 GGMs", "3af007a3386e5d1f3bb615db40c5e408200b6c71d2b64c7aa62178fc63f4f209"),
+    ],
+)
+def test_cmd_ggms_star_5_output_is_pinned(tmp_path, capsys, orientation, flags, first, digest):
+    # The whole listing, induced-map lines included: the CLI golden stops at star 4.
+    path = _write(tmp_path, "star5.rtm", _star_document(5, orientation))
+    assert main(["ggms", path, path, *flags]) == 0
+    out = capsys.readouterr().out
+    assert out.split("\n", 1)[0] == first
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_cmd_hom_agreement(tmp_path, capsys, sink_document):
