@@ -105,14 +105,18 @@ def cmd_ggms(args) -> int:
         Path(args.dot_dir).mkdir(parents=True, exist_ok=True)
         for i, g in enumerate(ggms, start=1):
             (Path(args.dot_dir) / f"ggm_{i:02d}.dot").write_text(to_dot(g, name=f"ggm_{i}"), encoding="utf-8")
+    # each signed pair's token and each induced line, v_n sent to the signed sum of its partners v_m, formatted once
+    token = functools.cache(lambda v: f"({v[0]},{v[1]},{'+' if v[2] > 0 else '-'})")
+
+    @functools.cache
+    def induced(partners: tuple) -> str:
+        text = " ".join(f"{'+' if s > 0 else '-'} v{m}" for _, m, s in partners)
+        return f"  v{partners[0][0]} -> {text[2:] if text[0] == '+' else '-' + text[2:]}"
+
     lines = [f"{len(ggms)} GGMs"]
     for i, g in enumerate(ggms, start=1):
-        pairs = sorted(g.vertices)
-        lines.append(f"GGM {i}: " + " ".join(f"({n},{m},{'+' if s > 0 else '-'})" for n, m, s in pairs))
-        # the induced map sends v_n to the signed sum of its partners v_m
-        for n, partners in groupby(pairs, key=lambda v: v[0]):
-            text = " ".join(f"{'+' if s > 0 else '-'} v{m}" for _, m, s in partners)
-            lines.append(f"  v{n} -> {text[2:] if text[0] == '+' else '-' + text[2:]}")
+        lines.append(f"GGM {i}: " + " ".join(map(token, g.pairs)))
+        lines += [induced(tuple(partners)) for _, partners in groupby(g.pairs, key=lambda v: v[0])]
     print("\n".join(lines))
     return OK
 

@@ -15,9 +15,9 @@ edge).  The network decides which coordinate is which, so nothing here
 depends on the orientation.  Each is the tuple of its witness pairs; the
 pairs of an edge class share their parent-side one.  The search meets them
 as it grows a map and never blocks a triangle or holds a pair with both
-signs, so no map it emits is checked again.  A map is
-its signed pairs; its links are read off the cover (see the lemma of
-`GeneralizedGraphMap`).
+signs, so no map it emits is checked again.  A map is its
+ascending signed pairs; its vertex set and its links, read off the cover,
+are built when asked for (see the lemma of `GeneralizedGraphMap`).
 
 Enumeration works by obligation closure.  Inside a hypothetical graph map,
 every completeness obligation has a unique witness (a second witness would
@@ -55,6 +55,7 @@ class Subnetwork:
     def __init__(self, cover: TwoCover, vertices: Iterable, arrows: Iterable[NetArrow] = (), edges: Iterable[Edge] = ()):
         self.cover = cover
         self.vertices = frozenset(vertices)
+        self.pairs = tuple(sorted(self.vertices))
         self.arrows = frozenset(arrows)
         self.edges = frozenset(edges)
         if not self.vertices <= cover.vertices:
@@ -75,7 +76,7 @@ class Subnetwork:
         return Subnetwork(self.cover, flip.values(), arrows, [_edge(flip[u], flip[w]) for u, w in self.edges])
 
     def sort_key(self) -> tuple:
-        return (len(self.vertices), tuple(sorted(self.vertices)))
+        return (len(self.pairs), self.pairs)
 
 
 class GeneralizedGraphMap(Subnetwork):
@@ -100,9 +101,13 @@ class GeneralizedGraphMap(Subnetwork):
     checks a selection made outside.
     """
 
-    def __init__(self, cover: TwoCover, vertices: Iterable):
+    def __init__(self, cover: TwoCover, pairs: tuple):
         self.cover = cover
-        self.vertices = frozenset(vertices)
+        self.pairs = pairs
+
+    @cached_property
+    def vertices(self) -> frozenset:
+        return frozenset(self.pairs)
 
     @cached_property
     def arrows(self) -> frozenset:
@@ -116,7 +121,7 @@ class GeneralizedGraphMap(Subnetwork):
         return frozenset(_edge(v, w) for v, w in ends if w in self.vertices)
 
     def negate(self) -> "GeneralizedGraphMap":
-        return GeneralizedGraphMap(self.cover, [(n, m, -s) for n, m, s in self.vertices])
+        return GeneralizedGraphMap(self.cover, tuple([(n, m, -s) for n, m, s in self.pairs]))
 
 
 def _obligation_table(base: PullbackNetwork) -> dict:
@@ -164,7 +169,7 @@ def _closures(cover: TwoCover, table: dict, seed: tuple, position: dict) -> Iter
     The seed has sign +1, and every map is yielded with +1 at its
     lexicographically least pair.
     """
-    floor, linked, c = position[seed], cover.base.linked, cover.base.child_side
+    floor, linked_any, c = position[seed], cover.base.linked_any, cover.base.child_side
     signs = {seed: 1}
     vertices = [seed]  # in order of addition
     links: list = []  # held links as (pair, witness), in order of addition
@@ -175,11 +180,8 @@ def _closures(cover: TwoCover, table: dict, seed: tuple, position: dict) -> Iter
         # a pair outside the network (an invalid tree) is admitted, to be reported when added
         if position.get(witness, floor) < floor or signs.get(witness, sign) != sign:
             return False  # a pair below the seed, or held with the other sign
-        for shared, far in ((pair, witness), (witness, pair)):
-            for other in neighbours[shared]:
-                if linked(other, far):  # the new link and one held at `shared` close a triangle
-                    return False
-        return True
+        # the new link and one held at either end close a triangle
+        return not linked_any(witness, neighbours[pair]) and not linked_any(pair, neighbours[witness])
 
     i = k = 0  # cursor: obligation k of vertices[i]
     while True:
@@ -191,7 +193,12 @@ def _closures(cover: TwoCover, table: dict, seed: tuple, position: dict) -> Iter
                 i, k = i + 1, 0
                 continue
             witnesses = obligations[k]
-            if any(w in witnesses for w in neighbours[pair]):
+            for held in neighbours[pair]:
+                if held in witnesses:
+                    break
+            else:
+                held = None
+            if held is not None:  # met
                 k += 1
                 continue
             sign = signs[pair]
@@ -200,8 +207,9 @@ def _closures(cover: TwoCover, table: dict, seed: tuple, position: dict) -> Iter
             if len(options) > 1:
                 choices.append((len(vertices), len(links), i, k, options))
         else:
-            flip = signs[min(vertices)]
-            yield GeneralizedGraphMap(cover, [(n, m, s * flip) for (n, m), s in signs.items()])
+            pairs = sorted(signs)
+            flip = signs[pairs[0]]
+            yield GeneralizedGraphMap(cover, tuple([(n, m, signs[n, m] * flip) for n, m in pairs]))
         if not options:  # closed or dead end: resume the latest choice point
             if not choices:
                 return
@@ -280,7 +288,7 @@ def ggm_matrix(g: GeneralizedGraphMap, m1: ModuleRep, m2: ModuleRep) -> ModuleHo
     """The homomorphism induced by a graph map between the modules of its trees: v_n maps to the signed sum of partners."""
     label = g.cover.base.t1.vertex_label
     blocks: dict = {}
-    for n, m, s in g.vertices:
+    for n, m, s in g.pairs:
         q = label[n]
         blocks.setdefault(q, {})[m2.basis_index(q, m), m1.basis_index(q, n)] = s
     return ModuleHom(m1, m2, blocks)
@@ -309,7 +317,7 @@ def hom_span(
         g = next(stream, None)
         if g is None:
             break
-        row = {cell[n, m]: s % p for n, m, s in g.vertices}
+        row = {cell[n, m]: s % p for n, m, s in g.pairs}
         while row and (c := min(row)) in basis:
             _eliminate(row, basis[c], c, p)
         if row:

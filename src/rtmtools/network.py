@@ -148,8 +148,16 @@ class PullbackNetwork:
         vertices carry three links exactly when each two of them are linked.
         This is the blocking test of graph maps and traversals.
         """
-        parent, cls = self.pullback_parent.get, self.edge_class.get(u)
-        return parent(u) == w or parent(w) == u or (u != w and cls is not None and cls is self.edge_class.get(w))
+        return self.linked_any(w, (u,))
+
+    def linked_any(self, w, pairs) -> bool:
+        """Whether w is `linked` to some pair of `pairs`; w's parent and class are looked up once."""
+        parent, cls = self.pullback_parent.get, self.edge_class.get
+        up, c = parent(w), cls(w)
+        for u in pairs:
+            if u == up or parent(u) == w or (c is not None and u != w and cls(u) is c):
+                return True
+        return False
 
     @property
     def triangle_count(self) -> int:

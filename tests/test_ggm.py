@@ -111,6 +111,28 @@ def test_closure_stream_emits_each_map_once_from_its_least_pair():
     assert len(raw) == 3180  # star k=5, both orientations alike
 
 
+def test_a_graph_map_is_its_ascending_signed_pairs():
+    # Every streamed map holds its signed pairs ascending, +1 at the least, and its vertex set is built from them;
+    # the listing order and the span rank are those of the vertex sets, sorted and reduced without `pairs`.
+    instances = list(_random_pairs()) + [(_star(k, o), _star(k, o)) for k in (3, 4, 5) for o in (SINK, SOURCE)]
+    for t1, t2 in instances:
+        stream = list(_stream(two_cover(PullbackNetwork(t1, t2))))
+        for g in stream:
+            for h in (g, g.negate()):
+                assert all(u < v for u, v in zip(h.pairs, h.pairs[1:]))
+                assert h.vertices == frozenset(h.pairs)
+            assert g.pairs[0][2] == 1
+        by_vertices = sorted(stream, key=lambda g: (len(g.vertices), tuple(sorted(g.vertices))))
+        assert [g.pairs for g in enumerate_ggms(t1, t2)] == [g.pairs for g in by_vertices]
+        m1, m2 = push_down(t1, 3), push_down(t2, 3)
+        cell = ggm._cells(m1, m2)
+        rows = np.zeros((len(stream), len(cell)), dtype=np.int64)
+        for r, g in enumerate(stream):
+            for n, m, s in g.vertices:
+                rows[r, cell[n, m]] = s % 3
+        assert hom_span(t1, t2, m1, m2)[1] == (rref(rows, 3)[1] if rows.size else 0)
+
+
 def test_the_search_lists_no_links(monkeypatch, sink_tree):
     # The search reads the pullback forest and the edge classes: the edge list and the cover's lists are never built.
     pairs = [(sink_tree, sink_tree)] + [(_star(k, o), _star(k, o)) for k in (3, 4, 5) for o in (SINK, SOURCE)]
