@@ -113,11 +113,12 @@ def cmd_ggms(args) -> int:
         text = " ".join(f"{'+' if s > 0 else '-'} v{m}" for _, m, s in partners)
         return f"  v{partners[0][0]} -> {text[2:] if text[0] == '+' else '-' + text[2:]}"
 
-    lines = [f"{len(ggms)} GGMs"]
+    write = sys.stdout.write
+    write(f"{len(ggms)} GGMs\n")
     for i, g in enumerate(ggms, start=1):
-        lines.append(f"GGM {i}: " + " ".join(map(token, g.pairs)))
+        lines = [f"GGM {i}: " + " ".join(map(token, g.pairs))]
         lines += [induced(tuple(partners)) for _, partners in groupby(g.pairs, key=lambda v: v[0])]
-    print("\n".join(lines))
+        write("\n".join(lines) + "\n")
     return OK
 
 
@@ -149,7 +150,7 @@ def cmd_indec(args) -> int:
         print("verdict: AGREE")
         return OK
     print("theorem: INDECOMPOSABLE")
-    search = oracle.has_nontrivial_idempotent(oracle.hom_space(rep, rep), cap=args.cap)
+    search = oracle.has_nontrivial_idempotent(oracle.hom_space(rep, rep))
     if not search.available:
         print(f"oracle unavailable: {search.reason}")
         return ORACLE_UNAVAILABLE
@@ -217,7 +218,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("indec", help="indecomposability, cross-checked by the oracle")
     p.add_argument("file")
     p.add_argument("-p", "--prime", type=int, default=3)
-    p.add_argument("--cap", type=int, default=10**7, help="oracle scan budget")
     p.set_defaults(func=cmd_indec)
 
     p = sub.add_parser("decompose", help="split into indecomposable summands")

@@ -2,48 +2,42 @@
 
 Everything here is deliberately oblivious to the combinatorics implemented
 elsewhere: Hom-spaces are computed by solving the intertwining equations,
-idempotents are found by exhaustively scanning the endomorphism space or
+idempotents are found by testing that the endomorphism ring is local or
 checked as given, and isomorphisms are verified by rank.  Arithmetic is
-exact integer arithmetic modulo an odd prime below 2**24; inverses are
-Python's `pow(x, -1, p)`.  No floating point is used anywhere.
+exact arithmetic on Python ints modulo an odd prime; inverses are Python's
+`pow(x, -1, p)`.  No floating point is used anywhere.
 
-Modules and maps arrive as the nonzero entries of their actions and blocks:
-the Hom system is written from them, and an isomorphism or an idempotent is
-checked on them with no numpy call.  Dense int64 arrays hold only the flat
-rows of a Hom basis, for the idempotent scan, and the matrices of `rref`
-and `nullspace`.
+Modules and maps arrive as the nonzero entries of their actions and blocks,
+and every computation here reads and writes sparse rows {column: nonzero
+residue}.  Only the dense wrappers `rref` and `nullspace`, which the tests
+call, import numpy, inside the function.
 
 Every elimination is one forward sparse elimination, `_gauss_jordan`, on
-rows {column: nonzero residue} of Python ints; that alone gives the Hom
-dimension and the rank of each block of a claimed isomorphism.  A reduced
-form, for the Hom basis (only when it is read) and the dense wrappers
-`rref` and `nullspace`, is one `_back_substitute` of the echelon, last
-pivot first.  `ggm.hom_span` reduces its rows with the same step,
-`_eliminate`.  Columns go in ascending order and the pivot is the
-sparsest eligible row (Markowitz's rule), so the intertwining systems of
-tree modules cost about their nonzeros and fill-in; the reduced form, hence
-every basis and witness, does not depend on the pivot row chosen.  The
-unknowns are the flat coordinates of a homomorphism, laid out by
-`trees.hom_layout`.
+rows of Python ints; that alone gives the Hom dimension and the rank of
+each block of a claimed isomorphism.  A reduced form, for the Hom basis
+(only when it is read) and the dense wrappers, is one `_back_substitute` of
+the echelon, last pivot first.  `ggm.hom_span` and the local-End test
+reduce their rows with the same step, `_eliminate`.  Columns go in
+ascending order and the pivot is the sparsest eligible row (Markowitz's
+rule), so the intertwining systems of tree modules cost about their
+nonzeros and fill-in; the reduced form, hence every basis and witness, does
+not depend on the pivot row chosen.  The unknowns are the flat coordinates
+of a homomorphism, laid out by `trees.hom_layout`.
 
-The idempotent scan works in coordinates of the endomorphism basis, never on
-candidate matrices.  A vector in the span has its coordinates at the free
-columns of the solve, and structure constants gamma (B_k B_l = sum_m
-gamma_klm B_m) come from one batched product per block size; a basis
-whose span is not closed under composition raises ValueError.  The
-scan then evaluates e**2 - e on coefficient vectors, in the same ascending
-order as a scan of every combination, so it returns the same witness.
+By Fitting's lemma a module is indecomposable exactly when its
+endomorphism ring is local.  `has_nontrivial_idempotent` tests that on the
+maps of an End basis, as operators on the module: it proves End(M) = GF(p)
+plus a nilpotent ideal, or splits M at an eigenvalue of one basis map (Lux
+and Szőke, Computing decompositions of modules over finite-dimensional
+algebras, Experiment. Math. 16, 2007).
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
-from itertools import groupby
+from functools import cached_property
 from typing import Iterator, Optional
-
-import numpy as np
 
 from .algebra import BoundQuiver, Quiver, check_locally_bound
 from .trees import (
@@ -144,8 +138,10 @@ def _sparse_rows(entries: dict, count: int) -> list[dict]:
     return rows
 
 
-def _dense_rows(mat: np.ndarray, p: int) -> list[dict]:
+def _dense_rows(mat, p: int) -> list[dict]:
     """The rows of a 2-d matrix as sparse rows, from one `np.nonzero`."""
+    import numpy as np
+
     m = np.asarray(mat, dtype=np.int64) % p
     if m.ndim != 2:
         raise ValueError("need a 2-d matrix")
@@ -153,33 +149,29 @@ def _dense_rows(mat: np.ndarray, p: int) -> list[dict]:
     return _sparse_rows(dict(zip(zip(i.tolist(), j.tolist()), m[i, j].tolist())), len(m))
 
 
-def _null_rows(pivots: list[tuple[int, dict]], cols: int, p: int) -> np.ndarray:
-    """Rows form the basis of the nullspace of an RREF, one per free column, ascending.
+def _kernel_rows(pivots: list[tuple[int, dict]], width: int, p: int) -> list[dict]:
+    """A basis of the nullspace of an RREF as sparse rows, one per free column, ascending.
 
     The row of free column f has 1 at f and minus the entry of pivot row r
     at f in the pivot column of r.
     """
-    free = sorted(set(range(cols)).difference(c for c, _ in pivots))
-    position = {f: i for i, f in enumerate(free)}
-    basis = np.zeros((len(free), cols), dtype=np.int64)
-    basis[range(len(free)), free] = 1
-    r, c, v = [], [], []
-    for pc, row in pivots:
+    pivot_columns = {c for c, _ in pivots}
+    rows = {f: {f: 1} for f in range(width) if f not in pivot_columns}
+    for c, row in pivots:
         for k, x in row.items():
-            if k != pc:
-                r.append(position[k])
-                c.append(pc)
-                v.append(-x % p)
-    basis[r, c] = v
-    return basis
+            if k != c:
+                rows[k][c] = -x % p
+    return list(rows.values())
 
 
-def rref(mat: np.ndarray, p: int) -> tuple[np.ndarray, int, tuple[int, ...]]:
+def rref(mat, p: int):
     """Reduced row-echelon form over GF(p): (reduced matrix, rank, pivot columns).
 
     Dense in and out: the nonzeros of the matrix go through `_gauss_jordan`
     and `_back_substitute` on Python ints, so the result is exact.
     """
+    import numpy as np
+
     rows = _dense_rows(mat, p)
     pivots = _back_substitute(_gauss_jordan(rows, p), p)
     reduced = np.zeros((len(rows), np.shape(mat)[1]), dtype=np.int64)
@@ -188,9 +180,16 @@ def rref(mat: np.ndarray, p: int) -> tuple[np.ndarray, int, tuple[int, ...]]:
     return reduced, len(pivots), tuple(c for c, _ in pivots)
 
 
-def nullspace(mat: np.ndarray, p: int) -> np.ndarray:
+def nullspace(mat, p: int):
     """Rows form a basis of the right nullspace over GF(p), one per free column, ascending."""
-    return _null_rows(_back_substitute(_gauss_jordan(_dense_rows(mat, p), p), p), np.shape(mat)[1], p)
+    import numpy as np
+
+    cols = np.shape(mat)[1]
+    rows = _kernel_rows(_back_substitute(_gauss_jordan(_dense_rows(mat, p), p), p), cols, p)
+    basis = np.zeros((len(rows), cols), dtype=np.int64)
+    for r, row in enumerate(rows):
+        basis[r, list(row)] = list(row.values())
+    return basis
 
 
 class HomBasis:
@@ -198,13 +197,12 @@ class HomBasis:
 
     `echelon` is the forward echelon form of the intertwining equations,
     (pivot column, row) pairs over the `width` unknowns of
-    `trees.hom_layout`, so `dimension` is width minus its rank.  The rest
-    is built when first read: `rows`, the basis as flat rows, one per free
-    column in ascending order, with 1 at that column and 0 at the other
-    free columns (`_back_substitute` on the echelon, then `_null_rows`);
-    `free`, those columns; and `basis`, the rows as maps.  So a caller that
-    reads only `dimension` substitutes back nothing and builds no map.
-    `free` relies on the ascending column order of the forward pass, whose pivots are the RREF's.
+    `trees.hom_layout`, so `dimension` is width minus its rank.  `basis`,
+    built when first read, is one map per free column in ascending order,
+    with 1 at that column and 0 at the other free columns: the sparse rows
+    of `_kernel_rows` after `_back_substitute` on the echelon, read as maps.
+    So a caller that reads only `dimension` substitutes back nothing and
+    builds no map.
     """
 
     def __init__(self, domain: ModuleRep, codomain: ModuleRep, echelon: list[tuple[int, dict]], width: int):
@@ -216,16 +214,9 @@ class HomBasis:
         self._width = width
 
     @cached_property
-    def rows(self) -> np.ndarray:
-        return _null_rows(_back_substitute(self._echelon, self.prime), self._width, self.prime)
-
-    @cached_property
-    def free(self) -> list[int]:
-        return sorted(set(range(self._width)).difference(c for c, _ in self._echelon))
-
-    @cached_property
     def basis(self) -> list[ModuleHom]:
-        return [ModuleHom.from_flat(self.domain, self.codomain, row) for row in self.rows]
+        rows = _kernel_rows(_back_substitute(self._echelon, self.prime), self._width, self.prime)
+        return [ModuleHom.from_flat(self.domain, self.codomain, row) for row in rows]
 
 
 def hom_space(m1: ModuleRep, m2: ModuleRep) -> HomBasis:
@@ -269,157 +260,301 @@ def hom_space(m1: ModuleRep, m2: ModuleRep) -> HomBasis:
 
 @dataclass
 class IdempotentSearch:
-    """Outcome of the exhaustive idempotent scan."""
+    """Outcome of the local-End test of `has_nontrivial_idempotent`."""
 
     status: str  # "found" | "none" | "unavailable"
     idempotent: Optional[ModuleHom] = None
-    reason: str = ""  # why the scan is unavailable
+    reason: str = ""  # why the test is unavailable
 
     @property
     def available(self) -> bool:
         return self.status != "unavailable"
 
 
-# The scan's table of low coordinates has at most this many rows; when p is
-# larger, it takes the values of the single low coordinate in chunks.
-_SCAN_ROWS = 1 << 14
+def _insert(row: dict, echelon: dict, p: int) -> bool:
+    """Reduce `row` in place by `echelon` and add it there if anything is left; whether it was.
 
-
-@lru_cache(maxsize=16)
-def _low_rows(p: int, low: int, first: int, stop: int) -> np.ndarray:
-    """Rows [a, 1] for the vectors a on coordinates 0..low-1 with last digit in first..stop-1.
-
-    Ascending mixed-radix order, least significant digit first.  Callers
-    ask for at most _SCAN_ROWS rows, so the cache stays small.
+    `echelon` maps each pivot column to a row with 1 there and no nonzero
+    before it, so a row is reduced at its least column until that column
+    holds no pivot.
     """
-    index = np.arange(first * p ** (low - 1), stop * p ** (low - 1))
-    rows = np.ones((len(index), low + 1), dtype=np.int64)
-    rows[:, :low] = index[:, None] // p ** np.arange(low) % p
-    rows.flags.writeable = False
-    return rows
+    while row and (c := min(row)) in echelon:
+        _eliminate(row, echelon[c], c, p)
+    if not row:
+        return False
+    inverse = pow(row[c], -1, p)
+    echelon[c] = {k: x * inverse % p for k, x in row.items()}
+    return True
 
 
-def _low_table(gamma: np.ndarray, sym: np.ndarray, p: int, rows: np.ndarray) -> np.ndarray:
-    """Residues Q(a) - a mod p of the vectors a listed by `_low_rows`.
+# Operators on a module M of dimension n are lists of n sparse columns
+# {row: nonzero residue}, over the basis of M listed quiver vertex by quiver
+# vertex; vectors are sparse rows {index: nonzero residue}.
 
-    Q(a)_m = sum_kl a_k a_l gamma[k, l, m].  The table grows one digit at a
-    time: digit j with value t adds t times a term linear in the digits so
-    far (a 2-D product with sym, gamma plus its transpose) and t**2
-    gamma[j, j].  No product overflows: a table with two or more digits
-    has p**2 <= _SCAN_ROWS, and the first digit has no linear term.
+
+def _apply(op: list[dict], v: dict, p: int) -> dict:
+    """The vector op(v)."""
+    out: dict = {}
+    for j, x in v.items():
+        for i, y in op[j].items():
+            out[i] = out.get(i, 0) + x * y
+    return {i: x % p for i, x in out.items() if x % p}
+
+
+def _shift(op: list[dict], s: int, p: int) -> list[dict]:
+    """The operator op - s."""
+    out = []
+    for j, column in enumerate(op):
+        column = dict(column)
+        if x := (column.get(j, 0) - s) % p:
+            column[j] = x
+        else:
+            column.pop(j, None)
+        out.append(column)
+    return out
+
+
+def _cyclic_factors(op: list[dict], p: int) -> Iterator[list[int]]:
+    """Monic polynomials, constant coefficient first, whose product is the characteristic polynomial of op.
+
+    Each basis vector e_i outside the span so far, in ascending i, starts a
+    sequence e_i, op e_i, op² e_i, … that runs until its next vector falls
+    in that span; the relation, restricted to the sequence's own vectors, is
+    yielded.  Each vector records its place in the sequences in a column of
+    its own, from n up, so the relation is read off the reduced row.  In the
+    basis of all the sequences op is block triangular, with the companion
+    matrices of the yielded polynomials on the diagonal.  The first is the
+    minimal polynomial of op at e_0.
     """
-    low = rows.shape[1] - 1
-    table = np.zeros((1, gamma.shape[2]), dtype=np.int64)
-    for j in range(low):
-        t = rows[: p ** (j + 1) : p**j, j, None, None]  # the values of digit j
-        linear = rows[: len(table), :j] @ sym[:j, j]
-        table = ((table + t * linear + (t * t % p) * gamma[j, j]) % p).reshape(len(table) * len(t), -1)
-    table[:, :low] -= rows[:, :low]
-    return table % p
+    n = len(op)
+    echelon: dict = {}
+    tag = n
+    for i in range(n):
+        v, start = {i: 1}, tag
+        while True:
+            row = {**v, tag: 1}
+            tag += 1
+            while (c := min(row)) < n and c in echelon:
+                _eliminate(row, echelon[c], c, p)
+            if c >= n:  # the vector lies in the span so far
+                break
+            inverse = pow(row[c], -1, p)
+            echelon[c] = {k: x * inverse % p for k, x in row.items()}
+            v = _apply(op, v, p)
+        if tag - start > 1:
+            yield [row.get(k, 0) for k in range(start, tag)]
 
 
-def _block_weights(gamma: np.ndarray, sym: np.ndarray, p: int, low: int) -> Iterator[np.ndarray]:
-    """[cross term; Q(b) - b] mod p for each value b of coordinates low.., ascending.
+def _eigenvalue(f: list[int], p: int) -> int:
+    """λ such that f = (t - λ)**k, if f has that form.
 
-    Block b adds rows @ weights to the low table: its cross term with the
-    low digits is sum_l b_l sym[l, :low], and weights[-1] meets the 1 that
-    ends each row.  Block 0 adds nothing.  The other weights are one
-    product of the features [1, b_l, b_l b_l'] with a fixed matrix.
+    With k = p**a * m and p ∤ m, (t - λ)**k = (t**(p**a) - λ)**m, whose
+    coefficient of t**(k - p**a) is -m λ.
     """
-    dim = gamma.shape[0]
-    high = dim - low
-    yield np.zeros((low + 1, dim), dtype=np.int64)
-    if not high:
-        return
-    to_weights = np.zeros((1 + high + high * high, low + 1, dim), dtype=np.int64)
-    to_weights[1 : 1 + high, :low] = sym[low:, :low]
-    to_weights[np.arange(1, 1 + high), low, np.arange(low, dim)] = -1
-    to_weights[1 + high :, low] = gamma[low:, low:].reshape(high * high, dim)
-    to_weights = to_weights.reshape(len(to_weights), -1)
-    for b in range(1, p**high):
-        digits = [b // p**k % p for k in range(high)]
-        features = np.array([1, *digits, *(x * y % p for x in digits for y in digits)], dtype=np.int64)
-        yield (features @ to_weights % p).reshape(low + 1, dim)
+    k = len(f) - 1
+    q = 1
+    while k % (q * p) == 0:
+        q *= p
+    return -f[k - q] * pow(k // q, -1, p) % p
 
 
-def _idempotent_indices(gamma: np.ndarray, p: int) -> Iterator[int]:
-    """Indices sum_k c_k p**k of the vectors c with Q(c) = c, ascending.
+def _monic(a: list[int], p: int) -> list[int]:
+    """a over GF(p) with no trailing zero, scaled to lead with 1; the zero polynomial is []."""
+    a = [x % p for x in a]
+    while a and not a[-1]:
+        a.pop()
+    if a and a[-1] != 1:
+        inverse = pow(a[-1], -1, p)
+        a = [x * inverse % p for x in a]
+    return a
 
-    The low coordinates come from one table of at most _SCAN_ROWS rows;
-    when p is larger, the single low coordinate is tabulated in chunks of
-    _SCAN_ROWS values.  Each value b of the high coordinates reuses the
-    table through `_block_weights`.  Two coordinates screen the rows; only
-    the survivors are compared in full.
+
+def _poly_mod(a: list[int], f: list[int], p: int) -> list[int]:
+    """a mod f over GF(p), f monic.  Polynomials are coefficient lists, constant first."""
+    a, d = [x % p for x in a], len(f) - 1
+    for i in range(len(a) - 1, d - 1, -1):
+        if x := a[i]:
+            for j in range(d):
+                a[i - d + j] = (a[i - d + j] - x * f[j]) % p
+    a = a[:d]
+    while a and not a[-1]:
+        a.pop()
+    return a
+
+
+def _poly_mulmod(a: list[int], b: list[int], f: list[int], p: int) -> list[int]:
+    out = [0] * (len(a) + len(b))
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return _poly_mod(out, f, p)
+
+
+def _poly_powmod(a: list[int], e: int, f: list[int], p: int) -> list[int]:
+    """a**e mod f over GF(p), f monic of degree at least 1, by repeated squaring."""
+    out = [1]
+    while e:
+        if e & 1:
+            out = _poly_mulmod(out, a, f, p)
+        a, e = _poly_mulmod(a, a, f, p), e >> 1
+    return out
+
+
+def _poly_gcd(a: list[int], b: list[int], p: int) -> list[int]:
+    """The monic greatest common divisor over GF(p)."""
+    a, b = _monic(a, p), _monic(b, p)
+    while b:
+        a, b = b, _monic(_poly_mod(a, b, p), p)
+    return a
+
+
+def _root(f: list[int], p: int) -> Optional[int]:
+    """A root in GF(p) of the monic polynomial f, or None, with no loop over GF(p).
+
+    g = gcd(f, t**p - t) is the product of t - r over the distinct roots r
+    of f.  While g has two or more, it is cut to a proper factor
+    gcd(g, (t + a)**((p - 1) / 2) - 1), for a drawn from a seeded generator
+    (Cantor and Zassenhaus, Math. Comp. 36, 1981).
     """
-    dim = gamma.shape[0]
-    low = 1
-    while low < dim and p ** (low + 1) <= _SCAN_ROWS:
-        low += 1
-    sym = gamma + gamma.transpose(1, 0, 2)
-    step = max(1, _SCAN_ROWS // p ** (low - 1))  # values of the last low digit per table
-    table = None
-    for b, weights in enumerate(_block_weights(gamma, sym, p, low)):
-        for first in range(0, p, step):
-            if table is None or step < p:
-                rows = _low_rows(p, low, first, min(first + step, p))
-                table = _low_table(gamma, sym, p, rows)
-                rows_t, table_t = np.ascontiguousarray(rows.T), np.ascontiguousarray(table[:, :2].T)  # for the screen
-            hits = np.flatnonzero(~((weights[:, :2].T @ rows_t + table_t) % p).any(axis=0))
-            if hits.size and dim > 2:
-                hits = hits[~((rows[hits] @ weights + table[hits]) % p).any(axis=1)]
-            yield from (b * p**low + first * p ** (low - 1) + hits).tolist()
+    if len(f) < 2:
+        return None
+    power = _poly_powmod([0, 1], p, f, p) + [0, 0]
+    power[1] -= 1
+    g = _poly_gcd(f, power, p)
+    draw = random.Random(p)
+    while len(g) > 2:
+        h = _poly_powmod([draw.randrange(p), 1], (p - 1) // 2, g, p) + [0]
+        h[0] -= 1
+        h = _poly_gcd(g, h, p)
+        if 1 < len(h) < len(g):
+            g = h
+    return -g[0] % p if len(g) == 2 else None
 
 
-def has_nontrivial_idempotent(end_basis: HomBasis, cap: int = 10**7) -> IdempotentSearch:
-    """Scan every linear combination of the basis for an idempotent != 0, 1.
+def _reaches_zero(ops: list[list[dict]], n: int, p: int) -> bool:
+    """Whether the chain M ⊇ JM ⊇ J(JM) ⊇ … reaches 0, for J the span of the operators.
 
-    The scan covers all p**dim candidates; if that exceeds the cap the
-    result is an explicit "unavailable", with its reason, rather than a
-    weaker answer.  Candidates are checked in ascending mixed-radix order
-    of their coefficient vectors, the first basis element least
-    significant, so the returned witness is deterministic.
-
-    The scan runs on coefficient vectors, not matrices.  The products
-    B_k B_l of the basis rows, one batched product per block size, give
-    the structure constants gamma with B_k B_l = sum_m gamma[k, l, m] B_m,
-    read at the free columns of the solve, and e = sum_k c_k B_k is
-    idempotent iff sum_kl c_k c_l gamma[k, l] = c.  The zero vector and the
-    coordinates of the identity are skipped, and the first hit is turned
-    back into blocks.  A basis whose span is not closed under composition
-    raises ValueError.
+    Each space of the chain holds the next, so the chain stalls for good
+    once the image of a space has its dimension.
     """
-    if end_basis.dimension == 0:
+    ops = [op for op in ops if any(op)]
+    space = [{i: 1} for i in range(n)]
+    while space:
+        image: dict = {}
+        for op in ops:
+            for v in space:
+                w = _apply(op, v, p)
+                if w and _insert(w, image, p) and len(image) == len(space):
+                    return False
+        space = list(image.values())
+    return True
+
+
+def _fitting_projection(c: list[dict], p: int) -> Optional[list[dict]]:
+    """The projection onto im c**s along ker c**s, for s where the images stop shrinking; None if that is 0 or M.
+
+    By Fitting's lemma M = im c**s ⊕ ker c**s, and every operator that
+    commutes with c keeps both.  The projection is read off the reduced form
+    of the rows [u_k | e_k], u_k running over a basis of the image and then
+    of the kernel: the row of pivot j is [e_j | x], where e_j = Σ x_k u_k.
+    """
+    n = len(c)
+    power = [{j: 1} for j in range(n)]  # the columns of c**s
+    image: dict = {j: {j: 1} for j in range(n)}
+    while True:
+        after = [_apply(c, v, p) for v in power]
+        span: dict = {}
+        for v in after:
+            _insert(dict(v), span, p)
+        if len(span) == len(image):
+            break
+        power, image = after, span
+    if len(image) in (0, n):
+        return None
+    kernel = _kernel_rows(_back_substitute(_gauss_jordan(_sparse_rows({(i, j): x for j, v in enumerate(power) for i, x in v.items()}, n), p), p), n, p)
+    basis = list(image.values()) + kernel
+    projection = []
+    for _, row in _back_substitute(_gauss_jordan([{**u, n + k: 1} for k, u in enumerate(basis)], p), p):
+        column: dict = {}
+        for k, x in row.items():
+            if n <= k < n + len(image):
+                for i, y in basis[k - n].items():
+                    column[i] = column.get(i, 0) + x * y
+        projection.append({i: x % p for i, x in column.items() if x % p})
+    return projection
+
+
+# The local-End test applies at most (End dim) * (dim M)**2 maps to vectors:
+# each step of its chain takes a basis of the last space through every basis
+# map, over at most dim M steps.  Past this bound it answers "unavailable".
+LOCAL_TEST_BOUND = 2 * 10**6
+
+
+def has_nontrivial_idempotent(end_basis: HomBasis) -> IdempotentSearch:
+    """Whether the span of an End basis holds an idempotent other than 0 and 1, by testing that End(M) is local.
+
+    - "none": for each basis map b, λ_b is read off the minimal polynomial
+      of b at e_0 (`_eigenvalue`), and the chain M ⊇ JM ⊇ J(JM) ⊇ …, for J
+      the span of the b - λ_b, reaches 0.  Every product of that many
+      elements of J then vanishes, so each element of the span is a scalar
+      plus a nilpotent, and the only idempotents among them are 0 and 1.
+      The λ_b and the chain are the certificate.
+    - "found": the chain stalls, and some basis map b has a root r in GF(p)
+      of one of its cyclic factors (`_cyclic_factors`, `_root`) at which
+      b - r is singular and not nilpotent.  The returned idempotent is the
+      projection onto im (b - r)**n along ker (b - r)**n (Fitting's lemma),
+      a polynomial in b, and `verify_idempotent` has accepted it.
+    - "unavailable", with its reason, in every other case: when no basis
+      map splits M at an eigenvalue in GF(p), and when (End dim) * (dim M)**2
+      is over LOCAL_TEST_BOUND, which is checked before the basis is read.
+
+    For the End basis of `hom_space`, "none" and "found" are exact: M is
+    indecomposable exactly when End(M) is local (Fitting), and a local
+    End(M) whose residue field is larger than GF(p) is "unavailable".
+    """
+    dim, p = end_basis.dimension, end_basis.prime
+    if dim == 0:
         return IdempotentSearch("none")
-    p = end_basis.prime
-    dim = end_basis.dimension
-    if p**dim > cap:
-        reason = f"endomorphism space too large for the scan ({p}**{dim} candidates > cap {cap})"
-        return IdempotentSearch("unavailable", reason=reason)
     domain, codomain = end_basis.domain, end_basis.codomain
     if domain is not codomain and domain.basis != codomain.basis:
         raise ValueError("idempotent search needs an endomorphism basis")
-    rows = end_basis.rows
-    # The basis extended by the identity, so one batched product over the n x n
-    # blocks, for each n, gives every B_k B_l and, as its last row, the identity.
-    products = np.zeros(((dim + 1) ** 2, rows.shape[1]), dtype=np.int64)
-    for n, group in groupby(sorted((n, off) for _, off, n, _ in hom_layout(domain, codomain) if n), key=lambda x: x[0]):
-        cols = np.concatenate([np.arange(off, off + n * n) for _, off in group])
-        s = rows[:, cols].reshape(dim, -1, n, n)
-        s = np.concatenate([s, np.broadcast_to(np.eye(n, dtype=np.int64), (1, *s.shape[1:]))])
-        products[:, cols] = (s[:, None] @ s[None]).reshape((dim + 1) ** 2, len(cols)) % p
-    coords = products[:, end_basis.free]
-    spanned = ((coords @ rows) % p == products).all(axis=1)
-    if not spanned[:-1].all():
-        raise ValueError("the span of the basis is not closed under composition")
-    skip = sum(c * p**k for k, c in enumerate(coords[-1].tolist())) if spanned[-1] else 0
-    gamma = coords.reshape(dim + 1, dim + 1, dim)[:dim, :dim]
-    for index in _idempotent_indices(gamma, p):
-        if index and index != skip:
-            break
-    else:
+    where = [(q, i) for q, vs in domain.basis.items() for i in range(len(vs))]  # the basis of M, quiver vertex by quiver vertex
+    n = len(where)
+    if dim * n * n > LOCAL_TEST_BOUND:
+        reason = f"local-End test over its bound (End dim {dim} * (dim M {n})**2 = {dim * n * n} > {LOCAL_TEST_BOUND})"
+        return IdempotentSearch("unavailable", reason=reason)
+    offset = {q: k - i for k, (q, i) in enumerate(where)}
+    ops = []
+    for b in end_basis.basis:
+        op: list[dict] = [{} for _ in range(n)]
+        for q, block in b.blocks.items():
+            for (i, j), x in block.items():
+                op[offset[q] + j][offset[q] + i] = x
+        ops.append(op)
+    if _reaches_zero([_shift(op, _eigenvalue(next(_cyclic_factors(op, p)), p), p) for op in ops], n, p):
         return IdempotentSearch("none")
-    entries = np.array([index // p**k % p for k in range(dim)]) @ rows
-    return IdempotentSearch("found", ModuleHom.from_flat(domain, codomain, entries))
+    rootless = []
+    for k, op in enumerate(ops, start=1):
+        r = next((r for f in _cyclic_factors(op, p) if (r := _root(f, p)) is not None), None)
+        if r is None:
+            rootless.append(k)
+            continue
+        projection = _fitting_projection(_shift(op, r, p), p)
+        if projection is None:
+            continue
+        blocks: dict = {q: {} for q in domain.basis}
+        for j, column in enumerate(projection):
+            q, jj = where[j]
+            for i, x in column.items():
+                blocks[q][where[i][1], jj] = x
+        e = ModuleHom(domain, codomain, blocks)
+        if verify_idempotent(e):
+            return IdempotentSearch("found", e)
+    if rootless:
+        reason = f"no eigenvalue in GF({p}) for End basis maps {', '.join(map(str, rootless))}, and no other basis map splits the module"
+    else:
+        reason = f"every End basis map is an eigenvalue in GF({p}) plus a nilpotent, but together they do not span GF({p}) plus a nilpotent ideal"
+    return IdempotentSearch("unavailable", reason=reason)
 
 
 def verify_iso(h: ModuleHom) -> bool:

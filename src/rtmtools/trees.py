@@ -15,7 +15,7 @@ module (Ringel, Exceptional modules are tree modules, 1998).
 
 This module owns the flat coordinates of a homomorphism: `hom_layout`
 places each per-vertex block, row-major, in sorted quiver-vertex order, and
-`ModuleHom.from_flat` reads a map back from a flat row.  The oracle's
+`ModuleHom.from_flat` reads a map back from a sparse flat row.  The oracle's
 unknowns and the graph maps' rows use the same layout.
 """
 
@@ -24,8 +24,6 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Iterable
-
-import numpy as np
 
 from .algebra import BoundQuiver, StructureError, first_relation
 
@@ -240,9 +238,11 @@ def restrict(t: TreeOverQ, vertices: tuple[int, ...]) -> TreeOverQ:
     )
 
 
-# Products of two residues mod p < 2**24, summed over fewer than 2**15 terms
-# (the idempotent scan's products of flat rows), stay below 2**63.  A dense
-# int64 block with 2**15 rows already takes 8 GB, so the arithmetic stays exact.
+# The package computes on Python ints, which do not overflow.  The bound keeps
+# the trial division of `is_odd_prime` to at most 2**11 divisors, and keeps
+# exact the int64 arrays of the dense wrappers `oracle.rref` and
+# `oracle.nullspace` and of the tests' dense references: products of two
+# residues mod p < 2**24, summed over fewer than 2**15 terms, stay below 2**63.
 PRIME_BOUND = 2**24
 
 
@@ -317,7 +317,7 @@ def push_down(t: TreeOverQ, prime: int = 3) -> ModuleRep:
     checked first; an invalid one raises ValueError.
     """
     if prime >= PRIME_BOUND:  # checked first: trial division would crawl
-        raise ValueError(f"prime {prime} is too large: int64 arithmetic is exact only for p < 2**24")
+        raise ValueError(f"prime {prime} is too large: need p < 2**24")
     if not is_odd_prime(prime):
         raise ValueError(f"need an odd prime, got {prime}")
     require_valid(t)
@@ -363,13 +363,12 @@ class ModuleHom:
         )
 
     @classmethod
-    def from_flat(cls, domain: ModuleRep, codomain: ModuleRep, vec: np.ndarray) -> "ModuleHom":
-        """The homomorphism whose block entries, laid out by `hom_layout`, are `vec`: its nonzeros, read by one `np.flatnonzero`."""
+    def from_flat(cls, domain: ModuleRep, codomain: ModuleRep, row: dict) -> "ModuleHom":
+        """The homomorphism whose block entries, laid out by `hom_layout`, are the sparse row {flat index: value}."""
         layout = hom_layout(domain, codomain)
         starts = [off for _, off, _, _ in layout]
         blocks: dict = {q: {} for q, _, _, _ in layout}
-        cells = np.flatnonzero(vec)
-        for k, x in zip(cells.tolist(), np.asarray(vec)[cells].tolist()):
+        for k, x in row.items():
             q, off, _, cols = layout[bisect_right(starts, k) - 1]  # the last block starting at or before k
             blocks[q][divmod(k - off, cols)] = x
         return cls(domain, codomain, blocks)

@@ -7,6 +7,7 @@ import functools
 import hashlib
 import importlib
 import io
+import subprocess
 import sys
 import time
 from datetime import timedelta
@@ -247,35 +248,62 @@ def test_cmd_indec_indecomposable_source(tmp_path, capsys, source_document_facto
     assert "theorem: INDECOMPOSABLE" in out and "verdict: AGREE" in out
 
 
-def test_cmd_indec_oracle_cap(tmp_path, capsys):
-    # an indecomposable: the scan is the oracle's only exact answer, and past the cap it says why it has none
+def test_cmd_indec_oracle_bound(tmp_path, capsys, monkeypatch):
+    # an indecomposable: the local-End test is the oracle's only exact answer, and past its bound it says why it has none
+    monkeypatch.setattr(oracle, "LOCAL_TEST_BOUND", 26)
     for orientation in ("SINK", "SOURCE"):
         path = _write(tmp_path, f"chain2-{orientation}.rtm", uniserial_document(2, orientation))
-        assert main(["indec", path, "--cap", "10"]) == 3
+        assert main(["indec", path]) == 3
         captured = capsys.readouterr()
         assert captured.out == (
             "theorem: INDECOMPOSABLE\n"
-            "oracle unavailable: endomorphism space too large for the scan (3**3 candidates > cap 10)\n"
+            "oracle unavailable: local-End test over its bound (End dim 3 * (dim M 3)**2 = 27 > 26)\n"
         )
         assert captured.err == ""
 
 
+@pytest.mark.parametrize("orientation", ["SINK", "SOURCE"])
+def test_cmd_indec_on_uniserial_chains_20_and_100(tmp_path, capsys, orientation):
+    # chain 20 exited 3 while the exhaustive scan had 3**21 candidates against its cap of 10**7
+    for length in (20, 100):
+        path = _write(tmp_path, "chain.rtm", uniserial_document(length, orientation))
+        start = time.perf_counter()
+        assert main(["indec", path]) == 0
+        assert time.perf_counter() - start < 5.0
+        captured = capsys.readouterr()
+        assert captured.out == "theorem: INDECOMPOSABLE\noracle (p=3): INDECOMPOSABLE\nverdict: AGREE\n"
+        assert captured.err == ""
+
+
+@pytest.mark.parametrize("prime", ["3", "16411"])
+def test_cmd_indec_disagrees_on_a_decomposable_module_without_its_certificate(tmp_path, capsys, monkeypatch, sink_document, prime):
+    # With no certificate the theorem says INDECOMPOSABLE; the local-End test splits the module, and the
+    # idempotent it returns passes its check.  Nothing loops over the elements of GF(p).
+    monkeypatch.setattr(structure, "first_certificate", lambda t: None)
+    path = _write(tmp_path, "m.rtm", sink_document)
+    start = time.perf_counter()
+    assert main(["indec", path, "-p", prime]) == 4
+    assert time.perf_counter() - start < 1.0
+    captured = capsys.readouterr()
+    assert captured.out == f"theorem: INDECOMPOSABLE\noracle (p={prime}): DECOMPOSABLE\nverdict: DISAGREE\n"
+    assert captured.err == ""
+
+
 def _forbid_hom_solves(monkeypatch):
-    """Make the Hom solve and the idempotent scan raise an error that no command catches."""
+    """Make the Hom solve and the local-End test raise an error that no command catches."""
 
     def forbidden(*args, **kwargs):
-        raise RuntimeError("a Hom solve or a scan ran")
+        raise RuntimeError("a Hom solve or a local-End test ran")
 
     monkeypatch.setattr(oracle, "hom_space", forbidden)
     monkeypatch.setattr(oracle, "has_nontrivial_idempotent", forbidden)
 
 
-@pytest.mark.parametrize("cap", [[], ["--cap", "10"]], ids=["default cap", "cap 10"])
-def test_cmd_indec_checks_the_certificate_without_a_hom_solve(tmp_path, capsys, monkeypatch, sink_document, cap):
-    # 3**4 candidates are over a cap of 10, but the certificate's idempotent needs no scan
+def test_cmd_indec_checks_the_certificate_without_a_hom_solve(tmp_path, capsys, monkeypatch, sink_document):
+    # the certificate's idempotent needs no Hom solve and no local-End test
     _forbid_hom_solves(monkeypatch)
     path = _write(tmp_path, "m.rtm", sink_document)
-    assert main(["indec", path] + cap) == 0
+    assert main(["indec", path]) == 0
     captured = capsys.readouterr()
     assert captured.out == (
         "theorem: DECOMPOSABLE; certificate: siblings 4,2 under 1, label alpha\n"
@@ -595,9 +623,10 @@ def _record_maps_and_back_substitutions(monkeypatch) -> tuple[list, list]:
     return built, substituted
 
 
-@pytest.mark.parametrize("argv", [["hom"], ["indec", "--cap", "10"]], ids=" ".join)
+@pytest.mark.parametrize("argv", [["hom"], ["indec"]], ids=" ".join)
 def test_commands_that_read_only_the_hom_dimension_build_no_map(tmp_path, capsys, monkeypatch, sink_document, argv):
-    # indec reads the dimension only for an indecomposable past the cap: a decomposable one solves nothing
+    # indec reads only the dimension for an indecomposable past the local-End test's bound: a decomposable one solves nothing
+    monkeypatch.setattr(oracle, "LOCAL_TEST_BOUND", 26)
     built, substituted = _record_maps_and_back_substitutions(monkeypatch)
     if argv[0] == "hom":
         path = _write(tmp_path, "m.rtm", sink_document)
@@ -609,13 +638,26 @@ def test_commands_that_read_only_the_hom_dimension_build_no_map(tmp_path, capsys
     assert built == [] and substituted == []
 
 
-def test_indec_under_the_cap_builds_no_map_but_its_witness(tmp_path, capsys, monkeypatch, sink_document):
-    # The scan reads the basis as the rows of the solve, not as maps.
-    built, _ = _record_maps_and_back_substitutions(monkeypatch)
-    path = _write(tmp_path, "m.rtm", sink_document)
-    assert main(["indec", path]) == 0
-    assert "oracle (p=3): DECOMPOSABLE" in capsys.readouterr().out
-    assert len(built) <= 1
+def test_commands_start_without_numpy(tmp_path, sink_document):
+    # numpy was 140-150 ms of every command's 0.2 s start while the oracle imported it for its scan
+    decomposable = _write(tmp_path, "m.rtm", sink_document)
+    chain = _write(tmp_path, "chain.rtm", uniserial_document(5, "SINK"))
+    src = str(Path(cli.__file__).resolve().parents[1])
+    code = (
+        f"import sys; sys.path.insert(0, {src!r}); from rtmtools.cli import main; code = main(sys.argv[1:]); "
+        "assert 'numpy' not in sys.modules, 'numpy imported'; sys.exit(code)"
+    )
+    for argv in (
+        ["validate", decomposable],
+        ["network", decomposable, decomposable],
+        ["ggms", decomposable, decomposable],
+        ["hom", decomposable, decomposable],
+        ["indec", decomposable],
+        ["indec", chain],
+        ["decompose", decomposable],
+    ):
+        done = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True, timeout=60)
+        assert (done.returncode, done.stderr) == (0, ""), argv
 
 
 def test_cmd_hom_pushes_each_tree_down_once(tmp_path, capsys, monkeypatch, sink_document):
@@ -848,7 +890,7 @@ def test_main_builds_its_parser_once_per_process(tmp_path, capsys, monkeypatch, 
     built = _counted_parser(monkeypatch)
     path = _write(tmp_path, "m.rtm", sink_document)
     argvs = [["validate", path], ["network", path, path], ["network", path, path, "--cover"], ["hom", path, path]]
-    argvs += [["ggms", path, path], ["indec", path, "--cap", "10"], ["decompose", path, "-p", "5"]]
+    argvs += [["ggms", path, path], ["indec", path], ["decompose", path, "-p", "5"]]
     first = {}
     for i in range(20):
         argv = argvs[i % len(argvs)]
