@@ -32,7 +32,7 @@ deepest pair up, so the first maps out are small and mostly independent.
 A map's signed pairs are the nonzero entries of its induced homomorphism
 in the flat coordinates of `trees.hom_layout`.  `hom_span` reduces them,
 one sparse row per map, into an echelon basis over GF(p) with the oracle's
-elimination step, and keeps only the maps whose rows raise the rank, a
+`_insert`, and keeps only the maps whose rows raise the rank, a
 graph-map basis of the span; listing every map is `enumerate_ggms`'s job.
 It can stop once the rank reaches a target such as the Hom dimension; the
 maps after the stop are then never built, so never checked.
@@ -45,7 +45,7 @@ from functools import cached_property
 from typing import Iterable, Iterator, Optional
 
 from .network import Edge, NetArrow, PullbackNetwork, TwoCover, _edge, _lift, two_cover
-from .oracle import _eliminate
+from .oracle import _insert
 from .trees import ModuleHom, ModuleRep, TreeOverQ, hom_layout
 
 
@@ -121,7 +121,8 @@ class GeneralizedGraphMap(Subnetwork):
         return frozenset(_edge(v, w) for v, w in ends if w in self.vertices)
 
     def negate(self) -> "GeneralizedGraphMap":
-        return GeneralizedGraphMap(self.cover, tuple([(n, m, -s) for n, m, s in self.pairs]))
+        lifts = self.cover.lifts
+        return GeneralizedGraphMap(self.cover, tuple([lifts[n, m][s < 0] for n, m, s in self.pairs]))
 
 
 def _obligation_table(base: PullbackNetwork) -> dict:
@@ -169,7 +170,7 @@ def _closures(cover: TwoCover, table: dict, seed: tuple, position: dict) -> Iter
     The seed has sign +1, and every map is yielded with +1 at its
     lexicographically least pair.
     """
-    floor, linked_any, c = position[seed], cover.base.linked_any, cover.base.child_side
+    floor, linked_any, c, lifts = position[seed], cover.base.linked_any, cover.base.child_side, cover.lifts
     signs = {seed: 1}
     vertices = [seed]  # in order of addition
     links: list = []  # held links as (pair, witness), in order of addition
@@ -209,7 +210,7 @@ def _closures(cover: TwoCover, table: dict, seed: tuple, position: dict) -> Iter
         else:
             pairs = sorted(signs)
             flip = signs[pairs[0]]
-            yield GeneralizedGraphMap(cover, tuple([(n, m, signs[n, m] * flip) for n, m in pairs]))
+            yield GeneralizedGraphMap(cover, tuple([lifts[pair][signs[pair] == flip] for pair in pairs]))
         if not options:  # closed or dead end: resume the latest choice point
             if not choices:
                 return
@@ -317,11 +318,6 @@ def hom_span(
         g = next(stream, None)
         if g is None:
             break
-        row = {cell[n, m]: s % p for n, m, s in g.pairs}
-        while row and (c := min(row)) in basis:
-            _eliminate(row, basis[c], c, p)
-        if row:
+        if _insert({cell[n, m]: s % p for n, m, s in g.pairs}, basis, p):
             maps.append(g)
-            inverse = pow(row[c], -1, p)
-            basis[c] = {k: v * inverse % p for k, v in row.items()}
     return maps, len(basis)

@@ -46,9 +46,9 @@ from .trees import (
     ModuleRep,
     RootedTree,
     TreeOverQ,
+    _module,
     _sparse_product,
     hom_layout,
-    push_down,
     validate_tree_over_q,
 )
 
@@ -604,9 +604,10 @@ def random_instance(
 ) -> TreeOverQ:
     """Deterministic pseudorandom valid labelled tree.
 
-    Rejection-samples until the labelled tree validates, the bound quiver is
-    locally bound, and the endomorphism space is small enough for the
-    exhaustive idempotent scan to stay useful.  Attempt k of a seed draws
+    Rejection-samples until the labelled tree validates, once per attempt,
+    the bound quiver is locally bound, and the endomorphism space has
+    dimension at most `end_dim_cap` at p = 3 and 5, small enough for the
+    tests' exhaustive reference scan.  Attempt k of a seed draws
     from its own `random.Random(f"{seed}:{k}")`, so the same seed always
     yields the same instance.  Each attempt draws its tree shape before any
     orientation-dependent choice, so the two orientations explore mirrored
@@ -658,7 +659,7 @@ def random_instance(
         t = TreeOverQ(RootedTree(sorted(depth), tree_arrows, orientation), bq, vertex_label, arrow_label)
         if not validate_tree_over_q(t).ok:
             continue
-        reps = (push_down(t, p) for p in (3, 5))  # lazy: no p = 5 module once p = 3 is over the cap
+        reps = (_module(t, p) for p in (3, 5))  # validated above; lazy: no p = 5 module once p = 3 is over the cap
         if end_dim_cap is None or all(hom_space(rep, rep).dimension <= end_dim_cap for rep in reps):
             return t
     raise GenerationExhausted(f"no valid instance for seed {seed} in {budget} attempts")

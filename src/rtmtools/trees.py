@@ -321,6 +321,11 @@ def push_down(t: TreeOverQ, prime: int = 3) -> ModuleRep:
     if not is_odd_prime(prime):
         raise ValueError(f"need an odd prime, got {prime}")
     require_valid(t)
+    return _module(t, prime)
+
+
+def _module(t: TreeOverQ, prime: int) -> ModuleRep:
+    """The module of `push_down`, for a tree and a prime already checked."""
     q, tree = t.codomain.quiver, t.tree
     basis: dict[str, list[int]] = {qv: [] for qv in q.vertices}
     for n in tree.vertices:  # already ascending
