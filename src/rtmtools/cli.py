@@ -113,12 +113,10 @@ def cmd_ggms(args) -> int:
         text = " ".join(f"{'+' if s > 0 else '-'} v{m}" for _, m, s in partners)
         return f"  v{partners[0][0]} -> {text[2:] if text[0] == '+' else '-' + text[2:]}"
 
-    write = sys.stdout.write
-    write(f"{len(ggms)} GGMs\n")
-    for i, g in enumerate(ggms, start=1):
-        lines = [f"GGM {i}: " + " ".join(map(token, g.pairs))]
-        lines += [induced(tuple(partners)) for _, partners in groupby(g.pairs, key=lambda v: v[0])]
-        write("\n".join(lines) + "\n")
+    print(f"{len(ggms)} GGMs")
+    for i, g in enumerate(ggms, start=1):  # written map by map: the listing is never held whole
+        lines = [induced(tuple(partners)) for _, partners in groupby(g.pairs, key=lambda v: v[0])]
+        print(f"GGM {i}: " + " ".join(map(token, g.pairs)), *lines, sep="\n")
     return OK
 
 
@@ -137,7 +135,7 @@ def cmd_indec(args) -> int:
     t = doc.tree
     rep = push_down(t, args.prime)
     cert = structure.first_certificate(t)
-    if cert is not None:  # the certificate's idempotent, checked exactly: no Hom solve, no scan
+    if cert is not None:  # the certificate's idempotent, checked exactly: no Hom solve, no local-End test
         parent, n1, n2, witness = cert
         try:
             if not oracle.verify_idempotent(structure.module_idempotent(t, witness.vertex_map, rep)):

@@ -121,8 +121,7 @@ class GeneralizedGraphMap(Subnetwork):
         return frozenset(_edge(v, w) for v, w in ends if w in self.vertices)
 
     def negate(self) -> "GeneralizedGraphMap":
-        lifts = self.cover.lifts
-        return GeneralizedGraphMap(self.cover, tuple([lifts[n, m][s < 0] for n, m, s in self.pairs]))
+        return GeneralizedGraphMap(self.cover, tuple([(n, m, -s) for n, m, s in self.pairs]))
 
 
 def _obligation_table(base: PullbackNetwork) -> dict:

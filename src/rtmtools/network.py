@@ -226,13 +226,12 @@ class TwoCover:
         self.base = base
 
     @cached_property
-    def lifts(self) -> dict:
-        """Each network pair's two lifts, (-1, +1), built once and shared by the graph maps that hold them."""
+    def lifts(self) -> dict:  # each pair's two lifts, (-1, +1), built once and shared by every graph map
         return {v: (v + (-1,), v + (1,)) for v in self.base.vertices}
 
     @cached_property
     def vertices(self) -> frozenset:
-        return frozenset(v for both in self.lifts.values() for v in both)
+        return frozenset(v + (s,) for v in self.base.vertices for s in (-1, 1))
 
     @cached_property
     def arrows(self) -> frozenset:

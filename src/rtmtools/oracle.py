@@ -2,34 +2,21 @@
 
 Everything here is deliberately oblivious to the combinatorics implemented
 elsewhere: Hom-spaces are computed by solving the intertwining equations,
-idempotents are found by testing that the endomorphism ring is local or
-checked as given, and isomorphisms are verified by rank.  Arithmetic is
-exact arithmetic on Python ints modulo an odd prime; inverses are Python's
-`pow(x, -1, p)`.  No floating point is used anywhere.
+isomorphisms are verified by rank, and idempotents are checked as given or
+found by testing that the endomorphism ring is local.  All arithmetic is on
+Python ints modulo an odd prime, in sparse rows {column: nonzero residue};
+only the dense wrappers `rref` and `nullspace`, for the tests, import numpy.
 
-Modules and maps arrive as the nonzero entries of their actions and blocks,
-and every computation here reads and writes sparse rows {column: nonzero
-residue}.  Only the dense wrappers `rref` and `nullspace`, which the tests
-call, import numpy, inside the function.
-
-Every elimination is one forward sparse elimination, `_gauss_jordan`, on
-rows of Python ints; that alone gives the Hom dimension and the rank of
-each block of a claimed isomorphism.  A reduced form, for the Hom basis
-(only when it is read) and the dense wrappers, is one `_back_substitute` of
-the echelon, last pivot first.  `ggm.hom_span` and the local-End test
-reduce their rows with the same step, `_eliminate`.  Columns go in
-ascending order and the pivot is the sparsest eligible row (Markowitz's
-rule), so the intertwining systems of tree modules cost about their
-nonzeros and fill-in; the reduced form, hence every basis and witness, does
-not depend on the pivot row chosen.  The unknowns are the flat coordinates
+Every elimination is the forward sparse elimination `_gauss_jordan`, which
+alone gives the Hom dimension and the block ranks of `verify_iso`; a
+reduced form, for the Hom basis and the dense wrappers, is one
+`_back_substitute` of the echelon.  The unknowns are the flat coordinates
 of a homomorphism, laid out by `trees.hom_layout`.
 
 By Fitting's lemma a module is indecomposable exactly when its
-endomorphism ring is local.  `has_nontrivial_idempotent` tests that on the
-maps of an End basis, as operators on the module: it proves End(M) = GF(p)
-plus a nilpotent ideal, or splits M at an eigenvalue of one basis map (Lux
-and Szőke, Computing decompositions of modules over finite-dimensional
-algebras, Experiment. Math. 16, 2007).
+endomorphism ring is local; `has_nontrivial_idempotent` decides that on an
+End basis (Lux and Szőke, Computing decompositions of modules over
+finite-dimensional algebras, Experiment. Math. 16, 2007).
 """
 
 from __future__ import annotations
@@ -46,10 +33,9 @@ from .trees import (
     ModuleRep,
     RootedTree,
     TreeOverQ,
-    _module,
     _sparse_product,
     hom_layout,
-    validate_tree_over_q,
+    push_down,
 )
 
 
@@ -141,7 +127,6 @@ def _sparse_rows(entries: dict, count: int) -> list[dict]:
 def _dense_rows(mat, p: int) -> list[dict]:
     """The rows of a 2-d matrix as sparse rows, from one `np.nonzero`."""
     import numpy as np
-
     m = np.asarray(mat, dtype=np.int64) % p
     if m.ndim != 2:
         raise ValueError("need a 2-d matrix")
@@ -150,11 +135,8 @@ def _dense_rows(mat, p: int) -> list[dict]:
 
 
 def _kernel_rows(pivots: list[tuple[int, dict]], width: int, p: int) -> list[dict]:
-    """A basis of the nullspace of an RREF as sparse rows, one per free column, ascending.
-
-    The row of free column f has 1 at f and minus the entry of pivot row r
-    at f in the pivot column of r.
-    """
+    """A basis of the nullspace of an RREF as sparse rows, one per free column f, ascending: 1 at f and,
+    at the pivot column of each pivot row, minus that row's entry at f."""
     pivot_columns = {c for c, _ in pivots}
     rows = {f: {f: 1} for f in range(width) if f not in pivot_columns}
     for c, row in pivots:
@@ -171,7 +153,6 @@ def rref(mat, p: int):
     and `_back_substitute` on Python ints, so the result is exact.
     """
     import numpy as np
-
     rows = _dense_rows(mat, p)
     pivots = _back_substitute(_gauss_jordan(rows, p), p)
     reduced = np.zeros((len(rows), np.shape(mat)[1]), dtype=np.int64)
@@ -183,7 +164,6 @@ def rref(mat, p: int):
 def nullspace(mat, p: int):
     """Rows form a basis of the right nullspace over GF(p), one per free column, ascending."""
     import numpy as np
-
     cols = np.shape(mat)[1]
     rows = _kernel_rows(_back_substitute(_gauss_jordan(_dense_rows(mat, p), p), p), cols, p)
     basis = np.zeros((len(rows), cols), dtype=np.int64)
@@ -195,14 +175,11 @@ def nullspace(mat, p: int):
 class HomBasis:
     """The homomorphisms from `domain` to `codomain` over GF(prime), as their solve leaves them.
 
-    `echelon` is the forward echelon form of the intertwining equations,
-    (pivot column, row) pairs over the `width` unknowns of
-    `trees.hom_layout`, so `dimension` is width minus its rank.  `basis`,
-    built when first read, is one map per free column in ascending order,
-    with 1 at that column and 0 at the other free columns: the sparse rows
-    of `_kernel_rows` after `_back_substitute` on the echelon, read as maps.
-    So a caller that reads only `dimension` substitutes back nothing and
-    builds no map.
+    `echelon` is the forward echelon form of the intertwining equations over
+    the `width` unknowns of `trees.hom_layout`, so `dimension` is width minus
+    its rank.  `basis`, built when first read by `_back_substitute` and
+    `_kernel_rows`, is one map per free column, ascending, with 1 there and 0
+    at the other free columns; reading only `dimension` builds no map.
     """
 
     def __init__(self, domain: ModuleRep, codomain: ModuleRep, echelon: list[tuple[int, dict]], width: int):
@@ -272,139 +249,77 @@ class IdempotentSearch:
 
 
 def _insert(row: dict, echelon: dict, p: int) -> bool:
-    """Reduce `row` in place by `echelon` and add it there if anything is left; whether it was.
-
-    `echelon` maps each pivot column to a row with 1 there and no nonzero
-    before it, so a row is reduced at its least column until that column
-    holds no pivot.
-    """
+    """Reduce `row` in place by `echelon`, {pivot column: row with 1 there and no nonzero before it}; add what is left."""
     while row and (c := min(row)) in echelon:
         _eliminate(row, echelon[c], c, p)
-    if not row:
-        return False
-    inverse = pow(row[c], -1, p)
-    echelon[c] = {k: x * inverse % p for k, x in row.items()}
-    return True
+    if row:
+        inverse = pow(row[c], -1, p)
+        echelon[c] = {k: x * inverse % p for k, x in row.items()}
+    return bool(row)
 
 
-# Operators on a module M of dimension n are lists of n sparse columns
-# {row: nonzero residue}, over the basis of M listed quiver vertex by quiver
-# vertex; vectors are sparse rows {index: nonzero residue}.
-
-
-def _apply(op: list[dict], v: dict, p: int) -> dict:
-    """The vector op(v)."""
-    out: dict = {}
+def _apply(op: list[dict], v: dict, p: int, s: int = 0) -> dict:
+    """(op - s)(v), for op a map on a module of dimension n, as n sparse columns {row: residue}, and v {index: residue}."""
+    out = {j: -s * x for j, x in v.items()} if s else {}
     for j, x in v.items():
         for i, y in op[j].items():
             out[i] = out.get(i, 0) + x * y
     return {i: x % p for i, x in out.items() if x % p}
 
 
-def _shift(op: list[dict], s: int, p: int) -> list[dict]:
-    """The operator op - s."""
-    out = []
-    for j, column in enumerate(op):
-        column = dict(column)
-        if x := (column.get(j, 0) - s) % p:
-            column[j] = x
-        else:
-            column.pop(j, None)
-        out.append(column)
-    return out
+def _minimal_polynomial(op: list[dict], v: dict, p: int) -> list[int]:
+    """The monic f of least degree with f(op) v = 0, coefficients constant first.
 
-
-def _cyclic_factors(op: list[dict], p: int) -> Iterator[list[int]]:
-    """Monic polynomials, constant coefficient first, whose product is the characteristic polynomial of op.
-
-    Each basis vector e_i outside the span so far, in ascending i, starts a
-    sequence e_i, op e_i, op² e_i, … that runs until its next vector falls
-    in that span; the relation, restricted to the sequence's own vectors, is
-    yielded.  Each vector records its place in the sequences in a column of
-    its own, from n up, so the relation is read off the reduced row.  In the
-    basis of all the sequences op is block triangular, with the companion
-    matrices of the yielded polynomials on the diagonal.  The first is the
-    minimal polynomial of op at e_0.
+    Each of v, op v, op² v, … enters an echelon with a 1 in a column of its
+    own, from n up; the first one that reduces to those columns holds f.
     """
-    n = len(op)
-    echelon: dict = {}
-    tag = n
-    for i in range(n):
-        v, start = {i: 1}, tag
-        while True:
-            row = {**v, tag: 1}
-            tag += 1
-            while (c := min(row)) < n and c in echelon:
-                _eliminate(row, echelon[c], c, p)
-            if c >= n:  # the vector lies in the span so far
-                break
-            inverse = pow(row[c], -1, p)
-            echelon[c] = {k: x * inverse % p for k, x in row.items()}
-            v = _apply(op, v, p)
-        if tag - start > 1:
-            yield [row.get(k, 0) for k in range(start, tag)]
+    n, echelon = len(op), {}
+    for k in range(n + 1):
+        row = {**v, n + k: 1}
+        _insert(row, echelon, p)
+        if min(row) >= n:
+            return [row.get(n + j, 0) for j in range(k + 1)]
+        v = _apply(op, v, p)
 
 
 def _eigenvalue(f: list[int], p: int) -> int:
-    """λ such that f = (t - λ)**k, if f has that form.
-
-    With k = p**a * m and p ∤ m, (t - λ)**k = (t**(p**a) - λ)**m, whose
-    coefficient of t**(k - p**a) is -m λ.
-    """
-    k = len(f) - 1
-    q = 1
-    while k % (q * p) == 0:
-        q *= p
-    return -f[k - q] * pow(k // q, -1, p) % p
-
-
-def _monic(a: list[int], p: int) -> list[int]:
-    """a over GF(p) with no trailing zero, scaled to lead with 1; the zero polynomial is []."""
-    a = [x % p for x in a]
-    while a and not a[-1]:
-        a.pop()
-    if a and a[-1] != 1:
-        inverse = pow(a[-1], -1, p)
-        a = [x * inverse % p for x in a]
-    return a
+    """λ with f = (t - λ)**k, if f has that form: for k = p**a * m, p ∤ m, -m λ is f's coefficient of t**(k - p**a)."""
+    k = m = len(f) - 1
+    while m % p == 0:
+        m //= p
+    return -f[k - k // m] * pow(m, -1, p) % p
 
 
 def _poly_mod(a: list[int], f: list[int], p: int) -> list[int]:
-    """a mod f over GF(p), f monic.  Polynomials are coefficient lists, constant first."""
-    a, d = [x % p for x in a], len(f) - 1
+    """a mod f over GF(p); polynomials are coefficient lists, constant first, with no trailing zero."""
+    a, d, inverse = [x % p for x in a], len(f) - 1, pow(f[-1], -1, p)
     for i in range(len(a) - 1, d - 1, -1):
-        if x := a[i]:
-            for j in range(d):
-                a[i - d + j] = (a[i - d + j] - x * f[j]) % p
+        x = a[i] * inverse
+        for j in range(d):
+            a[i - d + j] = (a[i - d + j] - x * f[j]) % p
     a = a[:d]
     while a and not a[-1]:
         a.pop()
     return a
 
 
-def _poly_mulmod(a: list[int], b: list[int], f: list[int], p: int) -> list[int]:
-    out = [0] * (len(a) + len(b))
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return _poly_mod(out, f, p)
-
-
 def _poly_powmod(a: list[int], e: int, f: list[int], p: int) -> list[int]:
-    """a**e mod f over GF(p), f monic of degree at least 1, by repeated squaring."""
+    """a**e mod f over GF(p), f of degree at least 1: square, then multiply by a at each 1 bit."""
     out = [1]
-    while e:
-        if e & 1:
-            out = _poly_mulmod(out, a, f, p)
-        a, e = _poly_mulmod(a, a, f, p), e >> 1
+    for bit in bin(e)[2:]:
+        for b in (out, a)[: 1 + int(bit)]:
+            product = [0] * (len(out) + len(b))
+            for i, x in enumerate(out):
+                for j, y in enumerate(b):
+                    product[i + j] += x * y
+            out = _poly_mod(product, f, p)
     return out
 
 
 def _poly_gcd(a: list[int], b: list[int], p: int) -> list[int]:
-    """The monic greatest common divisor over GF(p)."""
-    a, b = _monic(a, p), _monic(b, p)
+    """A greatest common divisor over GF(p), by Euclid's algorithm."""
     while b:
-        a, b = b, _monic(_poly_mod(a, b, p), p)
+        a, b = b, _poly_mod(a, b, p)
     return a
 
 
@@ -412,148 +327,99 @@ def _root(f: list[int], p: int) -> Optional[int]:
     """A root in GF(p) of the monic polynomial f, or None, with no loop over GF(p).
 
     g = gcd(f, t**p - t) is the product of t - r over the distinct roots r
-    of f.  While g has two or more, it is cut to a proper factor
+    of f; while it has two or more, it is cut to a proper factor
     gcd(g, (t + a)**((p - 1) / 2) - 1), for a drawn from a seeded generator
     (Cantor and Zassenhaus, Math. Comp. 36, 1981).
     """
-    if len(f) < 2:
-        return None
     power = _poly_powmod([0, 1], p, f, p) + [0, 0]
     power[1] -= 1
-    g = _poly_gcd(f, power, p)
-    draw = random.Random(p)
+    g, draw = _poly_gcd(f, _poly_mod(power, f, p), p), random.Random(p)
     while len(g) > 2:
         h = _poly_powmod([draw.randrange(p), 1], (p - 1) // 2, g, p) + [0]
         h[0] -= 1
-        h = _poly_gcd(g, h, p)
-        if 1 < len(h) < len(g):
+        if 1 < len(h := _poly_gcd(g, _poly_mod(h, g, p), p)) < len(g):
             g = h
-    return -g[0] % p if len(g) == 2 else None
+    return -g[0] * pow(g[1], -1, p) % p if len(g) == 2 else None
 
 
-def _reaches_zero(ops: list[list[dict]], n: int, p: int) -> bool:
-    """Whether the chain M ⊇ JM ⊇ J(JM) ⊇ … reaches 0, for J the span of the operators.
-
-    Each space of the chain holds the next, so the chain stalls for good
-    once the image of a space has its dimension.
-    """
-    ops = [op for op in ops if any(op)]
+def _reaches_zero(ops: list[list[dict]], shifts: list[int], n: int, p: int) -> bool:
+    """Whether M ⊇ JM ⊇ J(JM) ⊇ … reaches 0, J the span of the maps op - s; a space whose image has its dimension ends it."""
     space = [{i: 1} for i in range(n)]
     while space:
         image: dict = {}
-        for op in ops:
+        for op, s in zip(ops, shifts):
             for v in space:
-                w = _apply(op, v, p)
-                if w and _insert(w, image, p) and len(image) == len(space):
+                if _insert(_apply(op, v, p, s), image, p) and len(image) == len(space):
                     return False
         space = list(image.values())
     return True
 
 
-def _fitting_projection(c: list[dict], p: int) -> Optional[list[dict]]:
-    """The projection onto im c**s along ker c**s, for s where the images stop shrinking; None if that is 0 or M.
+def _fitting_projection(op: list[dict], r: int, p: int) -> Optional[list[dict]]:
+    """The columns of the projection onto im c**s along ker c**s, c = op - r; None if that image is 0 or M.
 
-    By Fitting's lemma M = im c**s ⊕ ker c**s, and every operator that
-    commutes with c keeps both.  The projection is read off the reduced form
-    of the rows [u_k | e_k], u_k running over a basis of the image and then
-    of the kernel: the row of pivot j is [e_j | x], where e_j = Σ x_k u_k.
+    s is where the images of the powers of c stop shrinking, so M is
+    im c**s ⊕ ker c**s (Fitting).  The reduced form of the rows [u_k | e_k],
+    u_k a basis of the image and then of the kernel, holds [e_j | x] at
+    pivot j, where e_j = Σ x_k u_k.
     """
-    n = len(c)
-    power = [{j: 1} for j in range(n)]  # the columns of c**s
-    image: dict = {j: {j: 1} for j in range(n)}
-    while True:
-        after = [_apply(c, v, p) for v in power]
-        span: dict = {}
-        for v in after:
-            _insert(dict(v), span, p)
-        if len(span) == len(image):
-            break
-        power, image = after, span
-    if len(image) in (0, n):
+    n, rank = len(op), -1
+    power, image = [{j: 1} for j in range(n)], {j: {j: 1} for j in range(n)}  # c**0 and its image
+    while len(image) != rank:  # then power is c**(s + 1), with the image of c**s
+        rank, power, image = len(image), [_apply(op, v, p, r) for v in power], {}
+        for v in power:
+            _insert(dict(v), image, p)
+    if rank in (0, n):
         return None
-    kernel = _kernel_rows(_back_substitute(_gauss_jordan(_sparse_rows({(i, j): x for j, v in enumerate(power) for i, x in v.items()}, n), p), p), n, p)
-    basis = list(image.values()) + kernel
-    projection = []
-    for _, row in _back_substitute(_gauss_jordan([{**u, n + k: 1} for k, u in enumerate(basis)], p), p):
-        column: dict = {}
-        for k, x in row.items():
-            if n <= k < n + len(image):
-                for i, y in basis[k - n].items():
-                    column[i] = column.get(i, 0) + x * y
-        projection.append({i: x % p for i, x in column.items() if x % p})
-    return projection
+    rows = _sparse_rows({(i, j): x for j, v in enumerate(power) for i, x in v.items()}, n)
+    basis = list(image.values()) + _kernel_rows(_back_substitute(_gauss_jordan(rows, p), p), n, p)
+    reduced = _back_substitute(_gauss_jordan([{**u, n + k: 1} for k, u in enumerate(basis)], p), p)
+    return [_apply(basis, {k - n: x for k, x in row.items() if n <= k < n + rank}, p) for _, row in reduced]
 
 
-# The local-End test applies at most (End dim) * (dim M)**2 maps to vectors:
-# each step of its chain takes a basis of the last space through every basis
-# map, over at most dim M steps.  Past this bound it answers "unavailable".
+# (End dim) * (dim M)**2 bounds the maps the local-End test applies to vectors:
+# its chain has at most dim M steps of at most dim M vectors each.
 LOCAL_TEST_BOUND = 2 * 10**6
 
 
 def has_nontrivial_idempotent(end_basis: HomBasis) -> IdempotentSearch:
-    """Whether the span of an End basis holds an idempotent other than 0 and 1, by testing that End(M) is local.
+    """Whether the span of an End basis holds an idempotent other than 0 and 1: whether End(M) is local.
 
-    - "none": for each basis map b, λ_b is read off the minimal polynomial
-      of b at e_0 (`_eigenvalue`), and the chain M ⊇ JM ⊇ J(JM) ⊇ …, for J
-      the span of the b - λ_b, reaches 0.  Every product of that many
-      elements of J then vanishes, so each element of the span is a scalar
-      plus a nilpotent, and the only idempotents among them are 0 and 1.
-      The λ_b and the chain are the certificate.
-    - "found": the chain stalls, and some basis map b has a root r in GF(p)
-      of one of its cyclic factors (`_cyclic_factors`, `_root`) at which
-      b - r is singular and not nilpotent.  The returned idempotent is the
-      projection onto im (b - r)**n along ker (b - r)**n (Fitting's lemma),
-      a polynomial in b, and `verify_idempotent` has accepted it.
-    - "unavailable", with its reason, in every other case: when no basis
-      map splits M at an eigenvalue in GF(p), and when (End dim) * (dim M)**2
-      is over LOCAL_TEST_BOUND, which is checked before the basis is read.
-
-    For the End basis of `hom_space`, "none" and "found" are exact: M is
-    indecomposable exactly when End(M) is local (Fitting), and a local
-    End(M) whose residue field is larger than GF(p) is "unavailable".
+    "none": with λ_b read off the minimal polynomial of each basis map b at
+    e_0, the chain M ⊇ JM ⊇ J(JM) ⊇ …, J the span of the b - λ_b, reaches 0,
+    so each element of the span is a scalar plus a nilpotent.  "found": the
+    chain stalls, and at a root r of its minimal polynomial at some e_i a
+    basis map b has b - r not nilpotent; the projection onto im (b - r)**n
+    along ker (b - r)**n (Fitting's lemma) has passed `verify_idempotent`.
+    "unavailable", with its reason, otherwise, and when (End dim) *
+    (dim M)**2 is over LOCAL_TEST_BOUND, checked before the basis is read.
+    On an End basis from `hom_space` "none" and "found" are exact.
     """
-    dim, p = end_basis.dimension, end_basis.prime
-    if dim == 0:
-        return IdempotentSearch("none")
-    domain, codomain = end_basis.domain, end_basis.codomain
+    dim, p, domain, codomain = end_basis.dimension, end_basis.prime, end_basis.domain, end_basis.codomain
     if domain is not codomain and domain.basis != codomain.basis:
         raise ValueError("idempotent search needs an endomorphism basis")
-    where = [(q, i) for q, vs in domain.basis.items() for i in range(len(vs))]  # the basis of M, quiver vertex by quiver vertex
+    where = [(q, i) for q, vs in domain.basis.items() for i in range(len(vs))]  # M's basis, quiver vertex by quiver vertex
     n = len(where)
     if dim * n * n > LOCAL_TEST_BOUND:
         reason = f"local-End test over its bound (End dim {dim} * (dim M {n})**2 = {dim * n * n} > {LOCAL_TEST_BOUND})"
         return IdempotentSearch("unavailable", reason=reason)
     offset = {q: k - i for k, (q, i) in enumerate(where)}
-    ops = []
-    for b in end_basis.basis:
-        op: list[dict] = [{} for _ in range(n)]
+    ops = [[{} for _ in range(n)] for _ in range(dim)]
+    for op, b in zip(ops, end_basis.basis):
         for q, block in b.blocks.items():
             for (i, j), x in block.items():
                 op[offset[q] + j][offset[q] + i] = x
-        ops.append(op)
-    if _reaches_zero([_shift(op, _eigenvalue(next(_cyclic_factors(op, p)), p), p) for op in ops], n, p):
+    if _reaches_zero(ops, [_eigenvalue(_minimal_polynomial(op, {0: 1}, p), p) for op in ops], n, p):
         return IdempotentSearch("none")
-    rootless = []
-    for k, op in enumerate(ops, start=1):
-        r = next((r for f in _cyclic_factors(op, p) if (r := _root(f, p)) is not None), None)
-        if r is None:
-            rootless.append(k)
-            continue
-        projection = _fitting_projection(_shift(op, r, p), p)
-        if projection is None:
-            continue
-        blocks: dict = {q: {} for q in domain.basis}
-        for j, column in enumerate(projection):
-            q, jj = where[j]
-            for i, x in column.items():
-                blocks[q][where[i][1], jj] = x
-        e = ModuleHom(domain, codomain, blocks)
-        if verify_idempotent(e):
-            return IdempotentSearch("found", e)
-    if rootless:
-        reason = f"no eigenvalue in GF({p}) for End basis maps {', '.join(map(str, rootless))}, and no other basis map splits the module"
-    else:
-        reason = f"every End basis map is an eigenvalue in GF({p}) plus a nilpotent, but together they do not span GF({p}) plus a nilpotent ideal"
+    for op in ops:
+        r = next((r for i in range(n) if (r := _root(_minimal_polynomial(op, {i: 1}, p), p)) is not None), None)
+        if r is not None and (projection := _fitting_projection(op, r, p)) is not None:
+            blocks: dict = {q: {} for q in domain.basis}
+            for j, column in enumerate(projection):
+                blocks[where[j][0]].update({(where[i][1], where[j][1]): x for i, x in column.items()})
+            if verify_idempotent(e := ModuleHom(domain, codomain, blocks)):
+                return IdempotentSearch("found", e)
+    reason = f"End(M) is not GF({p}) plus a nilpotent ideal, and no eigenvalue in GF({p}) splits M"
     return IdempotentSearch("unavailable", reason=reason)
 
 
@@ -562,7 +428,7 @@ def verify_iso(h: ModuleHom) -> bool:
 
     A block is invertible iff the forward elimination of its entries has
     full rank: a rank needs no back-substitution.  `ModuleHom.intertwines`
-    multiplies the same entries.  Nothing here calls numpy.
+    multiplies the same entries.
     """
     for qv, blk in h.blocks.items():
         n = h.domain.dim(qv)
@@ -575,8 +441,7 @@ def verify_idempotent(e: ModuleHom) -> bool:
     """True iff e is an idempotent endomorphism other than 0 and 1.
 
     Its domain is its codomain, it intertwines, e @ e = e in every block,
-    some block is nonzero and some block is not the identity.  As in
-    `verify_iso`, only block entries are multiplied: no numpy call.
+    some block is nonzero and some block is not the identity.
     """
     dom, p = e.domain, e.prime
     return (
@@ -604,7 +469,7 @@ def random_instance(
 ) -> TreeOverQ:
     """Deterministic pseudorandom valid labelled tree.
 
-    Rejection-samples until the labelled tree validates, once per attempt,
+    Rejection-samples until the labelled tree validates (once per attempt),
     the bound quiver is locally bound, and the endomorphism space has
     dimension at most `end_dim_cap` at p = 3 and 5, small enough for the
     tests' exhaustive reference scan.  Attempt k of a seed draws
@@ -657,10 +522,12 @@ def random_instance(
         if len(vertex_label) < len(depth):
             continue  # a parent's label has no arrow at the parent's end
         t = TreeOverQ(RootedTree(sorted(depth), tree_arrows, orientation), bq, vertex_label, arrow_label)
-        if not validate_tree_over_q(t).ok:
+        try:
+            rep = push_down(t, 3)  # the attempt's one validation of its tree
+        except ValueError:
             continue
-        reps = (_module(t, p) for p in (3, 5))  # validated above; lazy: no p = 5 module once p = 3 is over the cap
-        if end_dim_cap is None or all(hom_space(rep, rep).dimension <= end_dim_cap for rep in reps):
+        reps = (rep, ModuleRep(5, bq, rep.basis, rep.actions))  # the same entries over GF(5)
+        if end_dim_cap is None or all(hom_space(m, m).dimension <= end_dim_cap for m in reps):
             return t
     raise GenerationExhausted(f"no valid instance for seed {seed} in {budget} attempts")
 

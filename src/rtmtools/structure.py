@@ -5,8 +5,8 @@ exactly when the tree admits a non-identity idempotent label-compatible
 endomorphism, and such an endomorphism exists exactly when two distinct
 same-labelled siblings admit a label-compatible morphism from one branch
 into the other.  The sibling search is a memoized pairwise dynamic program,
-so the whole decision is polynomial; the exhaustive idempotent scan of the
-oracle module provides the independent cross-check.
+so the whole decision is polynomial; the oracle's local-End test provides
+the independent cross-check.
 
 A split moves only the branch of the first sibling of a certificate, so
 `decompose_fully` splits the pieces of one view of the input tree along

@@ -238,11 +238,9 @@ def restrict(t: TreeOverQ, vertices: tuple[int, ...]) -> TreeOverQ:
     )
 
 
-# The package computes on Python ints, which do not overflow.  The bound keeps
-# the trial division of `is_odd_prime` to at most 2**11 divisors, and keeps
-# exact the int64 arrays of the dense wrappers `oracle.rref` and
-# `oracle.nullspace` and of the tests' dense references: products of two
-# residues mod p < 2**24, summed over fewer than 2**15 terms, stay below 2**63.
+# Python ints do not overflow; the bound keeps `is_odd_prime` to 2**11 trial
+# divisions and keeps the int64 arrays of `oracle.rref`, `oracle.nullspace` and
+# the tests exact (2**15 products of residues below 2**24 stay below 2**63).
 PRIME_BOUND = 2**24
 
 
@@ -321,11 +319,6 @@ def push_down(t: TreeOverQ, prime: int = 3) -> ModuleRep:
     if not is_odd_prime(prime):
         raise ValueError(f"need an odd prime, got {prime}")
     require_valid(t)
-    return _module(t, prime)
-
-
-def _module(t: TreeOverQ, prime: int) -> ModuleRep:
-    """The module of `push_down`, for a tree and a prime already checked."""
     q, tree = t.codomain.quiver, t.tree
     basis: dict[str, list[int]] = {qv: [] for qv in q.vertices}
     for n in tree.vertices:  # already ascending

@@ -712,7 +712,7 @@ def test_local_end_test_names_a_missing_eigenvalue():
     assert basis.dimension == 2 and _materialising_scan(basis)[0] == "none"
     search = has_nontrivial_idempotent(basis)
     assert search.status == "unavailable" and search.idempotent is None
-    assert search.reason.startswith("no eigenvalue in GF(3) for End basis maps ")
+    assert search.reason == "End(M) is not GF(3) plus a nilpotent ideal, and no eigenvalue in GF(3) splits M"
 
 
 def _product(factors, p):
