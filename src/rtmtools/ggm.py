@@ -208,7 +208,7 @@ def _closures(cover: TwoCover, table: dict, seed: tuple, position: dict) -> Iter
                 choices.append((len(vertices), len(links), i, k, options))
         else:
             pairs = sorted(signs)
-            flip = signs[pairs[0]]
+            flip = signs[pairs[0]]  # a pair's lift is +1, lifts[pair][1], exactly when its sign is flip
             yield GeneralizedGraphMap(cover, tuple([lifts[pair][signs[pair] == flip] for pair in pairs]))
         if not options:  # closed or dead end: resume the latest choice point
             if not choices:
