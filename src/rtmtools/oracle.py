@@ -24,7 +24,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator, Optional
+from typing import Optional
 
 from .algebra import BoundQuiver, Quiver, check_locally_bound
 from .trees import (
